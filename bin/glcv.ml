@@ -71,29 +71,16 @@ module Lint = Glc_lint.Lint
 module Diagnostic = Glc_lint.Diagnostic
 module Certificate = Glc_symbolic.Certificate
 
+(* Campaign.Runner.resolve is the one name -> circuit rule (benchmark
+   name, 0xNN / 0xNNNN code, bare decimal); the CLI only words the
+   error for a terminal. *)
 let find_circuit name =
-  match Benchmarks.find name with
-  | Some c -> Ok c
-  | None -> (
-      (* Accept any truth-table code, not just the benchmark set: 0xNN
-         (or bare decimal) is a 3-input function, 0xNNNN a 4-input one
-         — the same rule as Campaign.Runner.resolve. *)
-      let code =
-        match Cello.code_of_name name with
-        | Some _ as c -> c
-        | None -> (
-            match int_of_string_opt name with
-            | Some c when c >= 0 && c <= 0xFF -> Some (3, c)
-            | _ -> None)
-      in
-      match code with
-      | Some (arity, code) -> Ok (Cello.of_code ~arity code)
-      | None ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown circuit %S (try `glcv list`, or a code like 0x1C)"
-                 name)))
+  Result.map_error
+    (fun _ ->
+      `Msg
+        (Printf.sprintf
+           "unknown circuit %S (try `glcv list`, or a code like 0x1C)" name))
+    (Glc_campaign.Runner.resolve name)
 
 (* ---- common options ---- *)
 

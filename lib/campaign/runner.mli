@@ -37,7 +37,9 @@ type summary = {
 val resolve : string -> (Glc_gates.Circuit.t, string) result
 (** Benchmark name, or any truth-table code: [0xNN] (or bare decimal
     up to 255) is a 3-input function, [0xNNNN] a 4-input one — the hex
-    digit count selects the arity ({!Glc_gates.Cello.code_of_name}). *)
+    digit count selects the arity ({!Glc_gates.Cello.code_of_name}).
+    Builds exactly the one circuit named. The single name rule: the CLI,
+    campaign jobs, serve admission and the atlas all resolve here. *)
 
 val job_protocol : Grid.spec -> Grid.job -> Glc_dvasim.Protocol.t
 (** The experimental protocol a job runs under: the spec's times, the

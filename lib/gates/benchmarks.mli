@@ -6,9 +6,11 @@ val all : unit -> Circuit.t list
 (** Book circuits first, then the Cello set. *)
 
 val find : string -> Circuit.t option
-(** Lookup by circuit name (e.g. ["genetic_AND"], ["0x0B"]). *)
+(** Lookup by circuit name (e.g. ["genetic_AND"], ["0x0B"]). Builds
+    only the named circuit; [None] builds nothing. *)
 
 val names : unit -> string list
+(** The names of {!all}, in order, without building any circuit. *)
 
 val summary :
   unit -> (string * int * int * int) list

@@ -42,5 +42,3 @@ let circuit_0x04 () = of_code 0x04
 let circuit_0x1C () = of_code 0x1C
 
 let codes = [ 0x0B; 0x04; 0x1C; 0x70; 0x41; 0x8E; 0x5D; 0x3A; 0xB1; 0x17 ]
-
-let all () = List.map of_code codes

@@ -2,8 +2,8 @@
 
     Nielsen et al. (Science 2016) name each 3-input circuit by the
     hexadecimal code of its output column ([0x0B], [0x04], [0x1C], …).
-    {!of_code} runs the full synthesis flow for any such code; {!all}
-    returns the ten circuits used in the paper's evaluation, including the
+    {!of_code} runs the full synthesis flow for any such code; {!codes}
+    lists the ten circuits used in the paper's evaluation, including the
     three whose analytics appear in the paper's Fig. 4. *)
 
 val name_of_code : arity:int -> int -> string
@@ -38,6 +38,3 @@ val circuit_0x1C : unit -> Circuit.t
 val codes : int list
 (** The ten benchmark codes:
     [0x0B; 0x04; 0x1C; 0x70; 0x41; 0x8E; 0x5D; 0x3A; 0xB1; 0x17]. *)
-
-val all : unit -> Circuit.t list
-(** Circuits for {!codes}, in order. *)

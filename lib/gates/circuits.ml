@@ -148,7 +148,3 @@ let genetic_nor () =
         ("TetR", Assembly.sensor_affinity "TetR");
       ]
     ()
-
-let all () =
-  [ genetic_not (); genetic_and (); genetic_or (); genetic_nand ();
-    genetic_nor () ]

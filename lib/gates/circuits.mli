@@ -21,6 +21,3 @@ val genetic_nand : unit -> Circuit.t
 
 val genetic_nor : unit -> Circuit.t
 (** 2 inputs, tandem repression. GFP = I1'.I2'. *)
-
-val all : unit -> Circuit.t list
-(** The five circuits above, in that order. *)

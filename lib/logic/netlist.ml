@@ -149,13 +149,16 @@ let of_sop ~inputs tt =
    2^2^arity Boolean functions, relaxing tree costs under {NOT, NOR2}
    until fixpoint, then extracting with structural sharing. This is the
    kind of optimisation Cello's logic synthesis performs and keeps the
-   benchmark circuits within the paper's 1-7 gate range. *)
-let of_small ~inputs tt =
-  let arity = Array.length inputs in
+   benchmark circuits within the paper's 1-7 gate range.
+
+   The cost table depends on the arity alone, never on the target or the
+   input names, so it is computed once per arity and shared. *)
+type pred = [ `None | `Input of int | `Not of int | `Nor of int * int ]
+
+let small_table arity =
   let rows = 1 lsl arity in
   let nf = 1 lsl rows in
   let mask = nf - 1 in
-  let target = Truth_table.to_code tt in
   let input_code i =
     (* bit r of the code is the value of input i on row r *)
     let c = ref 0 in
@@ -165,15 +168,14 @@ let of_small ~inputs tt =
     !c
   in
   let cost = Array.make nf max_int in
-  let pred = Array.make nf `None in
-  Array.iteri
-    (fun i _ ->
-      let c = input_code i in
-      if cost.(c) > 0 then begin
-        cost.(c) <- 0;
-        pred.(c) <- `Input i
-      end)
-    inputs;
+  let pred : pred array = Array.make nf `None in
+  for i = 0 to arity - 1 do
+    let c = input_code i in
+    if cost.(c) > 0 then begin
+      cost.(c) <- 0;
+      pred.(c) <- `Input i
+    end
+  done;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -200,6 +202,26 @@ let of_small ~inputs tt =
       end
     done
   done;
+  (cost, pred)
+
+(* One slot per arity 0..3. The tables are never mutated once built, so
+   publishing them through an [Atomic] makes the cache domain-safe: two
+   domains racing on a cold arity build equal tables and either may
+   win. *)
+let small_tables : (int array * pred array) option Atomic.t array =
+  Array.init 4 (fun _ -> Atomic.make None)
+
+let small_table_of arity =
+  match Atomic.get small_tables.(arity) with
+  | Some t -> t
+  | None ->
+      let t = small_table arity in
+      Atomic.set small_tables.(arity) (Some t);
+      t
+
+let of_small ~inputs tt =
+  let cost, pred = small_table_of (Array.length inputs) in
+  let target = Truth_table.to_code tt in
   assert (cost.(target) < max_int);
   let st = Builder.create () in
   let memo = Hashtbl.create 16 in

@@ -6,8 +6,9 @@ module Certificate = Glc_symbolic.Certificate
 module Circuit = Glc_gates.Circuit
 module Protocol = Glc_dvasim.Protocol
 module Ode = Glc_ssa.Ode
+module Compiled = Glc_ssa.Compiled
 module Events = Glc_ssa.Events
-module Trace = Glc_ssa.Trace
+module Pool = Glc_engine.Pool
 module Truth_table = Glc_logic.Truth_table
 module Metrics = Glc_obs.Metrics
 module Json = Glc_core.Report.Json
@@ -96,7 +97,9 @@ type delay = {
 
 let delay_id name = "delay-" ^ name
 
-let measure_delay ~protocol circuit =
+(* One function's delay, with the RK4 steps it cost. The model compiles
+   once; each transition integrates only until its output crosses. *)
+let measure ~protocol circuit =
   let arity = Circuit.arity circuit in
   let nc = 1 lsl arity in
   let expected = circuit.Circuit.expected in
@@ -118,7 +121,8 @@ let measure_delay ~protocol circuit =
                   (level (Circuit.input_value circuit ~row:to_row j));
               ])))
   in
-  let model = Circuit.model circuit in
+  let c = Compiled.compile (Circuit.model circuit) in
+  let out = Compiled.species_index c circuit.Circuit.output in
   (* the deterministic limit at a coarse unit step: accurate to the
      trace-sampling resolution the stochastic analyser itself uses, and
      cheap enough to scan all 256 functions in seconds *)
@@ -132,55 +136,52 @@ let measure_delay ~protocol circuit =
         if a = b then None else Some (r, r', b))
       (List.init nc Fun.id)
   in
-  let worst = ref None and measured = ref 0 in
+  let worst = ref None and measured = ref 0 and steps = ref 0 in
   List.iter
     (fun (from_row, to_row, rising) ->
-      let trace = Ode.run ~events:(events ~from_row ~to_row) cfg model in
-      let out = Trace.column trace circuit.Circuit.output in
-      let n = Trace.length trace in
-      let crossing = ref None in
-      (try
-         for k = 0 to n - 1 do
-           let t = Trace.time trace k in
-           if t >= settle then begin
-             let crossed =
-               if rising then out.(k) >= threshold else out.(k) < threshold
-             in
-             if crossed then begin
-               crossing := Some (t -. settle);
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      match !crossing with
+      let crossed =
+        if rising then fun s -> s.(out) >= threshold
+        else fun s -> s.(out) < threshold
+      in
+      let u =
+        Ode.run_until ~events:(events ~from_row ~to_row) ~from:settle cfg c
+          crossed
+      in
+      steps := !steps + u.Ode.u_steps;
+      match u.Ode.u_time with
       | None -> ()
-      | Some d ->
+      | Some t ->
+          let d = t -. settle in
           incr measured;
           let better =
             match !worst with None -> true | Some (w, _, _, _) -> d > w
           in
           if better then worst := Some (d, from_row, to_row, rising))
     transitions;
-  match !worst with
-  | Some (w, f, t, r) ->
-      {
-        d_transitions = List.length transitions;
-        d_measured = !measured;
-        d_worst = Some w;
-        d_from = f;
-        d_to = t;
-        d_rising = r;
-      }
-  | None ->
-      {
-        d_transitions = List.length transitions;
-        d_measured = 0;
-        d_worst = None;
-        d_from = 0;
-        d_to = 0;
-        d_rising = false;
-      }
+  let d =
+    match !worst with
+    | Some (w, f, t, r) ->
+        {
+          d_transitions = List.length transitions;
+          d_measured = !measured;
+          d_worst = Some w;
+          d_from = f;
+          d_to = t;
+          d_rising = r;
+        }
+    | None ->
+        {
+          d_transitions = List.length transitions;
+          d_measured = 0;
+          d_worst = None;
+          d_from = 0;
+          d_to = 0;
+          d_rising = false;
+        }
+  in
+  (d, !steps)
+
+let measure_delay ~protocol circuit = fst (measure ~protocol circuit)
 
 let delay_doc ~name ~protocol d =
   let b = Buffer.create 256 in
@@ -214,29 +215,20 @@ let delay_doc ~name ~protocol d =
   Buffer.add_string b "}";
   Buffer.contents b
 
+(* Every field the reader needs must be present and well-typed: a doc
+   that parses but lacks them (truncated, hand-edited) is no delay at
+   all, so the frontier never sees it and a resumed run re-measures it. *)
 let delay_of_doc doc =
   match Json.parse doc with
   | Error _ -> None
-  | Ok v ->
-      let int name = Option.bind (Json.member v name) Json.to_int in
-      let transitions = Option.value ~default:0 (int "transitions")
-      and measured = Option.value ~default:0 (int "measured") in
-      let worst = Json.member v "worst" in
-      let d =
-        match worst with
-        | Some (Json.Object _ as w) ->
-            let wint name = Option.bind (Json.member w name) Json.to_int in
-            {
-              d_transitions = transitions;
-              d_measured = measured;
-              d_worst = Option.bind (Json.member w "delay") Json.to_number;
-              d_from = Option.value ~default:0 (wint "from_row");
-              d_to = Option.value ~default:0 (wint "to_row");
-              d_rising =
-                Option.value ~default:false
-                  (Option.bind (Json.member w "rising") Json.to_bool);
-            }
-        | _ ->
+  | Ok v -> (
+      let ( let* ) = Option.bind in
+      let int o name = Option.bind (Json.member o name) Json.to_int in
+      let* transitions = int v "transitions" in
+      let* measured = int v "measured" in
+      match Json.member v "worst" with
+      | Some Json.Null ->
+          Some
             {
               d_transitions = transitions;
               d_measured = measured;
@@ -245,21 +237,39 @@ let delay_of_doc doc =
               d_to = 0;
               d_rising = false;
             }
-      in
-      Some d
+      | Some (Json.Object _ as w) ->
+          let* delay = Option.bind (Json.member w "delay") Json.to_number in
+          let* from_row = int w "from_row" in
+          let* to_row = int w "to_row" in
+          let* rising = Option.bind (Json.member w "rising") Json.to_bool in
+          Some
+            {
+              d_transitions = transitions;
+              d_measured = measured;
+              d_worst = Some delay;
+              d_from = from_row;
+              d_to = to_row;
+              d_rising = rising;
+            }
+      | _ -> None)
+
+let stored_delay store name =
+  Option.bind (Store.get store ~id:(delay_id name)) delay_of_doc
 
 let spec_circuits (spec : Grid.spec) = spec.Grid.grid.Grid.circuits
 
-let circuit_job (spec : Grid.spec) name =
-  (* atlas grids have one job per circuit (single threshold/replicates
-     axis); the first expanded job of the name is it *)
-  List.find (fun j -> j.Grid.j_circuit = name) (Grid.expand spec.Grid.grid)
+(* atlas grids have one job per circuit (single threshold/replicates
+   axis); the first expanded job of each name is it *)
+let circuit_jobs (spec : Grid.spec) =
+  let jobs = Grid.expand spec.Grid.grid in
+  List.map
+    (fun name -> (name, List.find (fun j -> j.Grid.j_circuit = name) jobs))
+    (spec_circuits spec)
 
 let delay_coverage store spec =
   let names = spec_circuits spec in
   let measured =
-    List.length
-      (List.filter (fun n -> Store.mem store ~id:(delay_id n)) names)
+    List.length (List.filter (fun n -> stored_delay store n <> None) names)
   in
   (measured, List.length names)
 
@@ -275,28 +285,62 @@ type summary = {
   a_delays_total : int;
 }
 
-let measure_delays ?(metrics = Metrics.noop) ?(should_stop = fun () -> false)
-    store spec =
-  let synth = Metrics.counter metrics "space.delays_measured" in
-  List.iter
-    (fun name ->
-      let job = circuit_job spec name in
-      let id = delay_id name in
-      if
-        (not (should_stop ()))
-        && Store.mem store ~id:(Grid.job_id job)
-        && not (Store.mem store ~id)
-      then
-        match Runner.resolve name with
-        | Error _ -> ()
-        | Ok circuit ->
-            let protocol = Runner.job_protocol spec job in
-            let t0 = Unix.gettimeofday () in
-            let d = measure_delay ~protocol circuit in
-            Metrics.observe_since metrics "space.delay_seconds" t0;
-            Metrics.Counter.incr synth;
-            Store.put store ~id (delay_doc ~name ~protocol d))
-    (spec_circuits spec)
+(* Functions per pool round. A round's delays are stored on the calling
+   domain, in spec order, before [should_stop] is polled again. The size
+   is fixed rather than scaled by the worker count, so an interrupted
+   pass stops at the same function whatever [jobs] is. *)
+let delay_round = 16
+
+let rec split_at n = function
+  | x :: rest when n > 0 ->
+      let round, rest = split_at (n - 1) rest in
+      (x :: round, rest)
+  | rest -> ([], rest)
+
+let measure_delays ?(jobs = 0) ?(metrics = Metrics.noop)
+    ?(should_stop = fun () -> false) store spec =
+  let c_measured = Metrics.counter metrics "space.delays_measured" in
+  let c_steps = Metrics.counter metrics "space.ode_steps" in
+  let h_seconds = Metrics.histogram metrics "space.delay_seconds" in
+  let pending =
+    List.filter
+      (fun (name, job) ->
+        Store.mem store ~id:(Grid.job_id job) && stored_delay store name = None)
+      (circuit_jobs spec)
+  in
+  (* a worker resolves, measures and times one function; only the
+     calling domain touches the store and the metrics *)
+  let measure_one _ (name, job) =
+    match Runner.resolve name with
+    | Error _ -> None
+    | Ok circuit ->
+        let protocol = Runner.job_protocol spec job in
+        let t0 = Glc_obs.Clock.now () in
+        let d, steps = measure ~protocol circuit in
+        Some (protocol, d, steps, Glc_obs.Clock.now () -. t0)
+  in
+  let store_one (name, _) = function
+    | Ok None -> ()
+    | Ok (Some (protocol, d, steps, seconds)) ->
+        Metrics.Histogram.observe h_seconds seconds;
+        Metrics.Counter.incr c_measured;
+        Metrics.Counter.add c_steps steps;
+        Store.put store ~id:(delay_id name) (delay_doc ~name ~protocol d)
+    | Error e ->
+        failwith (Printf.sprintf "Atlas: delay of %s: %s" name e.Pool.message)
+  in
+  if pending <> [] then
+    let jobs = if jobs = 0 then Pool.default_jobs () else jobs in
+    Pool.with_pool ~jobs (fun pool ->
+        let rec rounds pending =
+          if pending <> [] && not (should_stop ()) then begin
+            let round, rest = split_at delay_round pending in
+            List.iter2 store_one round
+              (Array.to_list (Pool.map pool measure_one (Array.of_list round)));
+            rounds rest
+          end
+        in
+        rounds pending)
 
 let run ?jobs ?limit ?on_progress ?metrics ?should_stop
     ?(certified_only = false) ~dir spec =
@@ -321,7 +365,7 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop
   let* () =
     Metrics.span m "space:delays" (fun () ->
         Store.Lock.with_lock ~dir (fun () ->
-            measure_delays ~metrics:m ?should_stop store spec))
+            measure_delays ?jobs ~metrics:m ?should_stop store spec))
   in
   let lines = Store.lines store spec in
   let done_ = List.filter (fun l -> l.Store.l_done) lines in
@@ -357,9 +401,7 @@ let entries store spec =
       match Glc_gates.Cello.code_of_name name with
       | None -> None
       | Some (arity, code) ->
-          let f_delay =
-            Option.bind (Store.get store ~id:(delay_id name)) delay_of_doc
-          in
+          let f_delay = stored_delay store name in
           Some { f_info = Fn.describe ~arity code; f_line = l; f_delay })
     lines
 

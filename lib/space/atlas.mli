@@ -65,9 +65,10 @@ val certified_filter : Grid.spec -> Grid.job -> bool
     Worst-case delay on the deterministic (ODE) limit: for every
     adjacent input-combination transition [r -> r+1 mod 2^n] whose
     expected outputs differ, the inputs are held at [r] for one
-    hold-time, switched, and the output column scanned for its first
+    hold-time, switched, and the output followed to its first
     threshold crossing. Delay docs are stored as [delay-<name>] in the
-    atlas store, individually resumable. *)
+    atlas store, individually resumable; a doc that parses but lacks a
+    field counts as absent, so a resumed run measures it again. *)
 
 type delay = {
   d_transitions : int;  (** output-changing transitions *)
@@ -80,13 +81,17 @@ type delay = {
 
 val measure_delay :
   protocol:Glc_dvasim.Protocol.t -> Glc_gates.Circuit.t -> delay
-(** Pure measurement (no store). Deterministic. *)
+(** Pure measurement (no store). Deterministic. The model compiles once
+    and each transition integrates only up to its crossing
+    ({!Glc_ssa.Ode.run_until}); the result is the one a scan of the
+    full settle + timeout trace would give. *)
 
 val delay_id : string -> string
 (** [delay-<circuit name>]. *)
 
 val delay_coverage : Store.t -> Grid.spec -> int * int
-(** [(measured, total)] delay docs over the spec's circuits. *)
+(** [(measured, total)] well-formed delay docs over the spec's
+    circuits. *)
 
 (** {2 Running} *)
 
@@ -113,10 +118,18 @@ val run :
 (** {!prepare}, drain the pending functions through
     {!Glc_campaign.Resume.run} (with {!certified_filter} when
     [certified_only]), then measure the delay of every completed
-    function that lacks one. Records [space.functions_synthesised],
-    [space.functions_verified], [space.delays_measured] counters and
-    the [space.delay_seconds] histogram on [metrics]. Interruptible
-    between jobs and between delay measurements via [should_stop]. *)
+    function that lacks one. [jobs] (default: one worker per core) sizes
+    the worker pool of both the drain and the delay pass; the delay
+    pass hands the pool rounds of 16 functions and stores each round's
+    docs in spec order, so the stored bytes do not depend on [jobs].
+    Records [space.functions_synthesised], [space.functions_verified],
+    [space.delays_measured] and [space.ode_steps] (RK4 steps, a
+    deterministic cost counter) counters and the [space.delay_seconds]
+    histogram (one observation per function, timed on the worker that
+    measured it — its sum is worker-seconds and can exceed the pass's
+    wall time) on [metrics]. [should_stop] is polled between jobs and,
+    in the delay pass, once per round: a stop takes effect after the
+    current round is stored. *)
 
 (** {2 Reporting} *)
 

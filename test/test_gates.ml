@@ -288,6 +288,21 @@ let test_benchmarks_find () =
   checkb "missing" true (Benchmarks.find "0xZZ" = None);
   checki "names" 15 (List.length (Benchmarks.names ()))
 
+(* find builds only the named circuit from its own catalogue entry; it
+   must build exactly what [all] builds under that name *)
+let test_benchmarks_find_matches_all () =
+  let all = Benchmarks.all () in
+  checkb "names are the built circuits' names" true
+    (Benchmarks.names () = List.map (fun c -> c.Circuit.name) all);
+  List.iter
+    (fun c ->
+      checkb (c.Circuit.name ^ ": structurally equal") true
+        (Benchmarks.find c.Circuit.name = Some c))
+    all;
+  List.iter
+    (fun name -> checkb (name ^ ": unknown") true (Benchmarks.find name = None))
+    [ ""; "genetic_XOR"; "0x69"; "0x0b"; "11" ]
+
 let test_book_circuits_expected () =
   let code c = Truth_table.to_code c.Circuit.expected in
   checki "NOT" 0x01 (code (Circuits.genetic_not ()));
@@ -356,6 +371,8 @@ let () =
           Alcotest.test_case "bad code" `Quick test_cello_bad_code;
           Alcotest.test_case "population" `Quick test_benchmarks_population;
           Alcotest.test_case "find" `Quick test_benchmarks_find;
+          Alcotest.test_case "find agrees with all" `Quick
+            test_benchmarks_find_matches_all;
           Alcotest.test_case "book circuit specs" `Quick
             test_book_circuits_expected;
         ] );

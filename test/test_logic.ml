@@ -317,6 +317,23 @@ let test_netlist_gate_types () =
         (Netlist.logic_gates nl))
     [ 0x0B; 0x04; 0x1C; 0x96; 0x69 ]
 
+(* The NOT/NOR cost table is built once per arity and shared: domains
+   racing to build it cold must synthesise what a lone caller does. *)
+let test_netlist_shared_table () =
+  let synth_all () =
+    List.concat_map
+      (fun arity ->
+        let inputs = Array.sub [| "a"; "b"; "c" |] 0 arity in
+        List.init
+          (1 lsl (1 lsl arity))
+          (fun code ->
+            Netlist.of_truth_table ~inputs (Truth_table.of_code ~arity code)))
+      [ 1; 2; 3 ]
+  in
+  let racing = List.map Domain.join [ Domain.spawn synth_all; Domain.spawn synth_all ] in
+  let alone = synth_all () in
+  List.iter (fun r -> checkb "same netlists" true (r = alone)) racing
+
 let test_netlist_paper_sizes () =
   (* The exact-search synthesiser keeps the paper's three Fig. 4 circuits
      within Cello-like gate counts. *)
@@ -482,6 +499,8 @@ let () =
           Alcotest.test_case "gate repertoire" `Quick test_netlist_gate_types;
           Alcotest.test_case "paper circuit sizes" `Quick
             test_netlist_paper_sizes;
+          Alcotest.test_case "cost table shared across domains" `Quick
+            test_netlist_shared_table;
           Alcotest.test_case "verilog export" `Quick test_netlist_verilog;
         ] );
       ( "properties",

@@ -9,6 +9,14 @@ module Netlist = Glc_logic.Netlist
 module Cello = Glc_gates.Cello
 module Protocol = Glc_dvasim.Protocol
 module Store = Glc_campaign.Store
+module Grid = Glc_campaign.Grid
+module Runner = Glc_campaign.Runner
+module Resume = Glc_campaign.Resume
+module Circuit = Glc_gates.Circuit
+module Ode = Glc_ssa.Ode
+module Events = Glc_ssa.Events
+module Trace = Glc_ssa.Trace
+module Json = Glc_core.Report.Json
 module Npn = Glc_space.Npn
 module Fn = Glc_space.Fn
 module Atlas = Glc_space.Atlas
@@ -213,6 +221,145 @@ let test_measure_delay () =
   in
   checkb "deterministic" true (d = d')
 
+(* The delay measurement as it was first written: every transition
+   integrates the full settle + timeout horizon through Ode.run and the
+   recorded trace is scanned for the first crossing at or after the
+   switch. Kept as the reference the early-exit measurement must equal
+   field for field. *)
+let reference_delay ~protocol circuit =
+  let arity = Circuit.arity circuit in
+  let nc = 1 lsl arity in
+  let expected = circuit.Circuit.expected in
+  let threshold = protocol.Protocol.threshold in
+  let settle = protocol.Protocol.hold_time in
+  let timeout = 2.5 *. protocol.Protocol.hold_time in
+  let level b =
+    if b then protocol.Protocol.input_high else protocol.Protocol.input_low
+  in
+  let events ~from_row ~to_row =
+    Events.of_list
+      (List.concat
+         (List.init arity (fun j ->
+              let species = circuit.Circuit.inputs.(j) in
+              [
+                Events.set 0. species
+                  (level (Circuit.input_value circuit ~row:from_row j));
+                Events.set settle species
+                  (level (Circuit.input_value circuit ~row:to_row j));
+              ])))
+  in
+  let model = Circuit.model circuit in
+  let cfg = Ode.config ~dt:1.0 ~step:1.0 ~t_end:(settle +. timeout) () in
+  let transitions =
+    List.filter_map
+      (fun r ->
+        let r' = (r + 1) mod nc in
+        let a = Truth_table.output expected r
+        and b = Truth_table.output expected r' in
+        if a = b then None else Some (r, r', b))
+      (List.init nc Fun.id)
+  in
+  let worst = ref None and measured = ref 0 in
+  List.iter
+    (fun (from_row, to_row, rising) ->
+      let trace = Ode.run ~events:(events ~from_row ~to_row) cfg model in
+      let out = Trace.column trace circuit.Circuit.output in
+      let crossing =
+        List.find_opt
+          (fun k ->
+            Trace.time trace k >= settle
+            && if rising then out.(k) >= threshold else out.(k) < threshold)
+          (List.init (Trace.length trace) Fun.id)
+      in
+      match crossing with
+      | None -> ()
+      | Some k ->
+          let d = Trace.time trace k -. settle in
+          incr measured;
+          let better =
+            match !worst with None -> true | Some (w, _, _, _) -> d > w
+          in
+          if better then worst := Some (d, from_row, to_row, rising))
+    transitions;
+  let n = List.length transitions in
+  match !worst with
+  | Some (w, f, t, r) ->
+      { Atlas.d_transitions = n; d_measured = !measured; d_worst = Some w;
+        d_from = f; d_to = t; d_rising = r }
+  | None ->
+      { Atlas.d_transitions = n; d_measured = 0; d_worst = None; d_from = 0;
+        d_to = 0; d_rising = false }
+
+(* the paper protocol of the committed atlas *)
+let paper_protocol =
+  let spec = Atlas.plan Atlas.default_config in
+  Runner.job_protocol spec (List.hd (Grid.expand spec.Grid.grid))
+
+(* the 14 NPN class representatives; parity 0x69, the 12-gate worst
+   case, is one of them *)
+let delay_probe_codes =
+  List.sort_uniq compare (0x69 :: List.map fst (Npn.classes ~arity:3))
+
+let bits = function
+  | None -> None
+  | Some w -> Some (Int64.bits_of_float w)
+
+let check_delay what (a : Atlas.delay) (b : Atlas.delay) =
+  checki (what ^ ": transitions") a.Atlas.d_transitions b.Atlas.d_transitions;
+  checki (what ^ ": measured") a.Atlas.d_measured b.Atlas.d_measured;
+  checkb (what ^ ": worst, bit for bit") true
+    (bits a.Atlas.d_worst = bits b.Atlas.d_worst);
+  checki (what ^ ": from") a.Atlas.d_from b.Atlas.d_from;
+  checki (what ^ ": to") a.Atlas.d_to b.Atlas.d_to;
+  checkb (what ^ ": rising") a.Atlas.d_rising b.Atlas.d_rising
+
+let test_delay_matches_reference () =
+  List.iter
+    (fun code ->
+      let c = Cello.of_code code in
+      check_delay
+        (Printf.sprintf "0x%02X" code)
+        (reference_delay ~protocol:paper_protocol c)
+        (Atlas.measure_delay ~protocol:paper_protocol c))
+    delay_probe_codes
+
+(* the committed SPACE.json was measured by the full-horizon reference;
+   the early-exit measurement must reproduce its delay records *)
+let test_delay_matches_committed_atlas () =
+  let path =
+    if Sys.file_exists "SPACE.json" then "SPACE.json" else "../SPACE.json"
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let functions =
+    match Json.parse text with
+    | Error e -> Alcotest.fail e
+    | Ok v -> Option.get (Option.bind (Json.member v "functions") Json.to_list)
+  in
+  List.iter
+    (fun code ->
+      let name = Fn.name_of_code ~arity:3 code in
+      let f =
+        List.find
+          (fun f -> Option.bind (Json.member f "name") Json.to_str = Some name)
+          functions
+      in
+      let d = Option.get (Json.member f "delay") in
+      let int k = Option.get (Option.bind (Json.member d k) Json.to_int) in
+      let committed =
+        {
+          Atlas.d_transitions = int "transitions";
+          d_measured = int "measured";
+          d_worst = Option.bind (Json.member d "worst") Json.to_number;
+          d_from = int "from_row";
+          d_to = int "to_row";
+          d_rising =
+            Option.get (Option.bind (Json.member d "rising") Json.to_bool);
+        }
+      in
+      check_delay name committed
+        (Atlas.measure_delay ~protocol:paper_protocol (Cello.of_code code)))
+    delay_probe_codes
+
 (* ---- the atlas: kill + resume = byte-identical SPACE.json ---- *)
 
 let light_config =
@@ -294,6 +441,105 @@ let test_atlas_certified_only () =
         ls;
       checki "done + pending = all" s.Atlas.a_functions
         (s.Atlas.a_done + s.Atlas.a_remaining))
+
+(* every delay-* document of an atlas directory, by id *)
+let delay_docs dir =
+  let store, _ = Result.get_ok (Store.load ~dir) in
+  List.filter_map
+    (fun id ->
+      if String.starts_with ~prefix:"delay-" id then
+        Some (id, Option.get (Store.get store ~id))
+      else None)
+    (Store.completed store)
+
+let test_delay_pass_deterministic () =
+  (* enough functions for several pool rounds, so the interrupted run
+     stops with rounds still to go *)
+  let spec = Atlas.plan { light_config with Atlas.sample = Some 40 } in
+  with_dirs2 (fun dir_1 dir_2 ->
+      with_dir (fun dir_stop ->
+          let run ?should_stop ~jobs dir =
+            Result.get_ok
+              (Atlas.run ~jobs ?should_stop ~certified_only:true ~dir spec)
+          in
+          let s1 = run ~jobs:1 dir_1 in
+          ignore (run ~jobs:2 dir_2);
+          checkb "several rounds of delays" true (s1.Atlas.a_delays > 16);
+          (* trips once the first round of delay docs is stored: the
+             campaign drain before it never sees a delay doc *)
+          let store, _, _ = Result.get_ok (Atlas.prepare ~dir:dir_stop spec) in
+          let results = Filename.dirname (Store.result_path store ~id:"x") in
+          let should_stop () =
+            Array.exists
+              (String.starts_with ~prefix:"delay-")
+              (Sys.readdir results)
+          in
+          let stopped = run ~should_stop ~jobs:2 dir_stop in
+          checkb "stopped inside the delay pass" true
+            (stopped.Atlas.a_delays > 0
+            && stopped.Atlas.a_delays < stopped.Atlas.a_delays_total);
+          let resumed = run ~jobs:2 dir_stop in
+          checki "resume measures the rest" resumed.Atlas.a_delays_total
+            resumed.Atlas.a_delays;
+          let reference = delay_docs dir_1 in
+          checki "one doc per done function" s1.Atlas.a_done
+            (List.length reference);
+          List.iter
+            (fun (what, docs) ->
+              checkb (what ^ ": byte-identical delay docs") true
+                (docs = reference))
+            [
+              ("jobs 2", delay_docs dir_2);
+              ("stop + resume", delay_docs dir_stop);
+            ]))
+
+(* A delay doc that parses but lacks its fields used to read as a
+   constant function (0 transitions, delay 0): it rendered on the
+   frontier, and resume, which only checked that the doc existed, never
+   repaired it. *)
+let test_malformed_delay_doc () =
+  with_dirs2 (fun dir_ref dir ->
+      let spec = Atlas.plan light_config in
+      ignore (Result.get_ok (Atlas.run ~certified_only:true ~dir:dir_ref spec));
+      ignore (Result.get_ok (Atlas.run ~certified_only:true ~dir spec));
+      let store, spec = Result.get_ok (Resume.load ~dir) in
+      (* a function that really switches, so a 0-transition reading is
+         wrong *)
+      let id, _ =
+        List.find
+          (fun (_, doc) ->
+            match Json.parse doc with
+            | Ok v ->
+                Option.bind (Json.member v "transitions") Json.to_int
+                <> Some 0
+            | Error _ -> false)
+          (delay_docs dir)
+      in
+      let name = String.sub id 6 (String.length id - 6) in
+      let before, _ = Atlas.delay_coverage store spec in
+      Store.put store ~id
+        (Printf.sprintf "{\"id\":%s,\"kind\":\"delay\",\"circuit\":%s}"
+           (Json.string id) (Json.string name));
+      checki "the truncated doc does not count" (before - 1)
+        (fst (Atlas.delay_coverage store spec));
+      let rendered name =
+        match Json.parse (Atlas.space_json store spec) with
+        | Error e -> Alcotest.fail e
+        | Ok v ->
+            Option.get (Option.bind (Json.member v "functions") Json.to_list)
+            |> List.find (fun f ->
+                   Option.bind (Json.member f "name") Json.to_str = Some name)
+            |> fun f -> (Json.member f "delay", Json.member f "global_frontier")
+      in
+      checkb "renders as unmeasured, off the frontier" true
+        (rendered name = (Some Json.Null, Some (Json.Bool false)));
+      ignore (Result.get_ok (Atlas.run ~certified_only:true ~dir spec));
+      checkb "resume re-measures it" true (delay_docs dir = delay_docs dir_ref);
+      let json dir =
+        let store, spec = Result.get_ok (Resume.load ~dir) in
+        Atlas.space_json store spec
+      in
+      checks "byte-identical SPACE.json" (json dir_ref) (json dir))
 
 (* ---- the GA: determinism and resume ---- *)
 
@@ -412,6 +658,14 @@ let () =
         [
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           Alcotest.test_case "measure delay" `Quick test_measure_delay;
+          Alcotest.test_case "delay equals the full-horizon reference" `Quick
+            test_delay_matches_reference;
+          Alcotest.test_case "delay equals the committed atlas" `Quick
+            test_delay_matches_committed_atlas;
+          Alcotest.test_case "delay pass deterministic" `Quick
+            test_delay_pass_deterministic;
+          Alcotest.test_case "malformed delay doc re-measured" `Quick
+            test_malformed_delay_doc;
           Alcotest.test_case "kill + resume identical" `Quick
             test_atlas_resume_identical;
           Alcotest.test_case "certified only" `Quick

@@ -925,6 +925,245 @@ let test_ode_steady_state () =
   | [ ("X", x) ] -> checkf 0.01 "operating point" 100. x
   | _ -> Alcotest.fail "unexpected shape"
 
+(* The reference stepper: Ode's RK4 as it was before it moved onto an
+   allocation-free workspace — a fresh propensity array per derivative,
+   five fresh arrays per step, the trace recorded in full. Kept as the
+   oracle every production entry point must match bit for bit. *)
+module Ode_oracle = struct
+  let derivative (c : Compiled.t) state dx =
+    Array.fill dx 0 (Array.length dx) 0.;
+    let a = Compiled.propensities c state in
+    Array.iteri
+      (fun j r ->
+        List.iter
+          (fun (i, d) ->
+            if not c.Compiled.c_boundary.(i) then
+              dx.(i) <- dx.(i) +. (d *. a.(j)))
+          r.Compiled.c_deltas)
+      c.Compiled.c_reactions;
+    dx
+
+  let rk4_step (c : Compiled.t) state h =
+    let n = Array.length state in
+    let k1 = derivative c state (Array.make n 0.) in
+    let mid1 = Array.mapi (fun i x -> x +. (h /. 2. *. k1.(i))) state in
+    let k2 = derivative c mid1 (Array.make n 0.) in
+    let mid2 = Array.mapi (fun i x -> x +. (h /. 2. *. k2.(i))) state in
+    let k3 = derivative c mid2 (Array.make n 0.) in
+    let last = Array.mapi (fun i x -> x +. (h *. k3.(i))) state in
+    let k4 = derivative c last (Array.make n 0.) in
+    Array.iteri
+      (fun i x ->
+        let dx =
+          h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))
+        in
+        state.(i) <- Float.max 0. (x +. dx))
+      state
+
+  let apply_events_at (c : Compiled.t) state schedule =
+    match Events.next schedule with
+    | None -> None
+    | Some (first, _) ->
+        let t = first.Events.e_time in
+        let rec go schedule =
+          match Events.next schedule with
+          | Some (e, rest) when e.Events.e_time = t ->
+              state.(Compiled.species_index c e.Events.e_species) <-
+                Float.max 0. e.Events.e_value;
+              go rest
+          | Some _ | None -> schedule
+        in
+        Some (t, go schedule)
+
+  let run ?(events = Events.empty) (cfg : Glc_ssa.Ode.config) model =
+    let c = Compiled.compile model in
+    let state = Array.copy c.Compiled.c_initial in
+    let recorder =
+      Trace.Recorder.create ~names:c.Compiled.c_names ~initial:state
+        ~t0:cfg.Glc_ssa.Ode.t0 ~t_end:cfg.Glc_ssa.Ode.t_end
+        ~dt:cfg.Glc_ssa.Ode.dt
+    in
+    let rec catch_up events =
+      match Events.next events with
+      | Some (e, _) when e.Events.e_time <= cfg.Glc_ssa.Ode.t0 -> (
+          match apply_events_at c state events with
+          | Some (_, rest) -> catch_up rest
+          | None -> events)
+      | Some _ | None -> events
+    in
+    let events = catch_up events in
+    Trace.Recorder.observe recorder cfg.Glc_ssa.Ode.t0 state;
+    let rec loop t events =
+      if t < cfg.Glc_ssa.Ode.t_end then begin
+        let t_ev = Events.next_time events in
+        let t_stop = Float.min cfg.Glc_ssa.Ode.t_end t_ev in
+        let h = Float.min cfg.Glc_ssa.Ode.step (t_stop -. t) in
+        if h > 0. then begin
+          rk4_step c state h;
+          Trace.Recorder.observe recorder (t +. h) state;
+          loop (t +. h) events
+        end
+        else if t_ev <= cfg.Glc_ssa.Ode.t_end then begin
+          match apply_events_at c state events with
+          | Some (te, rest) ->
+              Trace.Recorder.observe recorder te state;
+              loop te rest
+          | None -> ()
+        end
+      end
+    in
+    loop cfg.Glc_ssa.Ode.t0 events;
+    Trace.Recorder.finish recorder
+
+  let steady_state ~max_time ~tolerance model =
+    let c = Compiled.compile model in
+    let state = Array.copy c.Compiled.c_initial in
+    let n = Array.length state in
+    let h = 0.5 in
+    let t = ref 0. in
+    let settled = ref false in
+    while (not !settled) && !t < max_time do
+      let before = Array.copy state in
+      rk4_step c state h;
+      t := !t +. h;
+      let change = ref 0. in
+      for i = 0 to n - 1 do
+        let scale = Float.max 1. (Float.abs before.(i)) in
+        change :=
+          Float.max !change (Float.abs (state.(i) -. before.(i)) /. scale)
+      done;
+      settled := !change /. h < tolerance
+    done;
+    Array.to_list (Array.mapi (fun i id -> (id, state.(i))) c.Compiled.c_names)
+end
+
+(* Random models for the ODE differential: Hill-repressed production
+   (the fused IR superinstruction), mass-action conversion and decay,
+   and a boundary input the events drive. *)
+let random_ode_model seed =
+  let st = Random.State.make [| seed |] in
+  let n_s = 2 + Random.State.int st 4 in
+  let name i = Printf.sprintf "S%d" i in
+  let species =
+    List.init n_s (fun i ->
+        Model.species ~boundary:(i = 0) (name i)
+          (float_of_int (Random.State.int st 40)))
+  in
+  let pick () = name (Random.State.int st n_s) in
+  let reactions =
+    List.init
+      (2 + Random.State.int st 6)
+      (fun j ->
+        let id = Printf.sprintf "r%d" j in
+        let k = 0.05 +. (float_of_int (Random.State.int st 20) /. 10.) in
+        match Random.State.int st 3 with
+        | 0 ->
+            let rep = pick () and out = pick () in
+            let rate =
+              Math.hill_repression ~ymin:(Math.num 0.1)
+                ~ymax:(Math.num (10. *. k))
+                ~k:(Math.num (1. +. float_of_int (Random.State.int st 30)))
+                ~n:(Math.num (float_of_int (1 + Random.State.int st 3)))
+                (Math.var rep)
+            in
+            Model.reaction ~products:[ (out, 1) ] ~modifiers:[ rep ] ~rate id
+        | 1 ->
+            let x = pick () in
+            Model.reaction ~reactants:[ (x, 1) ]
+              ~rate:Math.(num k * var x)
+              id
+        | _ ->
+            let a = pick () and b = pick () in
+            Model.reaction ~reactants:[ (a, 1) ] ~products:[ (b, 1) ]
+              ~rate:Math.(num k * var a)
+              id)
+  in
+  Model.make ~id:(Printf.sprintf "ode%d" seed) ~species ~reactions ()
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_ode_matches_oracle =
+  QCheck.Test.make
+    ~name:"Ode entry points match the allocating RK4 bit for bit"
+    ~count:60 QCheck.small_int (fun seed ->
+      let module Ode = Glc_ssa.Ode in
+      let m = random_ode_model seed in
+      let st = Random.State.make [| seed; 7 |] in
+      (* integration steps that do and do not divide the sampling grid,
+         and events on and off it *)
+      let step = [| 0.1; 0.25; 0.3; 1.0 |].(Random.State.int st 4) in
+      let cfg = Ode.config ~dt:1.0 ~step ~t_end:40. () in
+      let events =
+        Events.of_list
+          [
+            Events.set 0. "S0" (float_of_int (Random.State.int st 30));
+            Events.set
+              (5.5 +. float_of_int (Random.State.int st 20))
+              "S0"
+              (float_of_int (Random.State.int st 30));
+            Events.set 12. "S1" 3.;
+          ]
+      in
+      let reference = Ode_oracle.run ~events cfg m in
+      let trace = Ode.run ~events cfg m in
+      let names = Trace.names reference in
+      let n = Trace.length reference in
+      let samples = List.init n Fun.id in
+      let traces_equal =
+        Trace.names trace = names
+        && Trace.length trace = n
+        && Array.for_all
+             (fun id ->
+               List.for_all
+                 (fun k ->
+                   same_bits (Trace.value reference id k)
+                     (Trace.value trace id k))
+                 samples)
+             names
+      in
+      let steady_equal =
+        List.for_all2
+          (fun (a, x) (b, y) -> a = b && same_bits x y)
+          (Ode_oracle.steady_state ~max_time:60. ~tolerance:1e-9 m)
+          (Ode.steady_state ~max_time:60. m)
+      in
+      (* run_until against a scan of the oracle trace: the threshold is
+         a value the trace actually takes, so hits and misses both occur *)
+      let c = Compiled.compile m in
+      let id = names.(Random.State.int st (Array.length names)) in
+      let i = Compiled.species_index c id in
+      let threshold = Trace.value reference id (Random.State.int st n) in
+      let rising = Random.State.bool st in
+      let from =
+        float_of_int (Random.State.int st 30)
+        +. if Random.State.bool st then 0.5 else 0.
+      in
+      let meets x = if rising then x >= threshold else x < threshold in
+      let expected =
+        List.find_opt
+          (fun k ->
+            Trace.time reference k >= from
+            && meets (Trace.value reference id k))
+          samples
+      in
+      let seen = ref [||] in
+      let u =
+        Ode.run_until ~events ~from cfg c (fun s ->
+            meets s.(i) && (seen := Array.copy s; true))
+      in
+      let until_equal =
+        match (expected, u.Ode.u_time) with
+        | None, None -> true
+        | Some k, Some t ->
+            same_bits (Trace.time reference k) t
+            && List.for_all
+                 (fun j ->
+                   same_bits (Trace.value reference names.(j) k) !seen.(j))
+                 (List.init (Array.length names) Fun.id)
+        | _ -> false
+      in
+      traces_equal && steady_equal && until_equal)
+
 let test_sim_next_reaction_with_events () =
   let m = birth_death ~k:10. ~gamma:0.1 in
   let events = Events.of_list [ Events.set 500. "X" 0. ] in
@@ -1561,5 +1800,6 @@ let () =
             test_ode_birth_death;
           Alcotest.test_case "events" `Quick test_ode_events;
           Alcotest.test_case "steady state" `Quick test_ode_steady_state;
-        ] );
+        ]
+        @ qc [ prop_ode_matches_oracle ] );
     ]
