@@ -775,233 +775,69 @@ let campaign_bench () =
     with_store bare
     ((with_store -. bare) *. 1e3)
 
-(* ---- SSA hot path: sparse propensity engine, flat IR vs AST ---- *)
+(* ---- SSA hot path: the sparse direct method over the flat IR ---- *)
 
-(* Every Table-1 model, direct method. Four configurations:
-   dependency-driven sparse updates on the flat-IR evaluator (the
-   default), the same sparse engine on the AST closure evaluator (the
-   --eval ast reference), the full-recompute reference, and the batched
-   lane-block driver ([Sim.run_batch_rngs], eight replicates in
-   lockstep over SoA state). All must produce byte-identical traces;
-   sparse wins by doing O(deps) instead of O(R) propensity evaluations
-   per firing, the IR wins on top by constant-folding parameter
-   arithmetic (a Hill response costs one runtime pow instead of three)
-   and dispatching flat instead of chasing a closure tree, and the
-   batched driver wins again by decoding each stale instruction once
-   for every lane that needs it. Writes the machine-readable results to
-   BENCH_ssa.json (CI uploads it as an artifact). *)
-(* Dense-coupling stress model for the batched driver: [n] species,
-   conversions in every ordered pair, each law reading BOTH endpoint
-   counts through a saturating mass-action form
-   (k * S_i * (10 + S_j) * (1 + S_i/2000) * (1 + S_j/2000)). A firing
-   then invalidates every reaction touching either endpoint — an
-   affected set of ~4(n-1) of the n(n-1) reactions — so propensity
-   refreshes dominate the step, and the laws compile to ~10 plain
-   arithmetic instructions whose decode the lane-block amortises
-   across requesting lanes. Table-1 circuits are the opposite regime
-   twice over: the sparse engine already cut them to ~1-2 refreshes
-   per firing, and their Hill responses compile to one superinstruction
-   dominated by [pow], leaving batching nothing to share there. Total
-   count is conserved (pure conversions), so propensities stay finite
-   and bounded. *)
-let dense_coupling_model ~n =
-  let module Model = Glc_model.Model in
-  let module Math = Glc_model.Math in
-  let sp i = Printf.sprintf "S%d" i in
-  let ids = List.init n Fun.id in
-  let reactions =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun j ->
-            if i = j then None
-            else
-              Some
-                (Model.reaction
-                   ~reactants:[ (sp i, 1) ]
-                   ~products:[ (sp j, 1) ]
-                   ~modifiers:[ sp j ]
-                   ~rate:
-                     Math.(
-                       var "k" * var (sp i)
-                       * (num 10. + var (sp j))
-                       * (num 1. + (var (sp i) / num 2000.))
-                       * (num 1. + (var (sp j) / num 2000.)))
-                   (Printf.sprintf "c_%d_%d" i j)))
-          ids)
-      ids
-  in
-  Model.make
-    ~id:(Printf.sprintf "dense%d" n)
-    ~species:(List.map (fun i -> Model.species (sp i) 100.) ids)
-    ~parameters:[ Model.parameter "k" 3e-5 ]
-    ~reactions ()
-
+(* Every Table-1 model through the production direct method: sparse
+   propensity updates over the flat-IR evaluator. Per circuit it
+   reports the reactions, the firings, propensity evaluations per
+   firing (the sparse engine's O(deps) cost) and steps/s. Writes the
+   machine-readable results to BENCH_ssa.json (CI uploads it as an
+   artifact). The byte-identity of these traces against the
+   full-recompute Math.eval reference is checked in test_ssa. *)
 let bench_ssa () =
-  section
-    "SSA -- sparse propensity engine, flat IR vs AST vs batched \
-     (Table-1 models + dense-coupling stress, direct method)";
+  section "SSA -- sparse direct method over the flat IR (Table-1 models)";
   let module Sim = Glc_ssa.Sim in
   let module Compiled = Glc_ssa.Compiled in
   let module Metrics = Glc_obs.Metrics in
-  let module Rng = Glc_ssa.Rng in
   let t_end = 2_000. in
   let seed = 42 in
-  let repeats = 7 in
+  let repeats = 21 in
+  let cfg = Sim.config ~seed ~algorithm:Sim.Direct ~t_end () in
   (* best-of-[repeats] wall time: the trajectory is deterministic for a
-     fixed seed, so the minimum is the least-noise estimate. The
-     configurations under comparison are interleaved within each
-     repeat — IR, AST, full back to back — so a quiet window on a noisy
-     machine benefits every configuration rather than skewing whichever
-     phase happened to run during it. *)
-  let measure model events specs =
-    let runs =
-      List.map
-        (fun (algorithm, path) ->
-          ( Compiled.compile ~path model,
-            Sim.config ~seed ~algorithm ~t_end (),
-            ref infinity,
-            ref 0,
-            ref None ))
-        specs
-    in
+     fixed seed, so the minimum is the least-noise estimate *)
+  let measure model events =
+    let compiled = Compiled.compile model in
+    let best = ref infinity and steps = ref 0 and evals = ref 0 in
     for _ = 1 to repeats do
-      List.iter
-        (fun (compiled, cfg, best, evals, out) ->
-          let metrics = Metrics.create () in
-          let t0 = Unix.gettimeofday () in
-          let trace, stats = Sim.run_compiled ~events ~metrics cfg compiled in
-          let wall = Unix.gettimeofday () -. t0 in
-          if wall < !best then best := wall;
-          evals :=
-            Metrics.Counter.value
-              (Metrics.counter metrics "ssa.propensity_evals");
-          out := Some (trace, stats.Glc_ssa.Sim.reactions_fired))
-        runs
+      let metrics = Metrics.create () in
+      let t0 = Unix.gettimeofday () in
+      let _, stats = Sim.run_compiled ~events ~metrics cfg compiled in
+      let wall = Unix.gettimeofday () -. t0 in
+      if wall < !best then best := wall;
+      steps := stats.Sim.reactions_fired;
+      evals :=
+        Metrics.Counter.value (Metrics.counter metrics "ssa.propensity_evals")
     done;
-    List.map
-      (fun (_, _, best, evals, out) ->
-        let trace, steps = Option.get !out in
-        (trace, steps, !evals, !best))
-      runs
+    (!steps, !evals, !best)
   in
   (* warm-up: code and allocator, so the first row's wall time is not
      charged for cold caches *)
   (let c = List.hd (Benchmarks.all ()) in
    ignore
      (measure (Circuit.model c)
-        (Experiment.input_schedule Protocol.default c)
-        [ (Sim.Direct, Compiled.Ir) ]));
+        (Experiment.input_schedule Protocol.default c)));
   Printf.printf
     "seed %d, %g t.u. under the paper's input stimulus, best of %d runs; \
      'evals/step' is propensity evaluations per reaction firing\n\n" seed
     t_end repeats;
-  Printf.printf "%-14s %5s %9s %12s %12s %7s %10s %10s %8s %11s %8s\n"
-    "circuit" "R" "steps" "evals(spar)" "evals(full)" "ratio" "steps/s ir"
-    "steps/s ast" "ir-gain" "steps/s bat" "bat-gain";
-  let cases =
-    List.map
-      (fun circuit ->
-        ( circuit.Circuit.name,
-          Circuit.model circuit,
-          Experiment.input_schedule Protocol.default circuit ))
-      (Benchmarks.all ())
-    @ [ ("dense10", dense_coupling_model ~n:10, Glc_ssa.Events.empty) ]
-  in
+  Printf.printf "%-14s %5s %9s %10s %10s\n" "circuit" "R" "steps"
+    "evals/step" "steps/s";
+  let rate steps wall = if wall <= 0. then 0. else float_of_int steps /. wall in
   let rows =
     List.map
-      (fun (name, model, events) ->
+      (fun circuit ->
+        let model = Circuit.model circuit in
         let n_r = List.length model.Glc_model.Model.m_reactions in
-        let ( (tr_i, steps_i, evals_s, wall_i),
-              (tr_a, steps_a, _, wall_a),
-              (tr_f, steps_f, evals_f, wall_f) ) =
-          match
-            measure model events
-              [
-                (Sim.Direct, Compiled.Ir);
-                (Sim.Direct, Compiled.Ast);
-                (Sim.Direct_full_recompute, Compiled.Ir);
-              ]
-          with
-          | [ ir; ast; full ] -> (ir, ast, full)
-          | _ -> assert false
+        let steps, evals, wall =
+          measure model (Experiment.input_schedule Protocol.default circuit)
         in
-        let identical =
-          String.equal (Trace.to_csv tr_i) (Trace.to_csv tr_f)
-          && String.equal (Trace.to_csv tr_i) (Trace.to_csv tr_a)
-        in
-        if not identical then
-          Printf.printf
-            "!! %s: sparse/IR trace DIVERGES from the references\n"
-            name;
-        assert (steps_i = steps_f);
-        assert (steps_i = steps_a);
-        (* batched lane-block: [lanes] replicates in lockstep vs the
-           same [lanes] as back-to-back scalar runs, both phases fed the
-           same per-lane streams — the traces must agree byte for byte,
-           and the wall ratio is the pure batching win. Interleaved
-           within each repeat for the same noise-fairness as above. *)
-        let lanes = 8 in
-        let c_b = Compiled.compile ~path:Compiled.Ir_batch model in
-        let cfg_b = Sim.config ~seed ~algorithm:Sim.Direct ~t_end () in
-        let mk_rngs () =
-          Array.init lanes (fun l -> Rng.create ((seed * 1_000) + l))
-        in
-        let wall_bs = ref infinity and wall_bb = ref infinity in
-        let steps_b = ref 0 and ident_b = ref true in
-        for _ = 1 to repeats do
-          let srngs = mk_rngs () in
-          let t0 = Unix.gettimeofday () in
-          let scalar =
-            Array.map
-              (fun rng -> Sim.run_compiled_rng ~events ~rng cfg_b c_b)
-              srngs
-          in
-          let w_s = Unix.gettimeofday () -. t0 in
-          let brngs = mk_rngs () in
-          let t1 = Unix.gettimeofday () in
-          let batched = Sim.run_batch_rngs ~events ~rngs:brngs cfg_b c_b in
-          let w_b = Unix.gettimeofday () -. t1 in
-          if w_s < !wall_bs then wall_bs := w_s;
-          if w_b < !wall_bb then wall_bb := w_b;
-          steps_b :=
-            Array.fold_left
-              (fun acc (_, st) -> acc + st.Sim.reactions_fired)
-              0 scalar;
-          ident_b :=
-            !ident_b
-            && Array.for_all2
-                 (fun (tr, _) -> function
-                   | Ok (tr_b, _) ->
-                       String.equal (Trace.to_csv tr) (Trace.to_csv tr_b)
-                   | Error _ -> false)
-                 scalar batched
-        done;
-        if not !ident_b then
-          Printf.printf
-            "!! %s: batched lane traces DIVERGE from scalar runs\n"
-            name;
-        let identical = identical && !ident_b in
-        let per_step evals steps =
+        let per_step =
           if steps = 0 then 0. else float_of_int evals /. float_of_int steps
         in
-        let rate steps wall =
-          if wall <= 0. then 0. else float_of_int steps /. wall
-        in
-        Printf.printf
-          "%-14s %5d %9d %12.2f %12.2f %6.1fx %10.0f %11.0f %7.2fx %11.0f \
-           %7.2fx\n"
-          name n_r steps_i
-          (per_step evals_s steps_i)
-          (per_step evals_f steps_f)
-          (float_of_int evals_f /. float_of_int (max 1 evals_s))
-          (rate steps_i wall_i) (rate steps_a wall_a)
-          (wall_a /. wall_i)
-          (rate !steps_b !wall_bb)
-          (!wall_bs /. !wall_bb);
-        ( name, n_r, steps_i, evals_s, wall_i, evals_f, wall_f, wall_a,
-          identical, lanes, !steps_b, !wall_bs, !wall_bb ))
-      cases
+        Printf.printf "%-14s %5d %9d %10.2f %10.0f\n" circuit.Circuit.name n_r
+          steps per_step (rate steps wall);
+        (circuit.Circuit.name, n_r, steps, evals, per_step, wall))
+      (Benchmarks.all ())
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -1010,68 +846,31 @@ let bench_ssa () =
         \"seed\": %d,\n  \"t_end\": %g,\n  \"repeats\": %d,\n  \
         \"circuits\": [\n" seed t_end repeats);
   List.iteri
-    (fun i
-         ( name, n_r, steps, evals_s, wall_i, evals_f, wall_f, wall_a,
-           identical, lanes, steps_b, wall_bs, wall_bb ) ->
+    (fun i (name, n_r, steps, evals, per_step, wall) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"name\": %S, \"reactions\": %d, \"steps\": %d,\n     \
-            \"sparse\": {\"propensity_evals\": %d, \"wall_s\": %.4f},\n     \
-            \"full\": {\"propensity_evals\": %d, \"wall_s\": %.4f},\n     \
-            \"ast\": {\"wall_s\": %.4f},\n     \
-            \"batch\": {\"lanes\": %d, \"steps\": %d, \"wall_s\": %.4f, \
-            \"scalar_wall_s\": %.4f, \"speedup\": %.2f},\n     \
-            \"evals_ratio\": %.2f, \"ir_speedup\": %.2f, \
-            \"byte_identical\": %b}%s\n"
-           name n_r steps evals_s wall_i evals_f wall_f
-           wall_a lanes steps_b wall_bb wall_bs
-           (wall_bs /. wall_bb)
-           (float_of_int evals_f /. float_of_int (max 1 evals_s))
-           (wall_a /. wall_i) identical
+           "    {\"name\": %S, \"reactions\": %d, \"steps\": %d, \
+            \"propensity_evals\": %d, \"evals_per_step\": %.2f, \
+            \"wall_s\": %.4f, \"steps_per_s\": %.0f}%s\n"
+           name n_r steps evals per_step wall (rate steps wall)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
-  let total_ir =
-    List.fold_left
-      (fun acc (_, _, _, _, w, _, _, _, _, _, _, _, _) -> acc +. w)
-      0. rows
+  let total_steps =
+    List.fold_left (fun acc (_, _, s, _, _, _) -> acc + s) 0 rows
   in
-  let total_ast =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, w, _, _, _, _, _) -> acc +. w)
-      0. rows
+  let total_wall =
+    List.fold_left (fun acc (_, _, _, _, _, w) -> acc +. w) 0. rows
   in
-  let total_bs =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, _, _, _, w, _) -> acc +. w)
-      0. rows
-  in
-  let total_bb =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, _, _, _, _, w) -> acc +. w)
-      0. rows
-  in
-  let overall = total_ast /. total_ir in
-  let overall_batch = total_bs /. total_bb in
   Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"ir_speedup_overall\": %.2f,\n  \
-        \"batch_speedup_overall\": %.2f\n}\n"
-       overall overall_batch);
+    (Printf.sprintf "  ],\n  \"steps_per_s_overall\": %.0f\n}\n"
+       (rate total_steps total_wall));
   let oc = open_out "BENCH_ssa.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, id, _, _, _, _) -> id) rows
-  in
   Printf.printf
-    "\noverall IR speedup over the AST evaluator (sum of best walls): \
-     %.2fx\noverall batched speedup over scalar IR (8 lanes, sum of \
-     best walls): %.2fx\nwrote BENCH_ssa.json; traces byte-identical \
-     across sparse/full, IR/AST and batched/scalar on all circuits: \
-     %s\n"
-    overall overall_batch
-    (if all_identical then "yes" else "NO!");
-  if not all_identical then exit 1
+    "\noverall: %d steps in %.3f s (sum of best walls), %.0f steps/s\n\
+     wrote BENCH_ssa.json\n"
+    total_steps total_wall (rate total_steps total_wall)
 
 (* ---- symbolic certification: certified-first vs SSA-only ---- *)
 

@@ -24,24 +24,34 @@ let read_file path =
 
 (* Temp-file + rename in the destination directory: the visible path
    either holds the complete document or nothing. The temp name embeds
-   the pid so two processes writing the same id cannot interleave. *)
+   the pid so two processes writing the same id cannot interleave. A
+   failed write, fsync or rename removes the temp file before
+   re-raising, so errors (a full disk, a directory squatting on the
+   path) do not leak [*.tmp] files into the store. *)
 let atomic_write path content =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length content in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written
-          + Unix.write_substring fd content !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Unix.rename tmp path
+  match
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let n = String.length content in
+        let written = ref 0 in
+        while !written < n do
+          written :=
+            !written
+            + Unix.write_substring fd content !written (n - !written)
+        done;
+        Unix.fsync fd);
+    Unix.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 module Lock = struct
   type lock = { l_path : string; mutable l_released : bool }

@@ -22,6 +22,18 @@ type t
 val mkdir_p : string -> unit
 (** [mkdir "-p"]: creates the directory and its missing parents. *)
 
+val read_file : string -> string
+(** The whole file, read in binary mode.
+    @raise Sys_error if it cannot be opened or read. *)
+
+val atomic_write : string -> string -> unit
+(** [atomic_write path content] writes [content] to a pid-stamped temp
+    file beside [path], fsyncs it and renames it over [path]: after any
+    crash [path] holds either the complete new content or what it held
+    before. If the write, fsync or rename fails, the temp file is
+    removed and the exception re-raised.
+    @raise Unix.Unix_error on any failing system call. *)
+
 (** {2 Single-writer lock}
 
     A campaign (or serve) state directory tolerates crashed writers —

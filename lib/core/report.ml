@@ -51,23 +51,7 @@ let result_to_string ~output_name r =
   Format.asprintf "%a" (pp_result ~output_name) r
 
 module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let string s = "\"" ^ escape s ^ "\""
+  let string = Glc_obs.Metrics.json_string
 
   let float x =
     if not (Float.is_finite x) then "null"

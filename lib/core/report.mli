@@ -22,11 +22,8 @@ val result_to_string : output_name:string -> Analyzer.result -> string
     reader for the stores that persist them (the campaign subsystem's
     result store and manifest). *)
 module Json : sig
-  val escape : string -> string
-  (** JSON string-literal escaping (content only, no quotes). *)
-
   val string : string -> string
-  (** Quoted, escaped string literal. *)
+  (** Quoted, escaped string literal ({!Glc_obs.Metrics.json_string}). *)
 
   val float : float -> string
   (** Shortest decimal that round-trips — equal floats always render to

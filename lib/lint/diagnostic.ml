@@ -77,26 +77,7 @@ let pp ppf d =
   Format.fprintf ppf "%s %s [%s %s]: %s" (severity_label d.severity) d.code
     (subject_kind d.subject) (subject_id d.subject) d.message
 
-(* JSON: same escaping conventions as Glc_obs.Metrics.to_json, so every
-   machine-readable export of the toolchain parses with the one reader
-   in Glc_core.Report.Json. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ escape s ^ "\""
+let json_string = Glc_obs.Metrics.json_string
 
 let to_json d =
   Printf.sprintf

@@ -61,11 +61,6 @@ val exit_code : t list -> int
 val pp : Format.formatter -> t -> unit
 (** One line: [error GLC002 \[species GFP\]: message]. *)
 
-val json_string : string -> string
-(** A quoted, escaped JSON string literal — the same conventions as the
-    rest of the toolchain's exports, shared so {!Lint.report_json}
-    composes with {!to_json}. *)
-
 val to_json : t -> string
 (** One diagnostic as a JSON object with fields [code], [severity],
     [subject] ([{"kind": ..., "id": ...}]) and [message]. Deterministic:

@@ -632,7 +632,7 @@ let report_json frs =
   let file_json fr =
     Printf.sprintf
       "{\"file\":%s,\"errors\":%d,\"warnings\":%d,\"diagnostics\":%s}"
-      (D.json_string fr.fr_path)
+      (Glc_obs.Metrics.json_string fr.fr_path)
       (D.errors fr.fr_diagnostics)
       (D.warnings fr.fr_diagnostics)
       (D.list_to_json fr.fr_diagnostics)

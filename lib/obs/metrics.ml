@@ -224,8 +224,9 @@ let span t name f =
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 
-let escape s =
+let json_string s =
   let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -238,9 +239,8 @@ let escape s =
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
-
-let json_string s = "\"" ^ escape s ^ "\""
 
 let json_float x =
   if not (Float.is_finite x) then "null"

@@ -112,6 +112,13 @@ val span : t -> string -> (unit -> 'a) -> 'a
     spans (4096) are kept; further spans are counted as dropped rather
     than stored, so the buffer cannot grow without bound. *)
 
+val json_string : string -> string
+(** A quoted JSON string literal: the double quote, the backslash and
+    every control character are escaped, every other byte is copied as
+    is. The toolchain's one JSON string escaper — every machine-readable
+    export renders its strings through it, and
+    [Glc_core.Report.Json.parse] reads them back. *)
+
 val deterministic_json : t -> string
 (** The ["deterministic"] section alone — [{"counters":{...},
     "gauges":{...}}] with sorted keys. Byte-identical across runs with

@@ -130,38 +130,14 @@ let protocol_of t job =
 
 let submitted_path t ~id = Filename.concat t.submitted_dir (id ^ ".json")
 
-(* Atomic temp+fsync+rename, the same discipline as the result store:
-   a submission record is either fully present or absent after any
-   crash, never truncated. *)
-let atomic_write path content =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length content in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written + Unix.write_substring fd content !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Unix.rename tmp path
-
+(* a submission record is either fully present or absent after any
+   crash, never truncated *)
 let persist_submission t entry =
-  atomic_write (submitted_path t ~id:entry.Jobstate.id)
+  Store.atomic_write (submitted_path t ~id:entry.Jobstate.id)
     (Jobstate.submission_json entry)
 
 let remove_submission t ~id =
   try Sys.remove (submitted_path t ~id) with Sys_error _ -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let pending_submissions ~state_dir =
   let dir = Filename.concat state_dir submitted_subdir in
@@ -173,7 +149,7 @@ let pending_submissions ~state_dir =
         Array.to_list names
         |> List.filter (fun n -> Filename.check_suffix n ".json")
         |> List.filter_map (fun n ->
-               match read_file (Filename.concat dir n) with
+               match Store.read_file (Filename.concat dir n) with
                | exception _ -> None
                | text -> (
                    match Jobstate.submission_of_json text with

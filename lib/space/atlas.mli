@@ -3,7 +3,7 @@
     Drives every function of an [n]-input space (all 256 for [n = 3],
     a deterministic sample for [n = 4]) through the campaign stack as
     one job per function — certified-first via {!Glc_symbolic}, with
-    batched ensembles only for the rows the interval analysis leaves
+    stochastic ensembles only for the rows the interval analysis leaves
     undecided — then measures each circuit's worst-case propagation
     delay on the ODE limit and renders the result as a machine-readable
     [SPACE.json] plus a generated [ATLAS.md] of Pareto frontiers

@@ -2,21 +2,10 @@ module Model = Glc_model.Model
 module Math = Glc_model.Math
 module Metrics = Glc_obs.Metrics
 
-type path = Ast | Ir | Ir_batch
-
-(* The process-wide default, settable once from the CLI (--eval) before
-   any simulation starts. Atomic only so that reads from pool domains
-   are well-defined; this is configuration, not synchronisation. *)
-let default = Atomic.make Ir
-
-let set_default_path p = Atomic.set default p
-let default_path () = Atomic.get default
-
 type reaction = {
   c_id : string;
   c_deltas : (int * float) list;
-  c_propensity : float array -> float;
-  c_expr : Ir.expr option;
+  c_expr : Ir.expr;
   c_reads : int list;
   c_cost : int;
 }
@@ -36,11 +25,10 @@ type t = {
   c_reactions : reaction array;
   c_dependents : int list array;
   c_affected : int array array;
-  c_path : path;
   c_regs : int;
   c_eval_cost : int;
   c_affected_cost : int array;
-  c_ir : ir_stats option;
+  c_ir : ir_stats;
 }
 
 exception
@@ -89,26 +77,8 @@ let[@inline] clamp_checked t j p state =
   if Float.is_finite p then if p > 0. then p else 0.
   else non_finite t j p state
 
-(* Per-domain scratch register file for IR evaluation, grown on demand
-   and shared by every compiled model in the domain. Compiled models
-   are shared across the pool's domains (the engine's compile cache
-   hands one [t] to all workers), so the scratch must be domain-local
-   rather than live in [t]; the hot entry points fetch it once per call
-   and evaluate every law in the batch against it, so the
-   [Domain.DLS.get] is paid per refresh, not per evaluation, and a
-   single key keeps the DLS footprint bounded. Evaluations never nest
-   within a domain — [Ir.exec] runs to completion with no callbacks —
-   so reuse is safe. *)
-let scratch_key : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let scratch n =
-  let r = Domain.DLS.get scratch_key in
-  if Array.length !r < n then r := Array.make n 0.;
-  !r
-
 (* Parameters are substituted by their constant values first, so only
-   species remain — which is also what lets the IR path constant-fold
+   species remain — which is also what lets the IR constant-fold
    parameter arithmetic like [k^n] away. *)
 let substitute (m : Model.t) index (rate : Math.t) =
   let rate =
@@ -125,49 +95,7 @@ let substitute (m : Model.t) index (rate : Math.t) =
   in
   (rate, reads)
 
-(* The reference evaluator: a tree of closures mirroring the AST. *)
-let build_ast index (rate : Math.t) =
-  let rec build : Math.t -> float array -> float = function
-    | Const c -> fun _ -> c
-    | Ident id -> (
-        match Hashtbl.find_opt index id with
-        | Some i -> fun state -> state.(i)
-        | None -> assert false (* validate rejects unknown identifiers *))
-    | Neg a ->
-        let fa = build a in
-        fun s -> -.fa s
-    | Add (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> fa s +. fb s
-    | Sub (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> fa s -. fb s
-    | Mul (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> fa s *. fb s
-    | Div (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> fa s /. fb s
-    | Pow (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> Float.pow (fa s) (fb s)
-    | Min (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> Float.min (fa s) (fb s)
-    | Max (a, b) ->
-        let fa = build a and fb = build b in
-        fun s -> Float.max (fa s) (fb s)
-    | Exp a ->
-        let fa = build a in
-        fun s -> Float.exp (fa s)
-    | Ln a ->
-        let fa = build a in
-        fun s -> Float.log (fa s)
-  in
-  build rate
-
-let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
-  let path = match path with Some p -> p | None -> Atomic.get default in
+let compile ?(metrics = Metrics.noop) (m : Model.t) =
   (match Model.validate m with
   | [] -> ()
   | errs ->
@@ -210,21 +138,18 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
              |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
            in
            let rate, c_reads = substitute m index r.r_rate in
-           let c_propensity, c_expr, c_cost =
-             match path with
-             | Ast -> (build_ast index rate, None, 0)
-             | Ir | Ir_batch ->
-                 let e, st = Ir.compile ~resolve rate in
-                 n_instrs := !n_instrs + st.Ir.s_instrs;
-                 n_regs := max !n_regs e.Ir.e_prog.Ir.p_regs;
-                 n_cse := !n_cse + st.Ir.s_cse_hits;
-                 n_folds := !n_folds + st.Ir.s_const_folds;
-                 let regs_needed = e.Ir.e_prog.Ir.p_regs in
-                 ( (fun state -> Ir.eval e ~regs:(scratch regs_needed) state),
-                   Some e,
-                   st.Ir.s_instrs )
-           in
-           { c_id = r.r_id; c_deltas; c_propensity; c_expr; c_reads; c_cost })
+           let c_expr, st = Ir.compile ~resolve rate in
+           n_instrs := !n_instrs + st.Ir.s_instrs;
+           n_regs := max !n_regs c_expr.Ir.e_prog.Ir.p_regs;
+           n_cse := !n_cse + st.Ir.s_cse_hits;
+           n_folds := !n_folds + st.Ir.s_const_folds;
+           {
+             c_id = r.r_id;
+             c_deltas;
+             c_expr;
+             c_reads;
+             c_cost = st.Ir.s_instrs;
+           })
          m.m_reactions)
   in
   let dependents = Array.make (Array.length species) [] in
@@ -246,19 +171,7 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
         Array.fold_left (fun acc j -> acc + reactions.(j).c_cost) 0 aff)
       affected
   in
-  let ir =
-    match path with
-    | Ast -> None
-    | Ir | Ir_batch ->
-        Some
-          {
-            ir_instrs = !n_instrs;
-            ir_regs = !n_regs;
-            ir_cse_hits = !n_cse;
-            ir_const_folds = !n_folds;
-          }
-  in
-  if live && path <> Ast then begin
+  if live then begin
     let c name = Metrics.counter metrics name in
     Metrics.Counter.add (c "ssa.ir.programs") (Array.length reactions);
     Metrics.Counter.add (c "ssa.ir.instructions_compiled") !n_instrs;
@@ -274,11 +187,16 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
     c_reactions = reactions;
     c_dependents = dependents;
     c_affected = affected;
-    c_path = path;
     c_regs = !n_regs;
     c_eval_cost = Array.fold_left (fun acc r -> acc + r.c_cost) 0 reactions;
     c_affected_cost = affected_cost;
-    c_ir = ir;
+    c_ir =
+      {
+        ir_instrs = !n_instrs;
+        ir_regs = !n_regs;
+        ir_cse_hits = !n_cse;
+        ir_const_folds = !n_folds;
+      };
   }
 
 let species_index t id =
@@ -290,38 +208,20 @@ let species_index t id =
   in
   find 0
 
-(* Raw law evaluation for the hot entry points: IR programs run
-   directly against the caller-fetched scratch, skipping the
-   [c_propensity] closure (which re-fetches the DLS scratch on every
-   call and exists for external field users). *)
 let[@inline] raw_eval t regs j state =
-  let r = t.c_reactions.(j) in
-  match r.c_expr with
-  | Some e -> Ir.eval e ~regs state
-  | None -> r.c_propensity state
+  Ir.eval t.c_reactions.(j).c_expr ~regs state
 
 let make_regs t = Array.make t.c_regs 0.
 
 let propensity_in t ~regs state j =
   clamp_checked t j (raw_eval t regs j state) state
 
-let propensity t state j = propensity_in t ~regs:(scratch t.c_regs) state j
-
-let propensities t state =
-  let regs = scratch t.c_regs in
-  Array.mapi
-    (fun j (_ : reaction) -> clamp_checked t j (raw_eval t regs j state) state)
-    t.c_reactions
-
 let propensities_into_in t ~regs state a =
   if Array.length a <> Array.length t.c_reactions then
-    invalid_arg "Compiled.propensities_into: wrong buffer length";
+    invalid_arg "Compiled.propensities_into_in: wrong buffer length";
   for i = 0 to Array.length a - 1 do
     a.(i) <- clamp_checked t i (raw_eval t regs i state) state
   done
-
-let propensities_into t state a =
-  propensities_into_in t ~regs:(scratch t.c_regs) state a
 
 let inert_reactions t =
   Array.to_list t.c_reactions
@@ -338,85 +238,6 @@ let refresh_affected_in t ~regs state ri a =
   done;
   Array.length aff
 
-let refresh_affected t state ri a =
-  refresh_affected_in t ~regs:(scratch t.c_regs) state ri a
-
 let eval_cost t = t.c_eval_cost
 let affected_cost t ri = t.c_affected_cost.(ri)
 let ir_stats t = t.c_ir
-
-(* ------------------------------------------------------------------ *)
-(* Batched (structure-of-arrays) evaluation                           *)
-
-let make_regs_batch t ~width =
-  if width < 1 then invalid_arg "Compiled.make_regs_batch: width < 1";
-  Array.init t.c_regs (fun _ -> Array.make width 0.)
-
-(* Cold path: reconstruct the offending lane's state vector for the
-   diagnostic, so the batched raiser carries exactly what the scalar
-   one does. *)
-let non_finite_lane t ~states ~lane j p =
-  raise
-    (Non_finite_propensity
-       {
-         nf_model = t.c_model.Model.m_id;
-         nf_reaction = t.c_reactions.(j).c_id;
-         nf_value = p;
-         nf_state =
-           Array.to_list
-             (Array.mapi (fun i id -> (id, states.(i).(lane))) t.c_names);
-       })
-
-let refresh_reaction_batch_in t ~regs ~states ~lanes ~n j ~rows =
-  let r = t.c_reactions.(j) in
-  match r.c_expr with
-  | Some e ->
-      (* [exec_batch_unchecked]: the rows come from
-         {!make_regs_batch} and the driver's own SoA block, whose
-         widths are fixed at construction, and [lanes] holds lane ids
-         below that width by construction — per-call row validation
-         would cost more than the typical few-lane refresh. The result
-         operand is resolved once for the whole group, not per lane. *)
-      Ir.exec_batch_unchecked e.Ir.e_prog ~regs ~states ~lanes ~n;
-      (match e.Ir.e_result with
-      | Ir.Reg d ->
-          let row = regs.(d) in
-          for k = 0 to n - 1 do
-            let l = lanes.(k) in
-            let p = row.(l) in
-            rows.(l).(j) <-
-              (if Float.is_finite p then if p > 0. then p else 0.
-               else non_finite_lane t ~states ~lane:l j p)
-          done
-      | Ir.Pool i ->
-          if n > 0 then begin
-            let p = e.Ir.e_prog.Ir.p_pool.(i) in
-            let p' =
-              if Float.is_finite p then if p > 0. then p else 0.
-              else non_finite_lane t ~states ~lane:lanes.(0) j p
-            in
-            for k = 0 to n - 1 do
-              rows.(lanes.(k)).(j) <- p'
-            done
-          end
-      | Ir.State s ->
-          let row = states.(s) in
-          for k = 0 to n - 1 do
-            let l = lanes.(k) in
-            let p = row.(l) in
-            rows.(l).(j) <-
-              (if Float.is_finite p then if p > 0. then p else 0.
-               else non_finite_lane t ~states ~lane:l j p)
-          done)
-  | None ->
-      (* AST fallback: gather each lane's column into a scratch state
-         vector and go through the scalar closure. Slow, but keeps the
-         batched entry point total over every compile path. *)
-      let tmp = Array.make (Array.length t.c_names) 0. in
-      for k = 0 to n - 1 do
-        let l = lanes.(k) in
-        for s = 0 to Array.length tmp - 1 do
-          tmp.(s) <- states.(s).(l)
-        done;
-        rows.(l).(j) <- clamp_checked t j (r.c_propensity tmp) tmp
-      done

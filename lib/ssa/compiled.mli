@@ -1,37 +1,15 @@
 (** Models compiled for simulation.
 
     Species are resolved to dense indices, parameters are folded into the
-    kinetic laws, and each law is compiled for evaluation over the state
-    vector, so the simulator's inner loop does no name resolution.
-
-    Two evaluation paths exist. {!Ir} (the default) compiles each law
-    once into a flat instruction array over a register file (constant
-    folding, common-subexpression elimination, tight dispatch loop — see
-    {!module:Ir}); {!Ast} keeps the original tree-of-closures evaluator
-    as the reference semantics. Both produce bit-identical propensities
-    on every state — the QCheck differential property in [test_ssa]
-    holds traces byte-identical between paths — so the choice is purely
-    a performance one, surfaced as [glcv --eval ast|ir]. *)
+    kinetic laws, and each law is compiled once into a flat instruction
+    array over a register file (constant folding, common-subexpression
+    elimination, tight dispatch loop — see {!module:Ir}), so the
+    simulator's inner loop does no name resolution. IR evaluation is
+    bit-identical to {!Glc_model.Math.eval}; the reference direct method
+    in [test_ssa] recomputes every propensity through [Math.eval] and
+    holds traces byte-identical to [Sim]. *)
 
 module Model := Glc_model.Model
-
-(** How kinetic laws are evaluated. *)
-type path =
-  | Ast  (** reference: a tree of closures mirroring the math AST *)
-  | Ir  (** default: flat register IR, folded and CSE'd (see {!module:Ir}) *)
-  | Ir_batch
-      (** the same flat IR, but the ensemble engine advances a block of
-          replicate lanes in lockstep over structure-of-arrays register
-          files ({!make_regs_batch}, {!refresh_reaction_batch_in}) —
-          bit-identical to {!Ir} lane by lane, chosen purely for
-          throughput *)
-
-val set_default_path : path -> unit
-(** Set the path {!compile} uses when none is passed explicitly. Intended
-    to be called once at CLI startup ([--eval]), before simulations or
-    worker domains start. *)
-
-val default_path : unit -> path
 
 type reaction = {
   c_id : string;
@@ -41,19 +19,12 @@ type reaction = {
           [boundaryCondition]: they participate in the kinetics but are
           never changed by firings), so every algorithm that applies
           deltas holds them fixed for free. *)
-  c_propensity : float array -> float;
-      (** raw law evaluation — unclamped and unchecked; simulators go
-          through {!propensity}/{!propensities_into}/{!refresh_affected}
-          instead *)
-  c_expr : Ir.expr option;
-      (** the compiled IR program ([None] on the {!Ast} path); the hot
-          entry points run it directly against a per-call scratch
-          register file instead of going through the [c_propensity]
-          closure *)
+  c_expr : Ir.expr;
+      (** the compiled kinetic law — raw, unclamped and unchecked;
+          simulators go through {!propensity_in}/{!propensities_into_in}/
+          {!refresh_affected_in} instead *)
   c_reads : int list;  (** species indices the propensity depends on *)
-  c_cost : int;
-      (** IR instructions executed per evaluation; [0] on the {!Ast}
-          path *)
+  c_cost : int;  (** IR instructions executed per evaluation *)
 }
 
 type ir_stats = {
@@ -77,17 +48,16 @@ type t = {
           every reaction whose propensity reads a species [r] changes,
           sorted, duplicate-free, precomputed once at compile time so
           the simulators' firing loops allocate nothing *)
-  c_path : path;
   c_regs : int;
       (** largest register file any reaction's program needs — the size
-          of the scratch the hot entry points fetch once per call *)
+          of the scratch {!make_regs} allocates *)
   c_eval_cost : int;
       (** IR instructions per full propensity refresh (sum of
-          [c_cost]); [0] on the {!Ast} path *)
+          [c_cost]) *)
   c_affected_cost : int array;
       (** [c_affected_cost.(r)]: IR instructions per sparse refresh
           after reaction [r] fires *)
-  c_ir : ir_stats option;  (** compile-time IR statistics, [Ir] path only *)
+  c_ir : ir_stats;  (** compile-time IR statistics *)
 }
 
 exception
@@ -97,18 +67,17 @@ exception
     nf_value : float;  (** the NaN or infinity the law evaluated to *)
     nf_state : (string * float) list;  (** offending state, by species *)
   }
-(** Raised (identically on both paths) when a kinetic law evaluates to
-    NaN or ±infinity — e.g. [0/0] at an empty state, or [ln] of a
-    negative concentration. Before this check the clamp was
-    [Float.max 0.], which {e returns NaN for a NaN argument}: the NaN
-    flowed into the total propensity, every comparison against it came
-    out false, and the run silently ended mid-trajectory with a
-    truncated, corrupted trace. A registered [Printexc] printer renders
-    the model id, reaction id and offending state. *)
+(** Raised when a kinetic law evaluates to NaN or ±infinity — e.g.
+    [0/0] at an empty state, or [ln] of a negative concentration.
+    Before this check the clamp was [Float.max 0.], which {e returns
+    NaN for a NaN argument}: the NaN flowed into the total propensity,
+    every comparison against it came out false, and the run silently
+    ended mid-trajectory with a truncated, corrupted trace. A
+    registered [Printexc] printer renders the model id, reaction id and
+    offending state. *)
 
-val compile : ?path:path -> ?metrics:Glc_obs.Metrics.t -> Model.t -> t
-(** [path] defaults to {!default_path} (initially {!Ir}). With a live
-    [metrics] registry and the IR path, records the [ssa.ir.programs],
+val compile : ?metrics:Glc_obs.Metrics.t -> Model.t -> t
+(** With a live [metrics] registry, records the [ssa.ir.programs],
     [ssa.ir.instructions_compiled], [ssa.ir.cse_hits] and
     [ssa.ir.const_folds] counters and the [ssa.ir.compile_seconds]
     histogram.
@@ -119,37 +88,27 @@ val species_index : t -> string -> int
 
 val make_regs : t -> float array
 (** A fresh scratch register file sized for every program in [t] —
-    what the [~regs] variants below expect. A simulator allocates one
-    per trajectory and reuses it across every evaluation of the run,
-    instead of paying a domain-local-storage fetch per refresh. *)
+    what the [~regs] entry points below expect. Compiled models are
+    shared read-only across the pool's domains, so the scratch lives
+    with the caller: a simulator allocates one per trajectory and
+    reuses it across every evaluation of the run. *)
 
-val propensity : t -> float array -> int -> float
-(** [propensity t state j]: reaction [j]'s propensity in [state];
+val propensity_in : t -> regs:float array -> float array -> int -> float
+(** [propensity_in t ~regs state j]: reaction [j]'s propensity in
+    [state], evaluated against the caller's scratch from {!make_regs};
     finite negative values are clamped to zero (a kinetic law may dip
     below zero transiently in ill-parameterised models).
     @raise Non_finite_propensity on NaN or infinity. *)
 
-val propensity_in : t -> regs:float array -> float array -> int -> float
-(** {!propensity} evaluating against the caller's scratch from
-    {!make_regs}. *)
-
-val propensities : t -> float array -> float array
-(** All reaction propensities in the given state, clamped as
-    {!propensity}.
-    @raise Non_finite_propensity on NaN or infinity. *)
-
-val propensities_into : t -> float array -> float array -> unit
-(** [propensities_into t state a] is {!propensities} writing into the
-    caller's buffer [a] — the simulator's inner loop reuses one buffer
-    per trajectory instead of allocating every step, which keeps minor
-    GCs (stop-the-world under domains) off the multicore hot path.
-    @raise Invalid_argument if [a] is not one slot per reaction.
-    @raise Non_finite_propensity on NaN or infinity. *)
-
 val propensities_into_in :
   t -> regs:float array -> float array -> float array -> unit
-(** {!propensities_into} evaluating against the caller's scratch from
-    {!make_regs}. *)
+(** [propensities_into_in t ~regs state a] writes every reaction's
+    propensity in [state], clamped as {!propensity_in}, into the
+    caller's buffer [a] — the simulators reuse one buffer per
+    trajectory instead of allocating every step, which keeps minor GCs
+    (stop-the-world under domains) off the multicore hot path.
+    @raise Invalid_argument if [a] is not one slot per reaction.
+    @raise Non_finite_propensity on NaN or infinity. *)
 
 val inert_reactions : t -> string list
 (** Ids of reactions whose firing changes no state — every reactant and
@@ -163,58 +122,23 @@ val affected_reactions : t -> int -> int array
     precomputed [c_affected] row — O(1), and the caller must not
     mutate it. *)
 
-val refresh_affected : t -> float array -> int -> float array -> int
-(** [refresh_affected t state ri a] re-evaluates into [a] exactly the
-    propensities affected by a firing of reaction [ri] (the
+val refresh_affected_in :
+  t -> regs:float array -> float array -> int -> float array -> int
+(** [refresh_affected_in t ~regs state ri a] re-evaluates into [a]
+    exactly the propensities affected by a firing of reaction [ri] (the
     [c_affected.(ri)] row) and returns how many were evaluated. If [a]
     held fresh propensities for the pre-firing state, it holds fresh
     propensities for [state] afterwards — the sparse invariant the
     direct-method hot loop relies on.
     @raise Non_finite_propensity on NaN or infinity. *)
 
-val refresh_affected_in :
-  t -> regs:float array -> float array -> int -> float array -> int
-(** {!refresh_affected} evaluating against the caller's scratch from
-    {!make_regs} — the form the simulators' firing loops use, so the
-    domain-local-storage fetch is paid once per run, not per firing. *)
-
 val eval_cost : t -> int
-(** IR instructions executed by one full propensity refresh; [0] on the
-    {!Ast} path. O(1), precomputed. *)
+(** IR instructions executed by one full propensity refresh. O(1),
+    precomputed. *)
 
 val affected_cost : t -> int -> int
 (** IR instructions executed by one sparse refresh after the given
-    reaction fires; [0] on the {!Ast} path. O(1), precomputed. *)
+    reaction fires. O(1), precomputed. *)
 
-val ir_stats : t -> ir_stats option
-(** Compile-time IR statistics ([None] on the {!Ast} path). *)
-
-val make_regs_batch : t -> width:int -> float array array
-(** [make_regs_batch t ~width] is a structure-of-arrays register file
-    for batched evaluation: one row per register slot, [width] lanes
-    per row ([regs.(slot).(lane)]). A batched simulator allocates one
-    per lane block and reuses it for the whole block's lifetime.
-    @raise Invalid_argument if [width < 1]. *)
-
-val refresh_reaction_batch_in :
-  t ->
-  regs:float array array ->
-  states:float array array ->
-  lanes:int array ->
-  n:int ->
-  int ->
-  rows:float array array ->
-  unit
-(** [refresh_reaction_batch_in t ~regs ~states ~lanes ~n j ~rows]
-    re-evaluates reaction [j]'s propensity for the first [n] lanes
-    listed in [lanes] at once — one instruction decode shared by all
-    lanes ({!Ir.exec_batch}) — writing each lane's clamped value into
-    [rows.(lane).(j)]. [states.(species).(lane)] is the
-    structure-of-arrays state; [rows.(lane)] is that lane's ordinary
-    propensity cache, so retired lanes keep their scalar layout. Values
-    are clamped and checked exactly as {!propensity}; on the {!Ast}
-    path each lane's column is gathered and evaluated through the
-    scalar closure, so the entry point is total over every compile
-    path.
-    @raise Non_finite_propensity on NaN or infinity, attributed to the
-    offending lane's state. *)
+val ir_stats : t -> ir_stats
+(** Compile-time IR statistics. *)

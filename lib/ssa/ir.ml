@@ -513,541 +513,6 @@ let eval e ~regs state =
   exec e.e_prog ~regs state;
   read e ~regs state
 
-(* The batched hot loop: the same dispatch as [exec], but each
-   instruction is decoded once and then applied across every live lane
-   before the program counter advances — opcode dispatch and operand
-   decoding are amortised over the lane block, and each register is a
-   contiguous row ([regs.(slot).(lane)]) so the inner lane loop walks
-   cache-contiguous floats. Every arm performs, per lane, exactly the
-   IEEE operation sequence of the scalar arm, so batched evaluation is
-   bit-identical to [exec] lane by lane.
-
-   Bounds discipline mirrors the scalar loop: register and pool *rows*
-   are fetched with the unchecked primitives (the builder put every
-   index in bounds), state rows stay bounds-checked once per
-   instruction, and lane indices are validated against every row's
-   width on entry so the per-lane accesses can go unchecked. *)
-let exec_batch_unchecked p ~regs ~states ~lanes ~n =
-  if n > 0 then begin
-    let code = p.p_code in
-    let pool = p.p_pool in
-    for pc = 0 to Array.length code - 1 do
-      let w = Array.unsafe_get code pc in
-      let d = (w lsr 7) land 0x3fff in
-      let a = (w lsr 21) land 0x3fff in
-      let b = (w lsr 35) land 0x3fff in
-      let rd = Array.unsafe_get regs d in
-      match w land 0x7f with
-      (* add *)
-      | 0 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l +. Array.unsafe_get rb l)
-          done
-      | 1 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get ra l +. cb)
-          done
-      | 2 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l +. Array.unsafe_get sb l)
-          done
-      | 3 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca +. Array.unsafe_get rb l)
-          done
-      | 5 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca +. Array.unsafe_get sb l)
-          done
-      | 6 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l +. Array.unsafe_get rb l)
-          done
-      | 7 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get sa l +. cb)
-          done
-      | 8 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l +. Array.unsafe_get sb l)
-          done
-      (* sub *)
-      | 9 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l -. Array.unsafe_get rb l)
-          done
-      | 10 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get ra l -. cb)
-          done
-      | 11 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l -. Array.unsafe_get sb l)
-          done
-      | 12 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca -. Array.unsafe_get rb l)
-          done
-      | 14 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca -. Array.unsafe_get sb l)
-          done
-      | 15 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l -. Array.unsafe_get rb l)
-          done
-      | 16 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get sa l -. cb)
-          done
-      | 17 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l -. Array.unsafe_get sb l)
-          done
-      (* mul *)
-      | 18 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l *. Array.unsafe_get rb l)
-          done
-      | 19 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get ra l *. cb)
-          done
-      | 20 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l *. Array.unsafe_get sb l)
-          done
-      | 21 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca *. Array.unsafe_get rb l)
-          done
-      | 23 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca *. Array.unsafe_get sb l)
-          done
-      | 24 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l *. Array.unsafe_get rb l)
-          done
-      | 25 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get sa l *. cb)
-          done
-      | 26 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l *. Array.unsafe_get sb l)
-          done
-      (* div *)
-      | 27 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l /. Array.unsafe_get rb l)
-          done
-      | 28 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get ra l /. cb)
-          done
-      | 29 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get ra l /. Array.unsafe_get sb l)
-          done
-      | 30 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca /. Array.unsafe_get rb l)
-          done
-      | 32 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (ca /. Array.unsafe_get sb l)
-          done
-      | 33 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l /. Array.unsafe_get rb l)
-          done
-      | 34 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Array.unsafe_get sa l /. cb)
-          done
-      | 35 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Array.unsafe_get sa l /. Array.unsafe_get sb l)
-          done
-      (* pow *)
-      | 36 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.pow (Array.unsafe_get ra l) (Array.unsafe_get rb l))
-          done
-      | 37 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.pow (Array.unsafe_get ra l) cb)
-          done
-      | 38 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.pow (Array.unsafe_get ra l) (Array.unsafe_get sb l))
-          done
-      | 39 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.pow ca (Array.unsafe_get rb l))
-          done
-      | 41 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.pow ca (Array.unsafe_get sb l))
-          done
-      | 42 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.pow (Array.unsafe_get sa l) (Array.unsafe_get rb l))
-          done
-      | 43 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.pow (Array.unsafe_get sa l) cb)
-          done
-      | 44 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.pow (Array.unsafe_get sa l) (Array.unsafe_get sb l))
-          done
-      (* min *)
-      | 45 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.min (Array.unsafe_get ra l) (Array.unsafe_get rb l))
-          done
-      | 46 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.min (Array.unsafe_get ra l) cb)
-          done
-      | 47 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.min (Array.unsafe_get ra l) (Array.unsafe_get sb l))
-          done
-      | 48 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.min ca (Array.unsafe_get rb l))
-          done
-      | 50 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.min ca (Array.unsafe_get sb l))
-          done
-      | 51 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.min (Array.unsafe_get sa l) (Array.unsafe_get rb l))
-          done
-      | 52 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.min (Array.unsafe_get sa l) cb)
-          done
-      | 53 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.min (Array.unsafe_get sa l) (Array.unsafe_get sb l))
-          done
-      (* max *)
-      | 54 ->
-          let ra = Array.unsafe_get regs a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.max (Array.unsafe_get ra l) (Array.unsafe_get rb l))
-          done
-      | 55 ->
-          let ra = Array.unsafe_get regs a and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.max (Array.unsafe_get ra l) cb)
-          done
-      | 56 ->
-          let ra = Array.unsafe_get regs a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.max (Array.unsafe_get ra l) (Array.unsafe_get sb l))
-          done
-      | 57 ->
-          let ca = Array.unsafe_get pool a and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.max ca (Array.unsafe_get rb l))
-          done
-      | 59 ->
-          let ca = Array.unsafe_get pool a and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.max ca (Array.unsafe_get sb l))
-          done
-      | 60 ->
-          let sa = states.(a) and rb = Array.unsafe_get regs b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.max (Array.unsafe_get sa l) (Array.unsafe_get rb l))
-          done
-      | 61 ->
-          let sa = states.(a) and cb = Array.unsafe_get pool b in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.max (Array.unsafe_get sa l) cb)
-          done
-      | 62 ->
-          let sa = states.(a) and sb = states.(b) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (Float.max (Array.unsafe_get sa l) (Array.unsafe_get sb l))
-          done
-      (* neg / exp / ln *)
-      | 63 ->
-          let ra = Array.unsafe_get regs a in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (-.Array.unsafe_get ra l)
-          done
-      | 65 ->
-          let sa = states.(a) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (-.Array.unsafe_get sa l)
-          done
-      | 66 ->
-          let ra = Array.unsafe_get regs a in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.exp (Array.unsafe_get ra l))
-          done
-      | 68 ->
-          let sa = states.(a) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.exp (Array.unsafe_get sa l))
-          done
-      | 69 ->
-          let ra = Array.unsafe_get regs a in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.log (Array.unsafe_get ra l))
-          done
-      | 71 ->
-          let sa = states.(a) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l (Float.log (Array.unsafe_get sa l))
-          done
-      (* Hill superinstructions *)
-      | 72 ->
-          let sa = states.(a) in
-          let ka = Array.unsafe_get pool b
-          and kb = Array.unsafe_get pool (b + 1)
-          and nn = Array.unsafe_get pool (b + 2) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (ka /. (kb +. Float.pow (Array.unsafe_get sa l) nn))
-          done
-      | 73 ->
-          let sa = states.(a) in
-          let ka = Array.unsafe_get pool b
-          and nn = Array.unsafe_get pool (b + 1) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            let xn = Float.pow (Array.unsafe_get sa l) nn in
-            Array.unsafe_set rd l (xn /. (ka +. xn))
-          done
-      | 74 ->
-          let sa = states.(a) in
-          let y0 = Array.unsafe_get pool b
-          and bb = Array.unsafe_get pool (b + 1)
-          and ka = Array.unsafe_get pool (b + 2)
-          and kb = Array.unsafe_get pool (b + 3)
-          and nn = Array.unsafe_get pool (b + 4) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            Array.unsafe_set rd l
-              (y0
-              +. bb
-                 *. (ka /. (kb +. Float.pow (Array.unsafe_get sa l) nn)))
-          done
-      | 75 ->
-          let sa = states.(a) in
-          let y0 = Array.unsafe_get pool b
-          and bb = Array.unsafe_get pool (b + 1)
-          and ka = Array.unsafe_get pool (b + 2)
-          and nn = Array.unsafe_get pool (b + 3) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            let xn = Float.pow (Array.unsafe_get sa l) nn in
-            Array.unsafe_set rd l (y0 +. (bb *. (xn /. (ka +. xn))))
-          done
-      | 76 ->
-          let sa = states.(a) in
-          let s2 = states.(int_of_float (Array.unsafe_get pool (b + 5))) in
-          let y0 = Array.unsafe_get pool b
-          and bb = Array.unsafe_get pool (b + 1)
-          and ka1 = Array.unsafe_get pool (b + 2)
-          and kb1 = Array.unsafe_get pool (b + 3)
-          and n1 = Array.unsafe_get pool (b + 4)
-          and ka2 = Array.unsafe_get pool (b + 6)
-          and kb2 = Array.unsafe_get pool (b + 7)
-          and n2 = Array.unsafe_get pool (b + 8) in
-          for k = 0 to n - 1 do
-            let l = Array.unsafe_get lanes k in
-            let f1 =
-              ka1 /. (kb1 +. Float.pow (Array.unsafe_get sa l) n1)
-            in
-            let f2 =
-              ka2 /. (kb2 +. Float.pow (Array.unsafe_get s2 l) n2)
-            in
-            Array.unsafe_set rd l (y0 +. (bb *. (f1 *. f2)))
-          done
-      | _ ->
-          (* pool-only combinations are always folded away *)
-          assert false
-    done
-  end
-
-let exec_batch p ~regs ~states ~lanes ~n =
-  if Array.length regs < p.p_regs then
-    invalid_arg "Ir.exec_batch: register file smaller than p_regs";
-  if n < 0 || n > Array.length lanes then
-    invalid_arg "Ir.exec_batch: n outside the lanes array";
-  if n > 0 then begin
-    let max_lane = ref (-1) in
-    for k = 0 to n - 1 do
-      let l = lanes.(k) in
-      if l < 0 then invalid_arg "Ir.exec_batch: negative lane";
-      if l > !max_lane then max_lane := l
-    done;
-    for i = 0 to p.p_regs - 1 do
-      if Array.length regs.(i) <= !max_lane then
-        invalid_arg "Ir.exec_batch: register row narrower than widest lane"
-    done;
-    Array.iter
-      (fun row ->
-        if Array.length row <= !max_lane then
-          invalid_arg "Ir.exec_batch: state row narrower than widest lane")
-      states;
-    exec_batch_unchecked p ~regs ~states ~lanes ~n
-  end
-
-let read_batch e ~regs ~states lane =
-  match e.e_result with
-  | Reg r -> regs.(r).(lane)
-  | Pool i -> e.e_prog.p_pool.(i)
-  | State i -> states.(i).(lane)
-
 let bin_name = [| "add"; "sub"; "mul"; "div"; "pow"; "min"; "max" |]
 let un_name = [| "neg"; "exp"; "ln" |]
 

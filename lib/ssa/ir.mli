@@ -107,48 +107,5 @@ val read : expr -> regs:float array -> float array -> float
     right after an {!exec} of the same program over the same [regs]
     and [state]. *)
 
-val exec_batch :
-  prog ->
-  regs:float array array ->
-  states:float array array ->
-  lanes:int array ->
-  n:int ->
-  unit
-(** [exec_batch p ~regs ~states ~lanes ~n] runs the program across the
-    first [n] entries of [lanes] at once, over structure-of-arrays
-    storage: [regs.(slot).(lane)] is register [slot] of replicate
-    [lane], and [states.(species).(lane)] its copy number.  Each
-    instruction is decoded once and applied to every listed lane before
-    the program counter advances, amortising dispatch and keeping lane
-    state cache-contiguous; per lane the IEEE operation sequence is
-    exactly that of {!exec}, so results are bit-identical to the scalar
-    path lane by lane.
-    @raise Invalid_argument if fewer than [p.p_regs] register rows are
-    given, if [n] exceeds [lanes]'s length, or if any listed lane falls
-    outside a register or state row. *)
-
-val exec_batch_unchecked :
-  prog ->
-  regs:float array array ->
-  states:float array array ->
-  lanes:int array ->
-  n:int ->
-  unit
-(** {!exec_batch} without the per-call argument validation.  The batch
-    driver refreshes a handful of lanes per group, thousands of groups
-    per run, against rows it allocated itself — re-walking every
-    register and state row on each call costs more than the refresh.
-    Preconditions (the caller's to uphold, validated nowhere):
-    [Array.length regs >= p.p_regs], [0 <= n <= Array.length lanes],
-    and every [lanes.(k)] with [k < n] indexes inside every register
-    and state row.  Register rows are written with unchecked stores, so
-    a violated precondition corrupts memory rather than raising — use
-    {!exec_batch} unless the rows and lanes come from a block whose
-    shape is fixed at construction. *)
-
-val read_batch : expr -> regs:float array array -> states:float array array -> int -> float
-(** [read_batch e ~regs ~states lane] reads the result operand for one
-    lane — valid right after an {!exec_batch} that listed [lane]. *)
-
 val pp_prog : Format.formatter -> prog -> unit
 (** Human-readable disassembly, for tests and debugging. *)

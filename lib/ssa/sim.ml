@@ -2,7 +2,6 @@ module Model = Glc_model.Model
 
 type algorithm =
   | Direct
-  | Direct_full_recompute
   | Next_reaction
   | Tau_leaping of { epsilon : float }
 
@@ -27,11 +26,8 @@ type stats = {
 }
 
 (* Applies every event scheduled at the head time; returns that time, the
-   remaining schedule and the number applied. State writes go through
-   [set] so the same code serves the scalar runners (writing a flat
-   state vector) and the batched driver (writing one lane's column of
-   the structure-of-arrays state). *)
-let apply_events_at (c : Compiled.t) ~set schedule =
+   remaining schedule and the number applied. *)
+let apply_events_at (c : Compiled.t) state schedule =
   match Events.next schedule with
   | None -> None
   | Some (first, _) ->
@@ -40,7 +36,7 @@ let apply_events_at (c : Compiled.t) ~set schedule =
         match Events.next schedule with
         | Some (e, rest) when e.Events.e_time = t ->
             (match Compiled.species_index c e.e_species with
-            | i -> set i (Float.max 0. e.e_value)
+            | i -> state.(i) <- Float.max 0. e.e_value
             | exception Not_found ->
                 invalid_arg
                   (Printf.sprintf "Sim: event on unknown species %S"
@@ -95,20 +91,18 @@ type tot = {
 
 let make_tot () = { n_evals = 0; n_instrs = 0; n_heap = 0; n_obs = 0; n_rej = 0 }
 
-(* The direct method in two propensity regimes sharing one loop. Sparse
-   (the default): the cached array [a] is kept authoritative — after a
-   firing only the reactions reachable from the fired reaction's deltas
-   via the compile-time dependency closure are re-evaluated, and [a0] is
-   recomputed by summing the cache. Because the cached entries equal
-   fresh evaluations and the sum runs in the same index order, the RNG
-   draw sequence — and therefore the trajectory — is byte-identical to
-   the full-recompute reference, while propensity evaluations drop from
-   O(R) to O(deps) per firing. Full recompute (the reference, kept for
-   equivalence tests and the bench harness) re-evaluates every
-   propensity at the top of every step. *)
-let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
+(* Gillespie's direct method with sparse propensity updates: the cached
+   array [a] is kept authoritative — after a firing only the reactions
+   reachable from the fired reaction's deltas via the compile-time
+   dependency closure are re-evaluated, and [a0] is recomputed by
+   summing the cache. Because the cached entries equal fresh
+   evaluations and the sum runs in the same index order, the RNG draw
+   sequence — and therefore the trajectory — is byte-identical to
+   re-evaluating every propensity at every step (the reference direct
+   method in [test_ssa]), while propensity evaluations drop from O(R)
+   to O(deps) per firing. *)
+let run_direct rng (c : Compiled.t) cfg events recorder tot =
   let state = Array.copy c.c_initial in
-  let set i v = state.(i) <- v in
   let fired = ref 0 and applied = ref 0 in
   let n_r = Array.length c.c_reactions in
   let a = Array.make n_r 0. in
@@ -124,18 +118,17 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
   in
   let rec loop t events =
     if t < cfg.t_end then begin
-      if not sparse then refresh_all ();
       let a0 = sum a in
       let t_ev = Events.next_time events in
       if a0 <= 0. then begin
         (* Nothing can fire: jump to the next intervention, if any. *)
         if t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set events with
+          match apply_events_at c state events with
           | Some (te, n, rest) ->
               applied := !applied + n;
               observe te;
               (* Events clamp arbitrary species: the cache is stale. *)
-              if sparse then refresh_all ();
+              refresh_all ();
               loop te rest
           | None -> ()
         end
@@ -144,11 +137,11 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
         let tau = Rng.exponential rng ~rate:a0 in
         let t' = t +. tau in
         if t' >= t_ev && t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set events with
+          match apply_events_at c state events with
           | Some (te, n, rest) ->
               applied := !applied + n;
               observe te;
-              if sparse then refresh_all ();
+              refresh_all ();
               loop te rest
           | None -> assert false (* t_ev finite implies an event exists *)
         end
@@ -156,11 +149,9 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
           let mu = select a (Rng.float rng *. a0) in
           fire c state mu;
           incr fired;
-          if sparse then begin
-            tot.n_evals <-
-              tot.n_evals + Compiled.refresh_affected_in c ~regs state mu a;
-            tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu
-          end;
+          tot.n_evals <-
+            tot.n_evals + Compiled.refresh_affected_in c ~regs state mu a;
+          tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu;
           observe t';
           loop t' events
         end
@@ -171,7 +162,7 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
   let rec catch_up events =
     match Events.next events with
     | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c ~set events with
+        match apply_events_at c state events with
         | Some (_, n, rest) ->
             applied := !applied + n;
             catch_up rest
@@ -182,13 +173,12 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
   (* Observe only after catch-up so events at t0 are part of the
      recorded initial state, exactly as in the other two algorithms. *)
   observe cfg.t0;
-  if sparse then refresh_all ();
+  refresh_all ();
   loop cfg.t0 events;
   (state, !fired, !applied)
 
 let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
   let state = Array.copy c.c_initial in
-  let set i v = state.(i) <- v in
   let fired = ref 0 and applied = ref 0 in
   let n = Array.length c.c_reactions in
   let heap = Indexed_heap.create n in
@@ -213,7 +203,7 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
   let rec catch_up events =
     match Events.next events with
     | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c ~set events with
+        match apply_events_at c state events with
         | Some (_, m, rest) ->
             applied := !applied + m;
             catch_up rest
@@ -228,7 +218,7 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
     let t_ev = Events.next_time events in
     if Float.min t_mu t_ev >= cfg.t_end then ()
     else if t_ev <= t_mu then begin
-      match apply_events_at c ~set events with
+      match apply_events_at c state events with
       | Some (te, m, rest) ->
           applied := !applied + m;
           observe te;
@@ -299,7 +289,6 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "Sim: tau-leaping epsilon must be in (0, 1)";
   let state = Array.copy c.c_initial in
-  let set i v = state.(i) <- v in
   let fired = ref 0 and applied = ref 0 in
   let observe t =
     tot.n_obs <- tot.n_obs + 1;
@@ -335,7 +324,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
   let rec catch_up events =
     match Events.next events with
     | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c ~set events with
+        match apply_events_at c state events with
         | Some (_, m, rest) ->
             applied := !applied + m;
             catch_up rest
@@ -405,7 +394,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
       let t_ev = Events.next_time events in
       if a0 <= 0. then begin
         if t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set events with
+          match apply_events_at c state events with
           | Some (te, m, rest) ->
               applied := !applied + m;
               observe te;
@@ -427,7 +416,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
           | Some tau ->
               let t' = t +. tau in
               if t' >= t_ev && t_ev <= cfg.t_end then begin
-                match apply_events_at c ~set events with
+                match apply_events_at c state events with
                 | Some (te, m, rest) ->
                     applied := !applied + m;
                     observe te;
@@ -448,7 +437,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     let tau = Rng.exponential rng ~rate:a0 in
     let t' = t +. tau in
     if t' >= t_ev && t_ev <= cfg.t_end then begin
-      match apply_events_at c ~set events with
+      match apply_events_at c state events with
       | Some (te, m, rest) ->
           applied := !applied + m;
           observe te;
@@ -474,15 +463,12 @@ module Metrics = Glc_obs.Metrics
 
 let algorithm_label = function
   | Direct -> "direct"
-  | Direct_full_recompute -> "direct_full"
   | Next_reaction -> "next_reaction"
   | Tau_leaping _ -> "tau_leaping"
 
 (* One registry interaction per run: the loops above count into [tot];
-   this flushes the totals after the fact. The counter part is shared
-   with the batched driver, which flushes one [tot] per lane but has no
-   per-lane wall time to observe. *)
-let flush_counters metrics cfg ~ir ~fired ~applied ~samples tot =
+   this flushes the totals after the fact. *)
+let flush_metrics metrics cfg ~fired ~applied ~samples tot ~t_start =
   let algo = algorithm_label cfg.algorithm in
   let c name = Metrics.counter metrics name in
   Metrics.Counter.incr (c ("ssa.runs." ^ algo));
@@ -493,18 +479,8 @@ let flush_counters metrics cfg ~ir ~fired ~applied ~samples tot =
   Metrics.Counter.add (c "ssa.recorder_observes") tot.n_obs;
   Metrics.Counter.add (c "ssa.tau_leap_rejections") tot.n_rej;
   Metrics.Counter.add (c "ssa.trace_samples") samples;
-  if ir then begin
-    (* the tripwire CI keys on ssa.ir.evals > 0 to prove the IR path
-       is the one actually simulating *)
-    Metrics.Counter.add (c "ssa.ir.evals") tot.n_evals;
-    Metrics.Counter.add (c "ssa.ir.instructions") tot.n_instrs
-  end
-
-let flush_metrics metrics cfg ~ir ~fired ~applied ~samples tot ~t_start =
-  flush_counters metrics cfg ~ir ~fired ~applied ~samples tot;
-  Metrics.observe_since metrics
-    ("ssa.run_seconds." ^ algorithm_label cfg.algorithm)
-    t_start
+  Metrics.Counter.add (c "ssa.ir.instructions") tot.n_instrs;
+  Metrics.observe_since metrics ("ssa.run_seconds." ^ algo) t_start
 
 let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
     cfg (c : Compiled.t) =
@@ -517,18 +493,15 @@ let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
   let tot = make_tot () in
   let state, fired, applied =
     match cfg.algorithm with
-    | Direct -> run_direct ~sparse:true rng c cfg events recorder tot
-    | Direct_full_recompute ->
-        run_direct ~sparse:false rng c cfg events recorder tot
+    | Direct -> run_direct rng c cfg events recorder tot
     | Next_reaction -> run_next_reaction rng c cfg events recorder tot
     | Tau_leaping { epsilon } ->
         run_tau_leap rng c cfg ~epsilon events recorder tot
   in
   let trace = Trace.Recorder.finish recorder in
   if live then
-    flush_metrics metrics cfg
-      ~ir:(c.Compiled.c_path <> Compiled.Ast)
-      ~fired ~applied ~samples:(Trace.length trace) tot ~t_start;
+    flush_metrics metrics cfg ~fired ~applied ~samples:(Trace.length trace)
+      tot ~t_start;
   let final_state =
     Array.to_list (Array.mapi (fun i id -> (id, state.(i))) c.c_names)
   in
@@ -536,322 +509,6 @@ let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
 
 let run_compiled ?events ?metrics cfg c =
   run_compiled_rng ?events ?metrics ~rng:(Rng.create cfg.seed) cfg c
-
-(* Batched ensemble driver for the direct method: a block of replicate
-   lanes advances in lockstep over structure-of-arrays state
-   ([soa.(species).(lane)]) and register files (see
-   {!Compiled.make_regs_batch}). Each round first flushes the
-   propensity refreshes every lane requested in the previous round —
-   grouped by reaction, so one instruction decode serves all requesting
-   lanes ({!Ir.exec_batch}) — and then steps each live lane once.
-
-   Per lane, the RNG draw sequence and every IEEE operation match
-   [run_direct ~sparse:true] exactly. The only reordering is that the
-   scalar loop refreshes affected propensities {e before} observing the
-   post-firing time while this driver defers the refresh to the next
-   round's flush; the refresh draws no randomness and observation reads
-   only the state vector, never the propensity cache, so traces are
-   byte-identical to the scalar path for the same per-lane generators
-   (the QCheck differential in [test_ssa] pins this).
-
-   Lanes retire independently — at [t_end], on exhausted propensities,
-   or on a per-lane error (a non-finite law is re-attributed to the
-   offending lane by scalar re-evaluation on the cold path) — and the
-   round loop runs until every lane has retired. *)
-let run_batch_direct ~metrics ~rngs ~events cfg (c : Compiled.t) =
-  let w = Array.length rngs in
-  let live = Metrics.enabled metrics in
-  let t_start = if live then Glc_obs.Clock.now () else 0. in
-  let n_species = Array.length c.c_names in
-  let n_r = Array.length c.c_reactions in
-  let soa = Array.init n_species (fun s -> Array.make w c.c_initial.(s)) in
-  (* Per-lane AoS mirror of [soa], kept in sync by the two writers
-     (firings and events). The recorder and the error diagnostics want
-     a lane's state as one contiguous vector; maintaining it
-     incrementally costs one extra store per stoichiometry entry
-     instead of an O(species) gather on every observation. *)
-  let mirror = Array.init w (fun _ -> Array.copy c.c_initial) in
-  let regs = Compiled.make_regs_batch c ~width:w in
-  let a = Array.init w (fun _ -> Array.make n_r 0.) in
-  let recorders =
-    Array.init w (fun _ ->
-        Trace.Recorder.create ~names:c.c_names ~initial:c.c_initial
-          ~t0:cfg.t0 ~t_end:cfg.t_end ~dt:cfg.dt)
-  in
-  let tots = Array.init w (fun _ -> make_tot ()) in
-  let t_now = Array.make w cfg.t0 in
-  let evs = Array.make w events in
-  let fired = Array.make w 0 in
-  let applied = Array.make w 0 in
-  let alive = Array.make w true in
-  let failed = Array.make w None in
-  let n_alive = ref w in
-  let retire l =
-    if alive.(l) then begin
-      alive.(l) <- false;
-      decr n_alive
-    end
-  in
-  let n_failed = ref 0 in
-  let fail l e =
-    if failed.(l) = None then begin
-      failed.(l) <- Some e;
-      incr n_failed
-    end;
-    retire l
-  in
-  let set_lane l i v =
-    soa.(i).(l) <- v;
-    mirror.(l).(i) <- v
-  in
-  let observe l t =
-    tots.(l).n_obs <- tots.(l).n_obs + 1;
-    Trace.Recorder.observe recorders.(l) t mirror.(l)
-  in
-  (* Closure-free delta application: the round loop fires every lane
-     every round, so even one closure allocation per firing shows up. *)
-  let rec apply_deltas m l = function
-    | [] -> ()
-    | (i, d) :: rest ->
-        let row = soa.(i) in
-        let v = Float.max 0. (row.(l) +. d) in
-        row.(l) <- v;
-        m.(i) <- v;
-        apply_deltas m l rest
-  in
-  let fire_lane l mu = apply_deltas mirror.(l) l c.c_reactions.(mu).c_deltas in
-  (* Deferred-refresh book-keeping: [pending.(j)] lists the lanes whose
-     cached propensity of reaction [j] is stale, [touched] the stale
-     reactions in first-request order so the flush is deterministic.
-     Per-lane evaluation totals are counted at request time, which is
-     exactly when the scalar loop would have evaluated. *)
-  let pending = Array.init n_r (fun _ -> Array.make w 0) in
-  let pending_n = Array.make n_r 0 in
-  let touched = Array.make (max n_r 1) 0 in
-  let n_touched = ref 0 in
-  let request l j =
-    if pending_n.(j) = 0 then begin
-      touched.(!n_touched) <- j;
-      incr n_touched
-    end;
-    pending.(j).(pending_n.(j)) <- l;
-    pending_n.(j) <- pending_n.(j) + 1
-  in
-  let request_affected l mu =
-    let aff = Compiled.affected_reactions c mu in
-    (* [request], inlined: this runs for every firing's affected set. *)
-    for k = 0 to Array.length aff - 1 do
-      let j = Array.unsafe_get aff k in
-      let nj = pending_n.(j) in
-      if nj = 0 then begin
-        touched.(!n_touched) <- j;
-        incr n_touched
-      end;
-      pending.(j).(nj) <- l;
-      pending_n.(j) <- nj + 1
-    done;
-    let tot = tots.(l) in
-    tot.n_evals <- tot.n_evals + Array.length aff;
-    tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu
-  in
-  let request_all l =
-    for j = 0 to n_r - 1 do
-      request l j
-    done;
-    let tot = tots.(l) in
-    tot.n_evals <- tot.n_evals + n_r;
-    tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c
-  in
-  let n_batch_groups = ref 0 in
-  let n_batch_evals = ref 0 in
-  let n_batch_instrs = ref 0 in
-  let scalar_regs = Compiled.make_regs c in
-  let lanes_buf = Array.make w 0 in
-  let flush_group j lanes n =
-    if live then begin
-      incr n_batch_groups;
-      n_batch_evals := !n_batch_evals + n;
-      n_batch_instrs := !n_batch_instrs + c.c_reactions.(j).c_cost
-    end;
-    if n = 1 then begin
-      (* Singleton group: no decode to share, so the SoA machinery is
-         pure overhead — evaluate through the scalar path against the
-         lane's AoS mirror (same program, same inputs, hence the same
-         IEEE result bit for bit). *)
-      let l = lanes.(0) in
-      match Compiled.propensity_in c ~regs:scalar_regs mirror.(l) j with
-      | p -> a.(l).(j) <- p
-      | exception e -> fail l e
-    end
-    else begin
-      try
-        Compiled.refresh_reaction_batch_in c ~regs ~states:soa ~lanes ~n j
-          ~rows:a
-      with _ ->
-        (* One lane's law went non-finite. Re-evaluate the group lane by
-           lane through the scalar path so the failure is attributed to
-           the offending lane (with its own state in the diagnostic) and
-           the healthy lanes keep going. *)
-        for k = 0 to n - 1 do
-          let l = lanes.(k) in
-          match Compiled.propensity_in c ~regs:scalar_regs mirror.(l) j with
-          | p -> a.(l).(j) <- p
-          | exception e -> fail l e
-        done
-    end
-  in
-  let flush_pending () =
-    for g = 0 to !n_touched - 1 do
-      let j = touched.(g) in
-      let np = pending_n.(j) in
-      pending_n.(j) <- 0;
-      if !n_failed = 0 then
-        (* Common case: no lane has failed, so the request list needs
-           no filtering and serves directly as the group's lane set. *)
-        flush_group j pending.(j) np
-      else begin
-        let n = ref 0 in
-        for k = 0 to np - 1 do
-          let l = pending.(j).(k) in
-          if failed.(l) = None then begin
-            lanes_buf.(!n) <- l;
-            incr n
-          end
-        done;
-        if !n > 0 then flush_group j lanes_buf !n
-      end
-    done;
-    n_touched := 0
-  in
-  (* One scalar-equivalent loop iteration for lane [l]; assumes the
-     lane's cache [a.(l)] is fresh (pending flushed). *)
-  let step l =
-    let t = t_now.(l) in
-    if t >= cfg.t_end then retire l
-    else begin
-      let al = a.(l) in
-      let a0 = sum al in
-      let t_ev = Events.next_time evs.(l) in
-      if a0 <= 0. then begin
-        if t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set:(set_lane l) evs.(l) with
-          | Some (te, m, rest) ->
-              applied.(l) <- applied.(l) + m;
-              observe l te;
-              request_all l;
-              t_now.(l) <- te;
-              evs.(l) <- rest
-          | None -> retire l
-          | exception e -> fail l e
-        end
-        else retire l
-      end
-      else begin
-        let tau = Rng.exponential rngs.(l) ~rate:a0 in
-        let t' = t +. tau in
-        if t' >= t_ev && t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set:(set_lane l) evs.(l) with
-          | Some (te, m, rest) ->
-              applied.(l) <- applied.(l) + m;
-              observe l te;
-              request_all l;
-              t_now.(l) <- te;
-              evs.(l) <- rest
-          | None -> assert false (* t_ev finite implies an event exists *)
-          | exception e -> fail l e
-        end
-        else if t' < cfg.t_end then begin
-          let mu = select al (Rng.float rngs.(l) *. a0) in
-          fire_lane l mu;
-          fired.(l) <- fired.(l) + 1;
-          request_affected l mu;
-          observe l t';
-          t_now.(l) <- t'
-        end
-        else retire l
-      end
-    end
-  in
-  (* Initialise every lane: interventions at or before t0 set up the
-     state, then the initial observation and a full refresh request —
-     the same prologue as the scalar loop. *)
-  for l = 0 to w - 1 do
-    try
-      let rec catch_up sched =
-        match Events.next sched with
-        | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-            match apply_events_at c ~set:(set_lane l) sched with
-            | Some (_, m, rest) ->
-                applied.(l) <- applied.(l) + m;
-                catch_up rest
-            | None -> sched)
-        | Some _ | None -> sched
-      in
-      evs.(l) <- catch_up events;
-      observe l cfg.t0;
-      request_all l
-    with e -> fail l e
-  done;
-  (* No handler around [step]: the two raising operations inside it —
-     event application and the propensity refreshes routed through
-     [flush_group] — already attribute failures to their lane, and a
-     trap frame per lane-step is measurable at this loop's rate. *)
-  while !n_alive > 0 do
-    flush_pending ();
-    for l = 0 to w - 1 do
-      if alive.(l) then step l
-    done
-  done;
-  let results =
-    Array.init w (fun l ->
-        match failed.(l) with
-        | Some e -> Error e
-        | None ->
-            let trace = Trace.Recorder.finish recorders.(l) in
-            if live then
-              flush_counters metrics cfg
-                ~ir:(c.Compiled.c_path <> Compiled.Ast)
-                ~fired:fired.(l) ~applied:applied.(l)
-                ~samples:(Trace.length trace) tots.(l);
-            let final_state =
-              Array.to_list
-                (Array.mapi (fun s id -> (id, mirror.(l).(s))) c.c_names)
-            in
-            Ok
-              ( trace,
-                {
-                  reactions_fired = fired.(l);
-                  events_applied = applied.(l);
-                  final_state;
-                } ))
-  in
-  if live then begin
-    let cn name = Metrics.counter metrics name in
-    Metrics.Counter.add (cn "ssa.ir.batch_evals") !n_batch_evals;
-    Metrics.Counter.add (cn "ssa.ir.batch_groups") !n_batch_groups;
-    Metrics.Counter.add (cn "ssa.ir.batch_instructions") !n_batch_instrs;
-    Metrics.Counter.incr (cn "ssa.ir.batch_blocks");
-    Metrics.Counter.add (cn "ssa.ir.batch_lanes") w;
-    Metrics.observe_since metrics "ssa.ir.batch_block_seconds" t_start
-  end;
-  results
-
-let run_batch_rngs ?(events = Events.empty) ?(metrics = Metrics.noop) ~rngs
-    cfg (c : Compiled.t) =
-  if Array.length rngs = 0 then [||]
-  else
-    match (cfg.algorithm, c.Compiled.c_path) with
-    | Direct, (Compiled.Ir | Compiled.Ir_batch) ->
-        run_batch_direct ~metrics ~rngs ~events cfg c
-    | _ ->
-        (* Batching pays off only where the direct method's sparse
-           refreshes dominate; everything else falls back to the scalar
-           runner lane by lane, keeping this entry point total. *)
-        Array.map
-          (fun rng ->
-            try Ok (run_compiled_rng ~events ~metrics ~rng cfg c)
-            with e -> Error e)
-          rngs
 
 let run_with_stats ?events ?metrics cfg model =
   run_compiled ?events ?metrics cfg (Compiled.compile ?metrics model)

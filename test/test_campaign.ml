@@ -93,6 +93,11 @@ let test_json_float_roundtrip () =
         printed (Json.float reparsed))
     [ 0.; 1.; -1.; 0.1; 15.; 97.34; 1e-7; 1.7976931348623157e308; 3.14 ]
 
+let prop_json_string_roundtrip =
+  (* every byte string survives the one escaper and the reader *)
+  QCheck.Test.make ~name:"string roundtrip" ~count:1000 QCheck.string
+    (fun s -> Json.parse (Json.string s) = Ok (Json.String s))
+
 (* ---- grid ---- *)
 
 let two_job_grid () =
@@ -200,6 +205,22 @@ let test_store_crash_safety () =
         (Store.get store ~id:"tmpjob" = None);
       checkb "completed lists only parseable results" true
         (Store.completed store = [ "good" ]))
+
+let test_store_failed_put_cleans_up () =
+  (* rename onto a directory fails: the put must raise and must not
+     leave its temp file behind in results/ *)
+  with_dir (fun dir ->
+      let store = Result.get_ok (Store.create ~dir "{}") in
+      Unix.mkdir (Store.result_path store ~id:"squatted") 0o755;
+      (match Store.put store ~id:"squatted" {|{"ok": true}|} with
+      | () -> Alcotest.fail "put onto a directory must raise"
+      | exception Unix.Unix_error _ -> ());
+      let leftovers =
+        Sys.readdir (Filename.concat dir "results")
+        |> Array.to_list
+        |> List.filter (fun n -> Filename.check_suffix n ".tmp")
+      in
+      Alcotest.(check (list string)) "no temp file left" [] leftovers)
 
 (* ---- journal ---- *)
 
@@ -503,6 +524,7 @@ let () =
             test_json_parse_rejects;
           Alcotest.test_case "float roundtrip" `Quick
             test_json_float_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
         ] );
       ( "grid",
         [
@@ -517,6 +539,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "crash safety" `Quick test_store_crash_safety;
+          Alcotest.test_case "failed put leaves no temp file" `Quick
+            test_store_failed_put_cleans_up;
         ] );
       ( "journal",
         [

@@ -105,8 +105,10 @@ let dc_output circuit row =
       state.(Compiled.species_index c input) <- v)
     circuit.Circuit.inputs;
   let dt = 0.5 in
+  let regs = Compiled.make_regs c in
+  let a = Array.make (Array.length c.Compiled.c_reactions) 0. in
   for _ = 1 to 4000 do
-    let a = Compiled.propensities c state in
+    Compiled.propensities_into_in c ~regs state a;
     Array.iteri
       (fun ri r ->
         List.iter

@@ -541,6 +541,13 @@ let test_events () =
 
 (* ---- compiled models ---- *)
 
+(* Every clamped propensity in [state], through the production entry
+   point and a fresh scratch register file. *)
+let propensities c state =
+  let a = Array.make (Array.length c.Compiled.c_reactions) 0. in
+  Compiled.propensities_into_in c ~regs:(Compiled.make_regs c) state a;
+  a
+
 let birth_death ~k ~gamma =
   Model.make ~id:"bd"
     ~species:[ Model.species "X" 0. ]
@@ -559,7 +566,7 @@ let test_compile () =
   let c = Compiled.compile (birth_death ~k:10. ~gamma:0.1) in
   checki "species" 1 (Array.length c.Compiled.c_names);
   checki "reactions" 2 (Array.length c.Compiled.c_reactions);
-  let a = Compiled.propensities c [| 5. |] in
+  let a = propensities c [| 5. |] in
   checkf 1e-12 "birth propensity" 10. a.(0);
   checkf 1e-12 "death propensity" 0.5 a.(1);
   (* parameters folded: no lookup of k at simulation time *)
@@ -611,7 +618,7 @@ let test_compile_negative_propensity_clamped () =
       ()
   in
   let c = Compiled.compile m in
-  let a = Compiled.propensities c [| 5. |] in
+  let a = propensities c [| 5. |] in
   checkf 0. "clamped to zero" 0. a.(0)
 
 (* ---- simulation ---- *)
@@ -714,7 +721,6 @@ let test_sim_boundary_reactant_all_algorithms () =
       checkb (name ^ ": product accumulates") true (final tr "P" > 0.))
     [
       ("direct", Sim.Direct);
-      ("direct-full", Sim.Direct_full_recompute);
       ("next-reaction", Sim.Next_reaction);
       ("tau-leap", Sim.Tau_leaping { epsilon = 0.03 });
     ];
@@ -932,7 +938,7 @@ let test_ode_steady_state () =
 module Ode_oracle = struct
   let derivative (c : Compiled.t) state dx =
     Array.fill dx 0 (Array.length dx) 0.;
-    let a = Compiled.propensities c state in
+    let a = propensities c state in
     Array.iteri
       (fun j r ->
         List.iter
@@ -1236,7 +1242,109 @@ let test_sim_event_at_t0_in_first_sample () =
       ("tau-leap", Sim.Tau_leaping { epsilon = 0.03 });
     ]
 
-(* ---- sparse vs full-recompute equivalence ---- *)
+(* ---- the reference direct method ---- *)
+
+(* The oracle the production direct method is compared against:
+   Gillespie's direct method re-evaluating every propensity at every
+   step straight from the model's kinetic laws with [Math.eval]
+   (parameters looked up by value, species read from the state) and
+   clamped as production clamps — finite negatives to zero, NaN and
+   infinity raise. It draws from [Rng], selects with [Sim.select],
+   applies events and records through [Trace.Recorder] in the same
+   order as [Sim], so for one seed the traces must match byte for byte;
+   a difference is a bug in the sparse updates or the flat IR. *)
+module Direct_oracle = struct
+  let propensities (m : Model.t) (c : Compiled.t) state =
+    let lookup id =
+      match Model.parameter_value m id with
+      | Some v -> v
+      | None -> state.(Compiled.species_index c id)
+    in
+    Array.of_list
+      (List.map
+         (fun (r : Model.reaction) ->
+           let p = Math.eval ~lookup r.Model.r_rate in
+           if Float.is_finite p then if p > 0. then p else 0.
+           else
+             raise
+               (Compiled.Non_finite_propensity
+                  {
+                    nf_model = m.Model.m_id;
+                    nf_reaction = r.Model.r_id;
+                    nf_value = p;
+                    nf_state =
+                      Array.to_list
+                        (Array.mapi
+                           (fun i id -> (id, state.(i)))
+                           c.Compiled.c_names);
+                  }))
+         m.Model.m_reactions)
+
+  let run ?(events = Events.empty) (cfg : Sim.config) (m : Model.t) =
+    let c = Compiled.compile m in
+    let rng = Rng.create cfg.Sim.seed in
+    let state = Array.copy c.Compiled.c_initial in
+    let recorder =
+      Trace.Recorder.create ~names:c.Compiled.c_names
+        ~initial:c.Compiled.c_initial ~t0:cfg.Sim.t0 ~t_end:cfg.Sim.t_end
+        ~dt:cfg.Sim.dt
+    in
+    let observe t = Trace.Recorder.observe recorder t state in
+    (* every event scheduled at the head time; the time and the rest *)
+    let apply_head schedule =
+      match Events.next schedule with
+      | None -> None
+      | Some (first, _) ->
+          let t = first.Events.e_time in
+          let rec go schedule =
+            match Events.next schedule with
+            | Some (e, rest) when e.Events.e_time = t ->
+                state.(Compiled.species_index c e.Events.e_species) <-
+                  Float.max 0. e.Events.e_value;
+                go rest
+            | Some _ | None -> schedule
+          in
+          Some (t, go schedule)
+    in
+    let rec catch_up events =
+      match Events.next events with
+      | Some (e, _) when e.Events.e_time <= cfg.Sim.t0 -> (
+          match apply_head events with
+          | Some (_, rest) -> catch_up rest
+          | None -> events)
+      | Some _ | None -> events
+    in
+    let rec loop t events =
+      if t < cfg.Sim.t_end then begin
+        let a = propensities m c state in
+        let a0 = Array.fold_left ( +. ) 0. a in
+        let t_ev = Events.next_time events in
+        let jump () =
+          match apply_head events with
+          | Some (te, rest) ->
+              observe te;
+              loop te rest
+          | None -> ()
+        in
+        if a0 <= 0. then (if t_ev <= cfg.Sim.t_end then jump ())
+        else
+          let t' = t +. Rng.exponential rng ~rate:a0 in
+          if t' >= t_ev && t_ev <= cfg.Sim.t_end then jump ()
+          else if t' < cfg.Sim.t_end then begin
+            let mu = Sim.select a (Rng.float rng *. a0) in
+            List.iter
+              (fun (i, d) -> state.(i) <- Float.max 0. (state.(i) +. d))
+              c.Compiled.c_reactions.(mu).Compiled.c_deltas;
+            observe t';
+            loop t' events
+          end
+      end
+    in
+    let events = catch_up events in
+    observe cfg.Sim.t0;
+    loop cfg.Sim.t0 events;
+    Trace.Recorder.finish recorder
+end
 
 (* The sparse direct method's invariant: cached propensities equal fresh
    evaluations and the total propensity is summed in the same index
@@ -1277,11 +1385,10 @@ let prop_sparse_direct_equivalence =
     ~name:"sparse direct is byte-identical to the full-recompute reference"
     ~count:80 QCheck.small_int (fun seed ->
       let m = random_mass_action_model seed in
-      let run algorithm =
-        Trace.to_csv
-          (Sim.run (Sim.config ~seed:(seed + 1) ~algorithm ~t_end:30. ()) m)
-      in
-      String.equal (run Sim.Direct) (run Sim.Direct_full_recompute))
+      let cfg = Sim.config ~seed:(seed + 1) ~t_end:30. () in
+      String.equal
+        (Trace.to_csv (Sim.run cfg m))
+        (Trace.to_csv (Direct_oracle.run cfg m)))
 
 let prop_nonnegative_populations =
   (* blanket invariant behind the tau-leap step-rejection fix: no
@@ -1304,39 +1411,9 @@ let prop_nonnegative_populations =
           !ok)
         [
           Sim.Direct;
-          Sim.Direct_full_recompute;
           Sim.Next_reaction;
           Sim.Tau_leaping { epsilon = 0.05 };
         ])
-
-let prop_batch_scalar_equivalence =
-  (* The batched driver's contract: lane [l] of a lockstep block is
-     byte-identical — trace and stats — to a scalar run on the same
-     generator. Lane counts sweep 1..8 so single-lane blocks and full
-     blocks are both exercised. *)
-  QCheck.Test.make
-    ~name:"batched lane-blocks are byte-identical to scalar runs"
-    ~count:60 QCheck.small_int (fun seed ->
-      let m = random_mass_action_model seed in
-      let c = Compiled.compile ~path:Compiled.Ir_batch m in
-      let cfg = Sim.config ~seed:(seed + 7) ~t_end:30. () in
-      let w = 1 + (seed mod 8) in
-      let rngs = Array.init w (fun i -> Rng.create ((1000 * seed) + i)) in
-      let scalar =
-        Array.map
-          (fun rng ->
-            let tr, st = Sim.run_compiled_rng ~rng:(Rng.copy rng) cfg c in
-            (Trace.to_csv tr, st))
-          rngs
-      in
-      let batched =
-        Array.map
-          (function
-            | Ok (tr, st) -> (Trace.to_csv tr, st)
-            | Error e -> raise e)
-          (Sim.run_batch_rngs ~rngs cfg c)
-      in
-      scalar = batched)
 
 let test_sparse_equivalence_circuits () =
   (* Same check on the paper's Table-1 circuits under the virtual lab's
@@ -1344,52 +1421,15 @@ let test_sparse_equivalence_circuits () =
   let protocol =
     Glc_dvasim.Protocol.make ~total_time:400. ~hold_time:100. ()
   in
+  let cfg = Sim.config ~seed:42 ~t_end:400. () in
   List.iter
     (fun circuit ->
       let events = Glc_dvasim.Experiment.input_schedule protocol circuit in
       let model = Glc_gates.Circuit.model circuit in
-      let run ?(path = Compiled.Ir) algorithm =
-        let c = Compiled.compile ~path model in
-        Trace.to_csv
-          (fst
-             (Sim.run_compiled ~events
-                (Sim.config ~seed:42 ~algorithm ~t_end:400. ())
-                c))
-      in
-      let reference = run Sim.Direct_full_recompute in
       Alcotest.(check string)
         (circuit.Glc_gates.Circuit.name ^ ": byte-identical trace")
-        reference (run Sim.Direct);
-      (* the IR is an optimisation, not a semantics change: the AST
-         reference path reproduces the same bytes *)
-      Alcotest.(check string)
-        (circuit.Glc_gates.Circuit.name ^ ": AST path byte-identical")
-        reference
-        (run ~path:Compiled.Ast Sim.Direct);
-      (* and so is the batched lockstep driver, lane by lane, with the
-         virtual lab's input events in play *)
-      let c_batch = Compiled.compile ~path:Compiled.Ir_batch model in
-      let cfg = Sim.config ~seed:42 ~t_end:400. () in
-      let rngs = Array.init 4 (fun i -> Glc_ssa.Rng.create ((i * 7) + 1)) in
-      let scalar =
-        Array.map
-          (fun rng ->
-            Trace.to_csv
-              (fst
-                 (Sim.run_compiled_rng ~events ~rng:(Glc_ssa.Rng.copy rng)
-                    cfg c_batch)))
-          rngs
-      in
-      Array.iteri
-        (fun l outcome ->
-          match outcome with
-          | Ok (tr, _) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s: batched lane %d byte-identical"
-                   circuit.Glc_gates.Circuit.name l)
-                scalar.(l) (Trace.to_csv tr)
-          | Error e -> raise e)
-        (Sim.run_batch_rngs ~events ~rngs cfg c_batch))
+        (Trace.to_csv (Direct_oracle.run ~events cfg model))
+        (Trace.to_csv (Sim.run ~events cfg model)))
     (Glc_gates.Benchmarks.all ())
 
 (* ---- flat propensity IR ---- *)
@@ -1550,26 +1590,37 @@ let prop_ir_matches_math_eval =
           (Math.to_string e))
 
 let prop_ir_ast_trace_equivalence =
+  (* the flat IR against Math.eval at trace level: Hill laws (the fused
+     superinstructions), mass action and a boundary input driven by
+     events *)
   QCheck.Test.make
     ~name:"IR and AST paths produce byte-identical traces" ~count:80
     QCheck.small_int (fun seed ->
-      let m = random_mass_action_model seed in
-      let run path =
-        let c = Compiled.compile ~path m in
-        Trace.to_csv
-          (fst
-             (Sim.run_compiled (Sim.config ~seed:(seed + 1) ~t_end:30. ()) c))
+      let m = random_ode_model seed in
+      let st = Random.State.make [| seed; 11 |] in
+      let events =
+        Events.of_list
+          [
+            Events.set 0. "S0" (float_of_int (Random.State.int st 30));
+            Events.set
+              (5.5 +. float_of_int (Random.State.int st 20))
+              "S0"
+              (float_of_int (Random.State.int st 30));
+          ]
       in
-      String.equal (run Compiled.Ir) (run Compiled.Ast))
+      let cfg = Sim.config ~seed:(seed + 1) ~t_end:30. () in
+      String.equal
+        (Trace.to_csv (Sim.run ~events cfg m))
+        (Trace.to_csv (Direct_oracle.run ~events cfg m)))
 
 (* ---- non-finite propensities ---- *)
 
 (* The headline bugfix: a kinetic law evaluating to NaN used to slip
    through the [Float.max 0.] clamp (max 0. nan = nan), corrupt the
-   total propensity and silently truncate the run. Both evaluation
-   paths must now raise instead, naming the reaction and the state.
-   Each case was verified to reproduce the silent truncation before the
-   guard existed. *)
+   total propensity and silently truncate the run. The compiled model
+   and the reference must both raise instead, naming the reaction and
+   the state. Each case was verified to reproduce the silent truncation
+   before the guard existed. *)
 let test_non_finite_propensity_raises () =
   let cases =
     [
@@ -1579,7 +1630,7 @@ let test_non_finite_propensity_raises () =
     ]
   in
   List.iter
-    (fun (path_name, path) ->
+    (fun (engine, run) ->
       List.iter
         (fun (case, rate) ->
           let m =
@@ -1589,11 +1640,10 @@ let test_non_finite_propensity_raises () =
               ~reactions:[ Model.reaction ~products:[ ("X", 1) ] ~rate "bad" ]
               ()
           in
-          let c = Compiled.compile ~path m in
-          match Sim.run_compiled (Sim.config ~t_end:5. ()) c with
+          match run (Sim.config ~t_end:5. ()) m with
           | _ ->
               Alcotest.failf "%s/%s: expected Non_finite_propensity"
-                path_name case
+                engine case
           | exception
               Compiled.Non_finite_propensity
                 { nf_model; nf_reaction; nf_value; nf_state } ->
@@ -1604,28 +1654,29 @@ let test_non_finite_propensity_raises () =
               checkb (case ^ ": state recorded") true
                 (List.mem_assoc "X" nf_state))
         cases)
-    [ ("ast", Compiled.Ast); ("ir", Compiled.Ir) ]
+    [
+      ("compiled", fun cfg m -> Sim.run cfg m);
+      ("reference", fun cfg m -> Direct_oracle.run cfg m);
+    ]
 
 let test_negative_propensity_still_clamps () =
   (* finite negatives stay a clamp, not an error: the law dips below
      zero but the simulation proceeds with propensity 0 *)
-  List.iter
-    (fun path ->
-      let m =
-        Model.make ~id:"negclamp"
-          ~species:[ Model.species "X" 0. ]
-          ~reactions:
-            [
-              Model.reaction ~products:[ ("X", 1) ]
-                ~rate:Math.(var "X" - num 5.)
-                "sink";
-            ]
-          ()
-      in
-      let c = Compiled.compile ~path m in
-      let a = Compiled.propensities c [| 0. |] in
-      checkf 0. "clamped to zero" 0. a.(0))
-    [ Compiled.Ast; Compiled.Ir ]
+  let m =
+    Model.make ~id:"negclamp"
+      ~species:[ Model.species "X" 0. ]
+      ~reactions:
+        [
+          Model.reaction ~products:[ ("X", 1) ]
+            ~rate:Math.(var "X" - num 5.)
+            "sink";
+        ]
+      ()
+  in
+  let c = Compiled.compile m in
+  checkf 0. "compiled: clamped to zero" 0. (propensities c [| 0. |]).(0);
+  checkf 0. "reference: clamped to zero" 0.
+    (Direct_oracle.propensities m c [| 0. |]).(0)
 
 (* ---- recorder grid property ---- *)
 
@@ -1783,7 +1834,6 @@ let () =
               prop_select_positive_propensity;
               prop_sparse_direct_equivalence;
               prop_nonnegative_populations;
-              prop_batch_scalar_equivalence;
             ]
       );
       ( "population",

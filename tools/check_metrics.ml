@@ -19,8 +19,8 @@
    (ssa.propensity_evals is deterministic for a fixed seed) and runaway
    serve.* failure counters. The dual --min COUNTER=FLOOR asserts a
    counter reached at least the floor — the tripwire proving a code
-   path actually ran (ssa.ir.evals >= 1 proves the IR evaluator, not
-   the AST reference, did the simulating). In text mode dotted counter
+   path actually ran (space.delays_measured >= 1 proves the atlas
+   smoke run measured a propagation delay). In text mode dotted counter
    names are mangled the way the exposition mangles them
    (serve.jobs_failed matches serve_jobs_failed). Exits nonzero with a
    message on any mismatch. *)
