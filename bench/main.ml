@@ -168,7 +168,7 @@ let synthetic_data ~samples ~arity =
       ~initial:(Array.make (arity + 1) 0.)
       ~t0:0.
       ~t_end:(float_of_int (samples - 1))
-      ~dt:1.
+      ~dt:1. ()
   in
   for k = 0 to samples - 1 do
     let row = k / (max hold 1) mod nc in
@@ -780,10 +780,13 @@ let campaign_bench () =
 (* Every Table-1 model through the production direct method: sparse
    propensity updates over the flat-IR evaluator. Per circuit it
    reports the reactions, the firings, propensity evaluations per
-   firing (the sparse engine's O(deps) cost) and steps/s. Writes the
-   machine-readable results to BENCH_ssa.json (CI uploads it as an
-   artifact). The byte-identity of these traces against the
-   full-recompute Math.eval reference is checked in test_ssa. *)
+   firing (the sparse engine's O(deps) cost), minor-heap words
+   allocated per firing (a whole run's, trace and setup included; the
+   firing itself allocates nothing, which test_ssa asserts) and
+   steps/s. Writes the machine-readable results to BENCH_ssa.json (CI
+   uploads it as an artifact). The byte-identity of these traces
+   against the full-recompute Math.eval reference is checked in
+   test_ssa. *)
 let bench_ssa () =
   section "SSA -- sparse direct method over the flat IR (Table-1 models)";
   let module Sim = Glc_ssa.Sim in
@@ -798,17 +801,20 @@ let bench_ssa () =
   let measure model events =
     let compiled = Compiled.compile model in
     let best = ref infinity and steps = ref 0 and evals = ref 0 in
+    let words = ref 0. in
     for _ = 1 to repeats do
       let metrics = Metrics.create () in
+      let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       let _, stats = Sim.run_compiled ~events ~metrics cfg compiled in
       let wall = Unix.gettimeofday () -. t0 in
+      words := Gc.minor_words () -. w0;
       if wall < !best then best := wall;
       steps := stats.Sim.reactions_fired;
       evals :=
         Metrics.Counter.value (Metrics.counter metrics "ssa.propensity_evals")
     done;
-    (!steps, !evals, !best)
+    (!steps, !evals, !words, !best)
   in
   (* warm-up: code and allocator, so the first row's wall time is not
      charged for cold caches *)
@@ -818,25 +824,35 @@ let bench_ssa () =
         (Experiment.input_schedule Protocol.default c)));
   Printf.printf
     "seed %d, %g t.u. under the paper's input stimulus, best of %d runs; \
-     'evals/step' is propensity evaluations per reaction firing\n\n" seed
+     'evals/step' is propensity evaluations per reaction firing, \
+     'words/step' minor-heap words per firing over a whole run\n\n" seed
     t_end repeats;
-  Printf.printf "%-14s %5s %9s %10s %10s\n" "circuit" "R" "steps"
-    "evals/step" "steps/s";
+  Printf.printf "%-14s %5s %9s %10s %10s %10s\n" "circuit" "R" "steps"
+    "evals/step" "words/step" "steps/s";
   let rate steps wall = if wall <= 0. then 0. else float_of_int steps /. wall in
   let rows =
     List.map
       (fun circuit ->
         let model = Circuit.model circuit in
         let n_r = List.length model.Glc_model.Model.m_reactions in
-        let steps, evals, wall =
+        let steps, evals, words, wall =
           measure model (Experiment.input_schedule Protocol.default circuit)
         in
-        let per_step =
-          if steps = 0 then 0. else float_of_int evals /. float_of_int steps
+        let per_step x =
+          if steps = 0 then 0. else x /. float_of_int steps
         in
-        Printf.printf "%-14s %5d %9d %10.2f %10.0f\n" circuit.Circuit.name n_r
-          steps per_step (rate steps wall);
-        (circuit.Circuit.name, n_r, steps, evals, per_step, wall))
+        let evals_per_step = per_step (float_of_int evals) in
+        let words_per_step = per_step words in
+        Printf.printf "%-14s %5d %9d %10.2f %10.3f %10.0f\n"
+          circuit.Circuit.name n_r steps evals_per_step words_per_step
+          (rate steps wall);
+        ( circuit.Circuit.name,
+          n_r,
+          steps,
+          evals,
+          evals_per_step,
+          words_per_step,
+          wall ))
       (Benchmarks.all ())
   in
   let buf = Buffer.create 4096 in
@@ -846,20 +862,22 @@ let bench_ssa () =
         \"seed\": %d,\n  \"t_end\": %g,\n  \"repeats\": %d,\n  \
         \"circuits\": [\n" seed t_end repeats);
   List.iteri
-    (fun i (name, n_r, steps, evals, per_step, wall) ->
+    (fun i (name, n_r, steps, evals, evals_per_step, words_per_step, wall) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S, \"reactions\": %d, \"steps\": %d, \
             \"propensity_evals\": %d, \"evals_per_step\": %.2f, \
-            \"wall_s\": %.4f, \"steps_per_s\": %.0f}%s\n"
-           name n_r steps evals per_step wall (rate steps wall)
+            \"minor_words_per_step\": %.3f, \"wall_s\": %.4f, \
+            \"steps_per_s\": %.0f}%s\n"
+           name n_r steps evals evals_per_step words_per_step wall
+           (rate steps wall)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   let total_steps =
-    List.fold_left (fun acc (_, _, s, _, _, _) -> acc + s) 0 rows
+    List.fold_left (fun acc (_, _, s, _, _, _, _) -> acc + s) 0 rows
   in
   let total_wall =
-    List.fold_left (fun acc (_, _, _, _, _, w) -> acc +. w) 0. rows
+    List.fold_left (fun acc (_, _, _, _, _, _, w) -> acc +. w) 0. rows
   in
   Buffer.add_string buf
     (Printf.sprintf "  ],\n  \"steps_per_s_overall\": %.0f\n}\n"

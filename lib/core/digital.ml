@@ -1,9 +1,13 @@
+let check_threshold threshold =
+  if threshold <= 0. then invalid_arg "Digital.of_samples: threshold <= 0"
+
 let of_samples ~threshold samples =
-  if threshold <= 0. then invalid_arg "Digital.of_samples: threshold <= 0";
+  check_threshold threshold;
   Array.map (fun v -> v >= threshold) samples
 
 let of_trace ~threshold trace id =
-  of_samples ~threshold (Glc_ssa.Trace.column trace id)
+  check_threshold threshold;
+  Glc_ssa.Trace.map_column trace id (fun v -> v >= threshold)
 
 let count_high bits =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bits

@@ -72,7 +72,7 @@ let history lab =
       (* no run yet: a single sample of the current state *)
       let r =
         Trace.Recorder.create ~names:lab.compiled.Compiled.c_names
-          ~initial:lab.state ~t0:0. ~t_end:0. ~dt:lab.dt
+          ~initial:lab.state ~t0:0. ~t_end:0. ~dt:lab.dt ()
       in
       Trace.Recorder.observe r 0. lab.state;
       Trace.Recorder.finish r

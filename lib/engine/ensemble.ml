@@ -170,6 +170,18 @@ let run ?pool ?(progress = Progress.null) ?cache
   let params =
     { Analyzer.threshold = protocol.Protocol.threshold; fov_ud = cfg.fov_ud }
   in
+  (* the analyser reads only the inputs and the output, so a replicate
+     records only those columns; a species the model lacks is left out
+     and the analyser reports it *)
+  let record =
+    Array.of_list
+      (List.filter_map
+         (fun id ->
+           match Compiled.species_index compiled id with
+           | i -> Some i
+           | exception Not_found -> None)
+         (Array.to_list circuit.Circuit.inputs @ [ circuit.Circuit.output ]))
+  in
   let rngs = Seeds.derive ~metrics ~seed:cfg.seed cfg.replicates in
   let task i rng =
     match
@@ -177,8 +189,13 @@ let run ?pool ?(progress = Progress.null) ?cache
          started trajectories (recorded as "interrupted" failures) and
          aggregates what completed, instead of dying mid-simulation *)
       if should_stop () then raise Interrupted;
+      (* [derive] allocated every stream back to back on this domain;
+         a copy made here puts the state the run writes on every draw
+         in the worker's own memory, not on a cache line it shares
+         with a neighbour's stream *)
+      let rng = Glc_ssa.Rng.copy rng in
       let trace, _stats =
-        Sim.run_compiled_rng ~events ~metrics ~rng sim_cfg compiled
+        Sim.run_compiled_rng ~events ~metrics ~rng ~record sim_cfg compiled
       in
       let r =
         Analyzer.run ~params

@@ -4,7 +4,8 @@ module Metrics = Glc_obs.Metrics
 
 type reaction = {
   c_id : string;
-  c_deltas : (int * float) list;
+  c_delta_species : int array;
+  c_delta_amount : float array;
   c_expr : Ir.expr;
   c_reads : int list;
   c_cost : int;
@@ -136,6 +137,7 @@ let compile ?(metrics = Metrics.noop) (m : Model.t) =
              Hashtbl.fold (fun i d acc -> (i, d) :: acc) deltas []
              |> List.filter (fun (i, d) -> d <> 0. && not boundary.(i))
              |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+             |> Array.of_list
            in
            let rate, c_reads = substitute m index r.r_rate in
            let c_expr, st = Ir.compile ~resolve rate in
@@ -145,7 +147,8 @@ let compile ?(metrics = Metrics.noop) (m : Model.t) =
            n_folds := !n_folds + st.Ir.s_const_folds;
            {
              c_id = r.r_id;
-             c_deltas;
+             c_delta_species = Array.map fst c_deltas;
+             c_delta_amount = Array.map snd c_deltas;
              c_expr;
              c_reads;
              c_cost = st.Ir.s_instrs;
@@ -161,7 +164,8 @@ let compile ?(metrics = Metrics.noop) (m : Model.t) =
   let affected =
     Array.map
       (fun r ->
-        List.concat_map (fun (s, _) -> dependents.(s)) r.c_deltas
+        Array.to_list r.c_delta_species
+        |> List.concat_map (fun s -> dependents.(s))
         |> List.sort_uniq Int.compare |> Array.of_list)
       reactions
   in
@@ -208,33 +212,43 @@ let species_index t id =
   in
   find 0
 
-let[@inline] raw_eval t regs j state =
-  Ir.eval t.c_reactions.(j).c_expr ~regs state
+(* Runs reaction [j]'s program and stores its clamped result in
+   [a.(j)]. The result operand is read here, inside every arm of the
+   match, rather than through [Ir.eval]: under [-opaque] nothing is
+   inlined across modules, so a float returned from [Ir] is boxed on
+   every evaluation. *)
+let[@inline] eval_into t regs state j a =
+  let e = t.c_reactions.(j).c_expr in
+  Ir.exec e.Ir.e_prog ~regs state;
+  match e.Ir.e_result with
+  | Ir.Reg r -> a.(j) <- clamp_checked t j regs.(r) state
+  | Ir.Pool i -> a.(j) <- clamp_checked t j e.Ir.e_prog.Ir.p_pool.(i) state
+  | Ir.State i -> a.(j) <- clamp_checked t j state.(i) state
 
 let make_regs t = Array.make t.c_regs 0.
 
 let propensity_in t ~regs state j =
-  clamp_checked t j (raw_eval t regs j state) state
+  let e = t.c_reactions.(j).c_expr in
+  clamp_checked t j (Ir.eval e ~regs state) state
 
 let propensities_into_in t ~regs state a =
   if Array.length a <> Array.length t.c_reactions then
     invalid_arg "Compiled.propensities_into_in: wrong buffer length";
   for i = 0 to Array.length a - 1 do
-    a.(i) <- clamp_checked t i (raw_eval t regs i state) state
+    eval_into t regs state i a
   done
 
 let inert_reactions t =
   Array.to_list t.c_reactions
   |> List.filter_map (fun r ->
-         if r.c_deltas = [] then Some r.c_id else None)
+         if Array.length r.c_delta_species = 0 then Some r.c_id else None)
 
 let affected_reactions t ri = t.c_affected.(ri)
 
 let refresh_affected_in t ~regs state ri a =
   let aff = t.c_affected.(ri) in
   for k = 0 to Array.length aff - 1 do
-    let j = aff.(k) in
-    a.(j) <- clamp_checked t j (raw_eval t regs j state) state
+    eval_into t regs state aff.(k) a
   done;
   Array.length aff
 

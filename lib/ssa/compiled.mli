@@ -13,12 +13,16 @@ module Model := Glc_model.Model
 
 type reaction = {
   c_id : string;
-  c_deltas : (int * float) list;
-      (** net state change: species index, signed amount. Boundary
-          species are excluded at compile time (SBML
-          [boundaryCondition]: they participate in the kinetics but are
-          never changed by firings), so every algorithm that applies
-          deltas holds them fixed for free. *)
+  c_delta_species : int array;
+      (** net state change, species side: the species a firing
+          changes, in increasing index order. Boundary species are
+          excluded at compile time (SBML [boundaryCondition]: they
+          participate in the kinetics but are never changed by
+          firings), so every algorithm that applies deltas — and the
+          ODE derivative — holds them fixed for free. *)
+  c_delta_amount : float array;
+      (** net state change, amount side: [c_delta_amount.(k)] is the
+          signed change of species [c_delta_species.(k)]; never 0. *)
   c_expr : Ir.expr;
       (** the compiled kinetic law — raw, unclamped and unchecked;
           simulators go through {!propensity_in}/{!propensities_into_in}/
@@ -47,7 +51,7 @@ type t = {
       (** [c_affected.(r)] is the dependency closure of reaction [r]:
           every reaction whose propensity reads a species [r] changes,
           sorted, duplicate-free, precomputed once at compile time so
-          the simulators' firing loops allocate nothing *)
+          a firing needs no dependency list of its own *)
   c_regs : int;
       (** largest register file any reaction's program needs — the size
           of the scratch {!make_regs} allocates *)
@@ -104,15 +108,20 @@ val propensities_into_in :
   t -> regs:float array -> float array -> float array -> unit
 (** [propensities_into_in t ~regs state a] writes every reaction's
     propensity in [state], clamped as {!propensity_in}, into the
-    caller's buffer [a] — the simulators reuse one buffer per
-    trajectory instead of allocating every step, which keeps minor GCs
-    (stop-the-world under domains) off the multicore hot path.
+    caller's buffer [a]. It allocates nothing: the simulators reuse one
+    buffer per trajectory, and each result operand is read inside this
+    module instead of through {!Ir.eval}, whose float return is boxed
+    under [-opaque] (dune's default dev profile, where nothing is
+    inlined across modules). That keeps minor GCs — stop-the-world
+    under domains — off the multicore hot path. The rule that keeps it
+    true: no float crosses a module boundary per evaluation; results
+    land in [a].
     @raise Invalid_argument if [a] is not one slot per reaction.
     @raise Non_finite_propensity on NaN or infinity. *)
 
 val inert_reactions : t -> string list
 (** Ids of reactions whose firing changes no state — every reactant and
-    product is a boundary species, so the compiled delta list is empty.
+    product is a boundary species, so the compiled deltas are empty.
     Such reactions still consume SSA steps whenever their propensity is
     positive; the linter flags them ([GLC004]). In declaration order. *)
 
@@ -129,7 +138,8 @@ val refresh_affected_in :
     [c_affected.(ri)] row) and returns how many were evaluated. If [a]
     held fresh propensities for the pre-firing state, it holds fresh
     propensities for [state] afterwards — the sparse invariant the
-    direct-method hot loop relies on.
+    direct-method hot loop relies on. Allocates nothing, like
+    {!propensities_into_in}.
     @raise Non_finite_propensity on NaN or infinity. *)
 
 val eval_cost : t -> int

@@ -503,15 +503,12 @@ let exec p ~regs state =
         assert false
   done
 
-let read e ~regs state =
+let eval e ~regs state =
+  exec e.e_prog ~regs state;
   match e.e_result with
   | Reg r -> regs.(r)
   | Pool i -> e.e_prog.p_pool.(i)
   | State i -> state.(i)
-
-let eval e ~regs state =
-  exec e.e_prog ~regs state;
-  read e ~regs state
 
 let bin_name = [| "add"; "sub"; "mul"; "div"; "pow"; "min"; "max" |]
 let un_name = [| "neg"; "exp"; "ln" |]

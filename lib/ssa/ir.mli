@@ -100,12 +100,10 @@ val exec : prog -> regs:float array -> float array -> unit
     @raise Invalid_argument if [regs] is shorter than [p.p_regs]. *)
 
 val eval : expr -> regs:float array -> float array -> float
-(** [exec] the expression's program and read its result operand. *)
-
-val read : expr -> regs:float array -> float array -> float
-(** Read the result operand without re-running the program — valid
-    right after an {!exec} of the same program over the same [regs]
-    and [state]. *)
+(** [exec] the expression's program and read its result operand. The
+    float it returns is boxed when the caller is another module
+    compiled with [-opaque]; a hot loop calls {!exec} and reads
+    [e_result] itself. *)
 
 val pp_prog : Format.formatter -> prog -> unit
 (** Human-readable disassembly, for tests and debugging. *)

@@ -7,11 +7,13 @@ let config ?(t0 = 0.) ?(dt = 1.) ?(step = 0.1) ~t_end () =
   { t0; t_end; dt; step }
 
 (* The RK4 workspace: every buffer a step touches, allocated once per
-   run, so stepping allocates nothing. The deltas of all reactions are
-   flattened in reaction order (within a reaction, in compiled delta
-   order), so each species accumulates its fluxes in exactly the order a
-   per-reaction loop over [c_deltas] would — the derivative, and with it
-   every trajectory, is bit-identical to that straightforward form. *)
+   run. The deltas of all reactions are flattened in reaction order
+   (within a reaction, in compiled delta order), so each species
+   accumulates its fluxes in exactly the order a per-reaction loop over
+   the compiled deltas would — the derivative, and with it every
+   trajectory, is bit-identical to that straightforward form. Boundary
+   species need no filter here: [Compiled] already dropped their
+   deltas, so their derivative is zero. *)
 type workspace = {
   c : Compiled.t;
   regs : float array;
@@ -29,23 +31,19 @@ type workspace = {
 
 let workspace (c : Compiled.t) =
   let n = Array.length c.Compiled.c_initial in
-  let deltas =
-    Array.to_list c.Compiled.c_reactions
-    |> List.mapi (fun j r ->
-           (* boundary species have zero derivative *)
-           List.filter_map
-             (fun (i, d) ->
-               if c.Compiled.c_boundary.(i) then None else Some (i, j, d))
-             r.Compiled.c_deltas)
-    |> List.concat |> Array.of_list
-  in
+  let rs = Array.to_list c.Compiled.c_reactions in
   {
     c;
     regs = Compiled.make_regs c;
     a = Array.make (Array.length c.Compiled.c_reactions) 0.;
-    d_species = Array.map (fun (i, _, _) -> i) deltas;
-    d_reaction = Array.map (fun (_, j, _) -> j) deltas;
-    d_amount = Array.map (fun (_, _, d) -> d) deltas;
+    d_species =
+      Array.concat (List.map (fun r -> r.Compiled.c_delta_species) rs);
+    d_reaction =
+      Array.concat
+        (List.mapi
+           (fun j r -> Array.make (Array.length r.Compiled.c_delta_species) j)
+           rs);
+    d_amount = Array.concat (List.map (fun r -> r.Compiled.c_delta_amount) rs);
     k1 = Array.make n 0.;
     k2 = Array.make n 0.;
     k3 = Array.make n 0.;
@@ -156,7 +154,7 @@ let run_compiled ?(events = Events.empty) cfg (c : Compiled.t) =
   let state = Array.copy c.Compiled.c_initial in
   let recorder =
     Trace.Recorder.create ~names:c.Compiled.c_names ~initial:state
-      ~t0:cfg.t0 ~t_end:cfg.t_end ~dt:cfg.dt
+      ~t0:cfg.t0 ~t_end:cfg.t_end ~dt:cfg.dt ()
   in
   integrate w cfg events state
     ~observe:(fun t -> Trace.Recorder.observe recorder t state)

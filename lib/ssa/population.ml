@@ -28,7 +28,7 @@ let mean_of traces =
           ~initial:(Array.map (fun col -> col.(0) /. count) acc)
           ~t0:(Trace.t0 first)
           ~t_end:(Trace.time first (samples - 1))
-          ~dt:(Trace.dt first)
+          ~dt:(Trace.dt first) ()
       in
       for k = 0 to samples - 1 do
         Trace.Recorder.observe r

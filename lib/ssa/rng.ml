@@ -1,5 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64;
-           mutable s3 : int64 }
+(* The four xoshiro256++ words live unboxed in one 32-byte buffer, read
+   and written with [Bytes.get_int64_ne]/[set_int64_ne]: a record of
+   [int64] fields would box every word on every update. *)
+type t = Bytes.t
+
+let[@inline] get t i = Bytes.get_int64_ne t (8 * i)
+let[@inline] set t i v = Bytes.set_int64_ne t (8 * i) v
 
 (* splitmix64: expands a single seed into the four xoshiro words. *)
 let splitmix64 state =
@@ -10,43 +15,41 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_seed64 seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_seed64 (Int64.of_int seed)
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] next t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let float t =
-  (* top 53 bits *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let split t = of_seed64 (next t)
+let float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let float_pos t = 1.0 -. float t
 
@@ -61,7 +64,7 @@ let int t bound =
      [bound - 1] values out of 2^62, so for any bound the acceptance
      probability exceeds 1/2 and the loop terminates quickly. *)
   let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+    let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
     let v = r mod bound in
     if r - v > max_int - bound + 1 then draw () else v
   in

@@ -34,8 +34,17 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next output, in [\[0, 2^53)]. Returns an
+    unboxed [int], so a simulator's hot loop can draw a uniform as
+    [float_of_int (bits53 t) *. 0x1.0p-53] — bit for bit the value
+    {!float} returns — without a float crossing the module boundary
+    (a boxed float per draw under [-opaque], which disables
+    cross-module inlining). *)
+
 val float : t -> float
-(** Uniform in [\[0, 1)] with 53-bit resolution. *)
+(** Uniform in [\[0, 1)] with 53-bit resolution:
+    [float_of_int (bits53 t) *. 0x1.0p-53]. *)
 
 val float_pos : t -> float
 (** Uniform in [(0, 1]] — safe as an argument to [log]. *)

@@ -47,12 +47,22 @@ let apply_events_at (c : Compiled.t) state schedule =
       let n, rest = go 0 schedule in
       Some (t, n, rest)
 
+(* Applies reaction [mu]'s deltas; each count is clamped at zero. *)
 let fire (c : Compiled.t) state mu =
-  List.iter
-    (fun (i, d) -> state.(i) <- Float.max 0. (state.(i) +. d))
-    c.c_reactions.(mu).c_deltas
+  let r = c.c_reactions.(mu) in
+  let species = r.c_delta_species and amount = r.c_delta_amount in
+  for k = 0 to Array.length species - 1 do
+    let i = species.(k) in
+    state.(i) <- Float.max 0. (state.(i) +. amount.(k))
+  done
 
-let sum = Array.fold_left ( +. ) 0.
+(* The total propensity, summed left to right. *)
+let[@inline] total a =
+  let acc = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. a.(i)
+  done;
+  !acc
 
 let array_mem x a =
   let n = Array.length a in
@@ -64,19 +74,22 @@ let array_mem x a =
    cumulative sum short of [target] even though [target < sum a]; the
    scan must then fall back to the last reaction with positive
    propensity, never to a zero-propensity one (e.g. a reactant at count
-   0), which must not fire. *)
-let select a target =
+   0), which must not fire. Inlined into the direct method's loop, so
+   [target] is never boxed. *)
+let[@inline] select a target =
   let n = Array.length a in
-  let rec go i acc last =
-    if i >= n then last
-    else if a.(i) <= 0. then go (i + 1) acc last
-    else
-      let acc = acc +. a.(i) in
-      if target < acc then i else go (i + 1) acc i
-  in
-  match go 0 0. (-1) with
-  | -1 -> invalid_arg "Sim.select: no reaction has positive propensity"
-  | i -> i
+  let acc = ref 0. and last = ref (-1) and chosen = ref (-1) and i = ref 0 in
+  while !chosen < 0 && !i < n do
+    let ai = a.(!i) in
+    if ai > 0. then begin
+      acc := !acc +. ai;
+      if target < !acc then chosen := !i else last := !i
+    end;
+    incr i
+  done;
+  let mu = if !chosen >= 0 then !chosen else !last in
+  if mu < 0 then invalid_arg "Sim.select: no reaction has positive propensity";
+  mu
 
 (* Per-run instrumentation totals, accumulated in plain mutable fields
    inside the hot loops and flushed to the metrics registry once per
@@ -100,63 +113,26 @@ let make_tot () = { n_evals = 0; n_instrs = 0; n_heap = 0; n_obs = 0; n_rej = 0 
    sequence — and therefore the trajectory — is byte-identical to
    re-evaluating every propensity at every step (the reference direct
    method in [test_ssa]), while propensity evaluations drop from O(R)
-   to O(deps) per firing. *)
+   to O(deps) per firing.
+
+   A firing allocates nothing. The loop is a [while] over local float
+   refs (a recursive [loop t] would box [t] every step); uniforms come
+   from [Rng.bits53] as unboxed ints; propensities land in [a] inside
+   [Compiled]; and the recorder is called only when a change passes the
+   next grid time, with the live state before the change. Under
+   [-opaque] (dune's dev profile) nothing is inlined across modules, so
+   no float may cross a module boundary, or reach a local closure, once
+   per firing. *)
 let run_direct rng (c : Compiled.t) cfg events recorder tot =
   let state = Array.copy c.c_initial in
   let fired = ref 0 and applied = ref 0 in
   let n_r = Array.length c.c_reactions in
   let a = Array.make n_r 0. in
   let regs = Compiled.make_regs c in
-  let observe t =
-    tot.n_obs <- tot.n_obs + 1;
-    Trace.Recorder.observe recorder t state
-  in
   let refresh_all () =
     Compiled.propensities_into_in c ~regs state a;
     tot.n_evals <- tot.n_evals + n_r;
     tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c
-  in
-  let rec loop t events =
-    if t < cfg.t_end then begin
-      let a0 = sum a in
-      let t_ev = Events.next_time events in
-      if a0 <= 0. then begin
-        (* Nothing can fire: jump to the next intervention, if any. *)
-        if t_ev <= cfg.t_end then begin
-          match apply_events_at c state events with
-          | Some (te, n, rest) ->
-              applied := !applied + n;
-              observe te;
-              (* Events clamp arbitrary species: the cache is stale. *)
-              refresh_all ();
-              loop te rest
-          | None -> ()
-        end
-      end
-      else begin
-        let tau = Rng.exponential rng ~rate:a0 in
-        let t' = t +. tau in
-        if t' >= t_ev && t_ev <= cfg.t_end then begin
-          match apply_events_at c state events with
-          | Some (te, n, rest) ->
-              applied := !applied + n;
-              observe te;
-              refresh_all ();
-              loop te rest
-          | None -> assert false (* t_ev finite implies an event exists *)
-        end
-        else if t' < cfg.t_end then begin
-          let mu = select a (Rng.float rng *. a0) in
-          fire c state mu;
-          incr fired;
-          tot.n_evals <-
-            tot.n_evals + Compiled.refresh_affected_in c ~regs state mu a;
-          tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu;
-          observe t';
-          loop t' events
-        end
-      end
-    end
   in
   (* Interventions scheduled at or before t0 initialise the state. *)
   let rec catch_up events =
@@ -169,12 +145,55 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
         | None -> events)
     | Some _ | None -> events
   in
-  let events = catch_up events in
+  let events = ref (catch_up events) in
   (* Observe only after catch-up so events at t0 are part of the
      recorded initial state, exactly as in the other two algorithms. *)
-  observe cfg.t0;
+  let next_grid = ref (Trace.Recorder.advance recorder cfg.t0 state) in
+  tot.n_obs <- tot.n_obs + 1;
   refresh_all ();
-  loop cfg.t0 events;
+  let t_end = cfg.t_end in
+  let t = ref cfg.t0 and t_ev = ref (Events.next_time !events) in
+  let running = ref true in
+  while !running && !t < t_end do
+    let a0 = total a in
+    (* no draw when nothing can fire: the next intervention comes first *)
+    let t' =
+      if a0 > 0. then
+        let u = float_of_int (Rng.bits53 rng) *. 0x1.0p-53 in
+        !t +. (-.log (1. -. u) /. a0)
+      else infinity
+    in
+    if t' >= !t_ev && !t_ev <= t_end then begin
+      if !t_ev < !t then invalid_arg "Sim: time went backwards";
+      if !next_grid < !t_ev then
+        next_grid := Trace.Recorder.advance recorder !t_ev state;
+      match apply_events_at c state !events with
+      | Some (te, n, rest) ->
+          applied := !applied + n;
+          tot.n_obs <- tot.n_obs + 1;
+          t := te;
+          events := rest;
+          t_ev := Events.next_time rest;
+          (* Events clamp arbitrary species: the cache is stale. *)
+          refresh_all ()
+      | None -> assert false (* t_ev finite implies an event exists *)
+    end
+    else if t' < t_end then begin
+      let mu = select a (float_of_int (Rng.bits53 rng) *. 0x1.0p-53 *. a0) in
+      if t' < !t then invalid_arg "Sim: time went backwards";
+      if !next_grid < t' then
+        next_grid := Trace.Recorder.advance recorder t' state;
+      fire c state mu;
+      incr fired;
+      tot.n_obs <- tot.n_obs + 1;
+      tot.n_evals <-
+        tot.n_evals + Compiled.refresh_affected_in c ~regs state mu a;
+      tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu;
+      t := t'
+    end
+    else running := false
+  done;
+  ignore (Trace.Recorder.advance recorder infinity state);
   (state, !fired, !applied)
 
 let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
@@ -302,11 +321,12 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     Array.fill mu 0 n_species 0.;
     Array.fill sigma2 0 n_species 0.;
     for j = 0 to n_reactions - 1 do
-      List.iter
-        (fun (i, d) ->
-          mu.(i) <- mu.(i) +. (d *. a.(j));
-          sigma2.(i) <- sigma2.(i) +. (d *. d *. a.(j)))
-        c.c_reactions.(j).c_deltas
+      let r = c.c_reactions.(j) in
+      for k = 0 to Array.length r.c_delta_species - 1 do
+        let i = r.c_delta_species.(k) and d = r.c_delta_amount.(k) in
+        mu.(i) <- mu.(i) +. (d *. a.(j));
+        sigma2.(i) <- sigma2.(i) +. (d *. d *. a.(j))
+      done
     done;
     let tau = ref infinity in
     for i = 0 to n_species - 1 do
@@ -358,9 +378,11 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
         let k = Rng.poisson rng ~mean:(a.(j) *. tau) in
         if k > 0 then begin
           k_tot := !k_tot + k;
-          List.iter
-            (fun (i, d) -> dstate.(i) <- dstate.(i) +. (d *. float_of_int k))
-            c.c_reactions.(j).c_deltas
+          let r = c.c_reactions.(j) in
+          for m = 0 to Array.length r.c_delta_species - 1 do
+            let i = r.c_delta_species.(m) in
+            dstate.(i) <- dstate.(i) +. (r.c_delta_amount.(m) *. float_of_int k)
+          done
         end
       end
     done;
@@ -390,7 +412,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
   in
   let rec loop t events =
     if t < cfg.t_end then begin
-      let a0 = sum a in
+      let a0 = total a in
       let t_ev = Events.next_time events in
       if a0 <= 0. then begin
         if t_ev <= cfg.t_end then begin
@@ -482,13 +504,13 @@ let flush_metrics metrics cfg ~fired ~applied ~samples tot ~t_start =
   Metrics.Counter.add (c "ssa.ir.instructions") tot.n_instrs;
   Metrics.observe_since metrics ("ssa.run_seconds." ^ algo) t_start
 
-let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
+let simulate ?(events = Events.empty) ?(metrics = Metrics.noop) ?columns ~rng
     cfg (c : Compiled.t) =
   let live = Metrics.enabled metrics in
   let t_start = if live then Glc_obs.Clock.now () else 0. in
   let recorder =
-    Trace.Recorder.create ~names:c.c_names ~initial:c.c_initial ~t0:cfg.t0
-      ~t_end:cfg.t_end ~dt:cfg.dt
+    Trace.Recorder.create ?columns ~names:c.c_names ~initial:c.c_initial
+      ~t0:cfg.t0 ~t_end:cfg.t_end ~dt:cfg.dt ()
   in
   let tot = make_tot () in
   let state, fired, applied =
@@ -507,8 +529,11 @@ let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
   in
   (trace, { reactions_fired = fired; events_applied = applied; final_state })
 
+let run_compiled_rng ?events ?metrics ~rng ~record cfg c =
+  simulate ?events ?metrics ~columns:record ~rng cfg c
+
 let run_compiled ?events ?metrics cfg c =
-  run_compiled_rng ?events ?metrics ~rng:(Rng.create cfg.seed) cfg c
+  simulate ?events ?metrics ~rng:(Rng.create cfg.seed) cfg c
 
 let run_with_stats ?events ?metrics cfg model =
   run_compiled ?events ?metrics cfg (Compiled.compile ?metrics model)

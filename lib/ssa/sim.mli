@@ -74,11 +74,14 @@ val run_compiled :
 
 val run_compiled_rng :
   ?events:Events.schedule -> ?metrics:Glc_obs.Metrics.t -> rng:Rng.t ->
-  config -> Compiled.t -> Trace.t * stats
+  record:int array -> config -> Compiled.t -> Trace.t * stats
 (** Like {!run_compiled} but draws randomness from a caller-supplied
     generator instead of seeding a fresh one from [config.seed] (which is
-    ignored). The ensemble engine uses this to give every replicate its
-    own {!Rng.split}-derived stream while sharing one compiled model. *)
+    ignored), and records only the state positions in [record], in that
+    order (see {!Trace.Recorder.create}'s [columns]). The ensemble
+    engine uses this to give every replicate its own
+    {!Rng.split}-derived stream while sharing one compiled model, and
+    to record only the species the analyser reads. *)
 
 (**/**)
 

@@ -33,6 +33,7 @@ let index_exn tr id =
 
 let value tr id k = tr.data.(index_exn tr id).(k)
 let column tr id = Array.copy tr.data.(index_exn tr id)
+let map_column tr id f = Array.map f tr.data.(index_exn tr id)
 
 let sub tr ~from ~until =
   let n = length tr in
@@ -208,52 +209,70 @@ let read_csv path =
 
 module Recorder = struct
   type t = {
-    r_names : string array;
+    r_names : string array; (* recorded species, column order *)
+    r_columns : int array; (* column -> position in the state vector *)
     r_t0 : float;
     r_dt : float;
     r_data : float array array;
     r_samples : int;
     mutable r_next : int; (* next grid index to fill *)
-    mutable r_state : float array; (* state holding from the last observe *)
+    r_held : float array; (* [observe]'s copy of the state from [r_last_time] on *)
     mutable r_last_time : float;
   }
 
-  let create ~names ~initial ~t0 ~t_end ~dt =
+  let create ?columns ~names ~initial ~t0 ~t_end ~dt () =
     if dt <= 0. then invalid_arg "Trace.Recorder.create: dt <= 0";
     if t_end < t0 then invalid_arg "Trace.Recorder.create: t_end < t0";
     if Array.length names <> Array.length initial then
       invalid_arg "Trace.Recorder.create: names/initial length mismatch";
+    let columns =
+      match columns with
+      | None -> Array.init (Array.length names) Fun.id
+      | Some cols ->
+          Array.iter
+            (fun i ->
+              if i < 0 || i >= Array.length names then
+                invalid_arg "Trace.Recorder.create: column out of range")
+            cols;
+          Array.copy cols
+    in
     let samples = int_of_float (Float.floor ((t_end -. t0) /. dt)) + 1 in
     {
-      r_names = names;
+      r_names = Array.map (fun i -> names.(i)) columns;
+      r_columns = columns;
       r_t0 = t0;
       r_dt = dt;
-      r_data = Array.init (Array.length names) (fun _ -> Array.make samples 0.);
+      r_data =
+        Array.init (Array.length columns) (fun _ -> Array.make samples 0.);
       r_samples = samples;
       r_next = 0;
-      r_state = Array.copy initial;
+      r_held = Array.copy initial;
       r_last_time = t0;
     }
 
-  let fill_until r t =
-    (* Grid points strictly before [t] take the held state. *)
-    while
-      r.r_next < r.r_samples
-      && r.r_t0 +. (float_of_int r.r_next *. r.r_dt) < t
-    do
-      Array.iteri (fun s col -> col.(r.r_next) <- r.r_state.(s)) r.r_data;
-      r.r_next <- r.r_next + 1
-    done
+  let grid r k = r.r_t0 +. (float_of_int k *. r.r_dt)
 
-  let observe r t state =
+  (* The one fill rule: grid points strictly before [t] take [live], the
+     state that held up to [t]. *)
+  let advance r t live =
     if t < r.r_last_time then
       invalid_arg "Trace.Recorder.observe: time went backwards";
-    fill_until r t;
     r.r_last_time <- t;
-    Array.blit state 0 r.r_state 0 (Array.length state)
+    while r.r_next < r.r_samples && grid r r.r_next < t do
+      let k = r.r_next in
+      for c = 0 to Array.length r.r_columns - 1 do
+        r.r_data.(c).(k) <- live.(r.r_columns.(c))
+      done;
+      r.r_next <- k + 1
+    done;
+    if r.r_next < r.r_samples then grid r r.r_next else infinity
+
+  let observe r t state =
+    ignore (advance r t r.r_held);
+    Array.blit state 0 r.r_held 0 (Array.length state)
 
   let finish r =
-    fill_until r infinity;
+    ignore (advance r infinity r.r_held);
     { names = r.r_names; t0 = r.r_t0; dt = r.r_dt; data = r.r_data;
       memo = None }
 end

@@ -28,6 +28,12 @@ val column : t -> string -> float array
 (** Whole sampled series of one species (a fresh copy).
     @raise Not_found if the species was not recorded. *)
 
+val map_column : t -> string -> (float -> 'a) -> 'a array
+(** [map_column tr id f] is [Array.map f (column tr id)] without the
+    intermediate copy — one large allocation fewer per column, which
+    matters to peak memory when every ensemble replicate is analysed.
+    @raise Not_found if the species was not recorded. *)
+
 val index : t -> string -> int option
 (** Position of a species in {!names} (first occurrence). Lookups are
     O(1) amortized: a name→index table is built lazily on the first
@@ -89,27 +95,53 @@ val of_csv : string -> (t, string) result
 val write_csv : string -> t -> unit
 val read_csv : string -> (t, string) result
 
-(** Incremental construction from a jump process. *)
+(** Incremental construction from a jump process.
+
+    One fill rule: when the state changes at time [t], every grid point
+    strictly before [t] not yet written takes the state that held up to
+    [t] — so the sample at [g] is the state of the last change at or
+    before [g]. {!Recorder.advance} applies it to the caller's live
+    state, just before the caller changes it; {!Recorder.observe}
+    applies it to a copy it keeps of the last observed state. *)
 module Recorder : sig
   type trace := t
   type t
 
   val create :
+    ?columns:int array ->
     names:string array ->
     initial:float array ->
     t0:float ->
     t_end:float ->
     dt:float ->
+    unit ->
     t
   (** Grid [t0, t0 + dt, …] up to and including the last point [<= t_end].
+      [names] and [initial] describe the whole state vector; [columns]
+      (default: every position, in order) lists the state positions to
+      record, and the trace's {!names} are [names] at those positions.
       @raise Invalid_argument if [dt <= 0] or [t_end < t0] or the lengths
-      of [names] and [initial] differ. *)
+      of [names] and [initial] differ or a column is out of range. *)
+
+  val advance : t -> float -> float array -> float
+  (** [advance r t live] writes every unwritten grid point strictly
+      before [t] from [live], the state vector that held up to [t], and
+      returns the next unwritten grid time ([infinity] once the grid is
+      full). A simulator calls it just before it changes the state at
+      time [t], and only needs to when [t] passes the time the last
+      call returned — so a recorder costs nothing between grid points.
+      @raise Invalid_argument if [t] is earlier than the time of the
+      previous [advance] or {!observe}. *)
 
   val observe : t -> float -> float array -> unit
   (** [observe r t state] records that the system state is [state] from
-      time [t] on. Times must be non-decreasing. *)
+      time [t] on: grid points strictly before [t] take the previously
+      observed state (the [initial] state before the first call), then
+      [state] is copied. Times must be non-decreasing; do not mix with
+      {!advance} on one recorder. *)
 
   val finish : t -> trace
   (** Fills the remaining grid with the last observed state and returns
-      the trace. The recorder must not be used afterwards. *)
+      the trace (after {!advance}, call [advance r infinity live] first).
+      The recorder must not be used afterwards. *)
 end

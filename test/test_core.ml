@@ -24,7 +24,7 @@ let trace_of ~names samples =
       let r =
         Trace.Recorder.create ~names ~initial:first ~t0:0.
           ~t_end:(float_of_int (n - 1))
-          ~dt:1.
+          ~dt:1. ()
       in
       List.iteri
         (fun k state -> Trace.Recorder.observe r (float_of_int k) state)

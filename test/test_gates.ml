@@ -111,11 +111,13 @@ let dc_output circuit row =
     Compiled.propensities_into_in c ~regs state a;
     Array.iteri
       (fun ri r ->
-        List.iter
-          (fun (s, d) ->
+        Array.iteri
+          (fun k s ->
             if not c.Compiled.c_boundary.(s) then
-              state.(s) <- Float.max 0. (state.(s) +. (d *. a.(ri) *. dt)))
-          r.Compiled.c_deltas)
+              state.(s) <-
+                Float.max 0.
+                  (state.(s) +. (r.Compiled.c_delta_amount.(k) *. a.(ri) *. dt)))
+          r.Compiled.c_delta_species)
       c.Compiled.c_reactions
   done;
   state.(Compiled.species_index c circuit.Circuit.output)

@@ -15,6 +15,12 @@ let checki = Alcotest.check Alcotest.int
 let checkf eps = Alcotest.check (Alcotest.float eps)
 let checks = Alcotest.check Alcotest.string
 
+(* a compiled reaction's deltas as (species, amount) pairs *)
+let deltas (r : Compiled.reaction) =
+  List.combine
+    (Array.to_list r.Compiled.c_delta_species)
+    (Array.to_list r.Compiled.c_delta_amount)
+
 (* ---- rng ---- *)
 
 let test_rng_determinism () =
@@ -290,6 +296,161 @@ let prop_rng_poisson_chi_square =
       (* df <= 11: P(chi2 > 60) < 1e-8 per case, deterministic seeds *)
       !chi2 < 60.)
 
+(* The reference generator: xoshiro256++ seeded through splitmix64
+   with the four words in a record of [int64] fields, and the derived
+   draws written against it, as [Rng] was before its state moved into
+   an unboxed buffer. It shares no code with [Rng], so a change to any
+   stream [Rng] produces — and with it every pinned trace — fails the
+   property below. ([Direct_oracle] draws from [Rng] itself, so it
+   cannot catch one.) *)
+module Rng_reference = struct
+  type t = {
+    mutable s0 : int64;
+    mutable s1 : int64;
+    mutable s2 : int64;
+    mutable s3 : int64;
+  }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let of_state state =
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let create seed = of_state (ref (Int64.of_int seed))
+
+  let rotl x k =
+    Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t = of_state (ref (bits64 t))
+
+  let float t =
+    Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
+
+  let float_pos t = 1.0 -. float t
+
+  let rec int t bound =
+    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+    let v = r mod bound in
+    if r - v > max_int - bound + 1 then int t bound else v
+
+  let exponential t ~rate = -.Float.log (float_pos t) /. rate
+
+  let gaussian t =
+    let u1 = float_pos t and u2 = float t in
+    Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
+
+  let log_factorial k =
+    if k < 10 then begin
+      let acc = ref 0. in
+      for j = 2 to k do
+        acc := !acc +. Float.log (float_of_int j)
+      done;
+      !acc
+    end
+    else
+      let x = float_of_int (k + 1) in
+      ((x -. 0.5) *. Float.log x)
+      -. x
+      +. (0.5 *. Float.log (2. *. Float.pi))
+      +. (1. /. (12. *. x))
+      -. (1. /. (360. *. (x *. x *. x)))
+
+  let rec poisson_ptrs t ~mean =
+    let b = 0.931 +. (2.53 *. Float.sqrt mean) in
+    let a = -0.059 +. (0.02483 *. b) in
+    let inv_alpha = 1.1239 +. (1.1328 /. (b -. 3.4)) in
+    let v_r = 0.9277 -. (3.6224 /. (b -. 2.)) in
+    let u = float t -. 0.5 in
+    let v = float t in
+    let us = 0.5 -. Float.abs u in
+    let kf = Float.floor ((((2. *. a /. us) +. b) *. u) +. mean +. 0.43) in
+    if us >= 0.07 && v <= v_r then int_of_float kf
+    else if kf < 0. || (us < 0.013 && v > us) then poisson_ptrs t ~mean
+    else
+      let k = int_of_float kf in
+      if
+        Float.log (v *. inv_alpha /. ((a /. (us *. us)) +. b))
+        <= (kf *. Float.log mean) -. mean -. log_factorial k
+      then k
+      else poisson_ptrs t ~mean
+
+  let poisson t ~mean =
+    if mean = 0. then 0
+    else if mean < 10. then begin
+      let limit = Float.exp (-.mean) in
+      let rec go k p =
+        let p = p *. float t in
+        if p <= limit then k else go (k + 1) p
+      in
+      go 0 1.
+    end
+    else poisson_ptrs t ~mean
+end
+
+let test_rng_pinned_seed_42 () =
+  let r = Rng.create 42 in
+  List.iteri
+    (fun k expected ->
+      Alcotest.(check int64) (Printf.sprintf "bits64 #%d" (k + 1)) expected
+        (Rng.bits64 r))
+    [
+      0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL;
+      0xb37d9f600cd835b8L; 0xcb231c3874846a73L; 0x968d9f004e50de7dL;
+      0x201718ff221a3556L; 0x9ae94e070ed8cb46L;
+    ]
+
+let prop_rng_matches_reference =
+  QCheck.Test.make ~name:"every draw matches the reference generator"
+    ~count:200 QCheck.int (fun seed ->
+      let same_float x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      (* one round of every draw kind, on a parent or a child stream *)
+      let round r e =
+        Int64.equal (Rng.bits64 r) (Rng_reference.bits64 e)
+        && same_float (Rng.float r) (Rng_reference.float e)
+        && same_float (Rng.float_pos r) (Rng_reference.float_pos e)
+        && List.for_all
+             (fun bound -> Rng.int r bound = Rng_reference.int e bound)
+             [ 1; 7; 1000; 1 lsl 40; (1 lsl 60) + 9; max_int ]
+        && same_float
+             (Rng.exponential r ~rate:2.5)
+             (Rng_reference.exponential e ~rate:2.5)
+        && same_float (Rng.gaussian r) (Rng_reference.gaussian e)
+        && List.for_all
+             (fun mean -> Rng.poisson r ~mean = Rng_reference.poisson e ~mean)
+             [ 0.; 0.7; 9.5; 10.; 250.; 5e4 ]
+      in
+      let rounds r e = List.for_all (fun _ -> round r e) (List.init 20 Fun.id) in
+      let r = Rng.create seed and e = Rng_reference.create seed in
+      rounds r e
+      (* successive children, then the parent after splitting *)
+      && (let r1 = Rng.split r and e1 = Rng_reference.split e in
+          let r2 = Rng.split r and e2 = Rng_reference.split e in
+          rounds r1 e1 && rounds r2 e2 && rounds r e))
+
 (* ---- indexed heap ---- *)
 
 let test_heap_basic () =
@@ -332,7 +493,7 @@ let prop_heap_random_ops =
 let test_recorder_hold () =
   let r =
     Trace.Recorder.create ~names:[| "x" |] ~initial:[| 1. |] ~t0:0.
-      ~t_end:10. ~dt:1.
+      ~t_end:10. ~dt:1. ()
   in
   Trace.Recorder.observe r 0. [| 1. |];
   Trace.Recorder.observe r 2.5 [| 5. |];
@@ -350,7 +511,7 @@ let test_recorder_hold () =
 let test_recorder_exact_grid_point () =
   let r =
     Trace.Recorder.create ~names:[| "x" |] ~initial:[| 0. |] ~t0:0.
-      ~t_end:4. ~dt:1.
+      ~t_end:4. ~dt:1. ()
   in
   Trace.Recorder.observe r 0. [| 0. |];
   Trace.Recorder.observe r 2. [| 9. |];
@@ -362,7 +523,7 @@ let test_recorder_exact_grid_point () =
 let test_recorder_backwards () =
   let r =
     Trace.Recorder.create ~names:[| "x" |] ~initial:[| 0. |] ~t0:0.
-      ~t_end:5. ~dt:1.
+      ~t_end:5. ~dt:1. ()
   in
   Trace.Recorder.observe r 3. [| 1. |];
   Alcotest.check_raises "backwards"
@@ -372,7 +533,7 @@ let test_recorder_backwards () =
 let make_trace () =
   let r =
     Trace.Recorder.create ~names:[| "a"; "b" |] ~initial:[| 0.; 10. |]
-      ~t0:0. ~t_end:9. ~dt:1.
+      ~t0:0. ~t_end:9. ~dt:1. ()
   in
   Trace.Recorder.observe r 0. [| 0.; 10. |];
   Trace.Recorder.observe r 5. [| 4.; 6. |];
@@ -408,7 +569,7 @@ let test_trace_csv_roundtrip () =
 let test_trace_statistics () =
   let r =
     Trace.Recorder.create ~names:[| "x" |] ~initial:[| 2. |] ~t0:0.
-      ~t_end:3. ~dt:1.
+      ~t_end:3. ~dt:1. ()
   in
   Trace.Recorder.observe r 0. [| 2. |];
   Trace.Recorder.observe r 1. [| 4. |];
@@ -443,7 +604,7 @@ let test_trace_empty_statistics () =
   (* zero mean: variance is defined, the Fano ratio is not *)
   let r =
     Trace.Recorder.create ~names:[| "x" |] ~initial:[| 0. |] ~t0:0. ~t_end:2.
-      ~dt:1.
+      ~dt:1. ()
   in
   let flat = Trace.Recorder.finish r in
   checkb "zero-mean fano_opt" true (Trace.fano_factor_opt flat "x" = None);
@@ -480,7 +641,7 @@ let test_trace_concat_validation () =
   let other =
     let r =
       Trace.Recorder.create ~names:[| "z" |] ~initial:[| 0. |] ~t0:5.
-        ~t_end:9. ~dt:1.
+        ~t_end:9. ~dt:1. ()
     in
     Trace.Recorder.finish r
   in
@@ -603,7 +764,7 @@ let test_compile_boundary_deltas () =
   let p = Compiled.species_index c "P" in
   Alcotest.(check (list (pair int (float 0.))))
     "boundary reactant dropped from the state-change vector" [ (p, 1.) ]
-    c.Compiled.c_reactions.(0).Compiled.c_deltas
+    (deltas c.Compiled.c_reactions.(0))
 
 let test_compile_negative_propensity_clamped () =
   let m =
@@ -945,7 +1106,7 @@ module Ode_oracle = struct
           (fun (i, d) ->
             if not c.Compiled.c_boundary.(i) then
               dx.(i) <- dx.(i) +. (d *. a.(j)))
-          r.Compiled.c_deltas)
+          (deltas r))
       c.Compiled.c_reactions;
     dx
 
@@ -987,7 +1148,7 @@ module Ode_oracle = struct
     let recorder =
       Trace.Recorder.create ~names:c.Compiled.c_names ~initial:state
         ~t0:cfg.Glc_ssa.Ode.t0 ~t_end:cfg.Glc_ssa.Ode.t_end
-        ~dt:cfg.Glc_ssa.Ode.dt
+        ~dt:cfg.Glc_ssa.Ode.dt ()
     in
     let rec catch_up events =
       match Events.next events with
@@ -1287,7 +1448,7 @@ module Direct_oracle = struct
     let recorder =
       Trace.Recorder.create ~names:c.Compiled.c_names
         ~initial:c.Compiled.c_initial ~t0:cfg.Sim.t0 ~t_end:cfg.Sim.t_end
-        ~dt:cfg.Sim.dt
+        ~dt:cfg.Sim.dt ()
     in
     let observe t = Trace.Recorder.observe recorder t state in
     (* every event scheduled at the head time; the time and the rest *)
@@ -1334,7 +1495,7 @@ module Direct_oracle = struct
             let mu = Sim.select a (Rng.float rng *. a0) in
             List.iter
               (fun (i, d) -> state.(i) <- Float.max 0. (state.(i) +. d))
-              c.Compiled.c_reactions.(mu).Compiled.c_deltas;
+              (deltas c.Compiled.c_reactions.(mu));
             observe t';
             loop t' events
           end
@@ -1690,8 +1851,16 @@ let prop_recorder_grid =
       let t_end = float_of_int t_end_i in
       let r =
         Trace.Recorder.create ~names:[| "x" |] ~initial:[| -1. |] ~t0:0.
-          ~t_end ~dt:1.
+          ~t_end ~dt:1. ()
       in
+      (* the same changes through [advance]: the live state is handed
+         over before each change, and only column 1 of it is recorded *)
+      let live = [| 0.; -1. |] in
+      let r_live =
+        Trace.Recorder.create ~columns:[| 1 |] ~names:[| "y"; "x" |]
+          ~initial:live ~t0:0. ~t_end ~dt:1. ()
+      in
+      let next = ref (Trace.Recorder.advance r_live 0. live) in
       (* nondecreasing observation times in tenths, some past t_end;
          [obs] is newest-first, seeded with the initial state at t0 *)
       let t = ref 0. in
@@ -1701,11 +1870,16 @@ let prop_recorder_grid =
           t := !t +. (float_of_int dt10 /. 10.);
           let v = float_of_int v in
           Trace.Recorder.observe r !t [| v |];
+          if !next < !t then next := Trace.Recorder.advance r_live !t live;
+          live.(1) <- v;
           obs := (!t, v) :: !obs)
         steps;
       let tr = Trace.Recorder.finish r in
+      ignore (Trace.Recorder.advance r_live infinity live);
+      let tr_live = Trace.Recorder.finish r_live in
       let samples = t_end_i + 1 in
       Trace.length tr = samples
+      && Trace.to_csv tr = Trace.to_csv tr_live
       && List.for_all
            (fun k ->
              let tk = float_of_int k in
@@ -1717,6 +1891,71 @@ let prop_recorder_grid =
              in
              Trace.value tr "x" k = expected)
            (List.init samples Fun.id))
+
+let test_recorder_columns () =
+  let r =
+    Trace.Recorder.create ~columns:[| 2; 0 |] ~names:[| "a"; "b"; "c" |]
+      ~initial:[| 1.; 2.; 3. |] ~t0:0. ~t_end:2. ~dt:1. ()
+  in
+  Trace.Recorder.observe r 1. [| 4.; 5.; 6. |];
+  let tr = Trace.Recorder.finish r in
+  Alcotest.(check (array string)) "recorded names" [| "c"; "a" |]
+    (Trace.names tr);
+  Alcotest.(check (array (float 0.))) "c" [| 3.; 6.; 6. |]
+    (Trace.column tr "c");
+  Alcotest.(check (array (float 0.))) "a" [| 1.; 4.; 4. |]
+    (Trace.column tr "a");
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Trace.Recorder.create: column out of range")
+    (fun () ->
+      ignore
+        (Trace.Recorder.create ~columns:[| 3 |] ~names:[| "a"; "b"; "c" |]
+           ~initial:[| 1.; 2.; 3. |] ~t0:0. ~t_end:2. ~dt:1. ()))
+
+(* ---- allocation tripwires ---- *)
+
+(* Minor-heap words allocated by the second of two identical calls of
+   [f] (the first warms lazy tables), with [f]'s result. dune's default
+   profile compiles with [-opaque], so nothing is inlined across
+   modules: a float that crosses a module boundary, or reaches a local
+   closure, in a hot loop shows up here as words per step. *)
+let minor_words_of f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* 0x17 under the paper's input stimulus, the circuit BENCH_ssa.json's
+   last row runs *)
+let tripwire_circuit () =
+  let circuit = Option.get (Glc_gates.Benchmarks.find "0x17") in
+  ( Compiled.compile (Glc_gates.Circuit.model circuit),
+    Glc_dvasim.Experiment.input_schedule Glc_dvasim.Protocol.default circuit )
+
+let test_direct_firing_allocates_nothing () =
+  let c, events = tripwire_circuit () in
+  let cfg = Sim.config ~seed:42 ~t_end:2000. () in
+  let words, (_, stats) =
+    minor_words_of (fun () -> Sim.run_compiled ~events cfg c)
+  in
+  let fired = stats.Sim.reactions_fired in
+  let per_firing = words /. float_of_int fired in
+  if fired < 10_000 || per_firing >= 1. then
+    Alcotest.failf "%.0f minor words over %d firings: %.3f per firing" words
+      fired per_firing
+
+let test_rk4_step_allocation () =
+  let c, events = tripwire_circuit () in
+  let cfg = Glc_ssa.Ode.config ~t_end:2000. () in
+  let words, u =
+    minor_words_of (fun () ->
+        Glc_ssa.Ode.run_until ~events ~from:0. cfg c (fun _ -> false))
+  in
+  let steps = u.Glc_ssa.Ode.u_steps in
+  let per_step = words /. float_of_int steps in
+  if steps < 10_000 || per_step >= 16. then
+    Alcotest.failf "%.0f minor words over %d RK4 steps: %.2f per step" words
+      steps per_step
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -1733,6 +1972,8 @@ let () =
           Alcotest.test_case "int" `Quick test_rng_int;
           Alcotest.test_case "exponential" `Quick test_rng_exponential;
           Alcotest.test_case "split" `Quick test_rng_split;
+          Alcotest.test_case "first draws of seed 42 are pinned" `Quick
+            test_rng_pinned_seed_42;
           Alcotest.test_case "gaussian" `Quick test_rng_gaussian;
           Alcotest.test_case "poisson" `Quick test_rng_poisson;
         ]
@@ -1743,6 +1984,7 @@ let () =
               prop_rng_int_range;
               prop_rng_int_uniform;
               prop_rng_poisson_chi_square;
+              prop_rng_matches_reference;
             ] );
       ( "indexed_heap",
         Alcotest.test_case "basic" `Quick test_heap_basic
@@ -1754,6 +1996,7 @@ let () =
             test_recorder_exact_grid_point;
           Alcotest.test_case "time goes backwards" `Quick
             test_recorder_backwards;
+          Alcotest.test_case "recorded columns" `Quick test_recorder_columns;
           Alcotest.test_case "accessors" `Quick test_trace_accessors;
           Alcotest.test_case "statistics" `Quick test_trace_statistics;
           Alcotest.test_case "csv round trip" `Quick test_trace_csv_roundtrip;
@@ -1852,4 +2095,11 @@ let () =
           Alcotest.test_case "steady state" `Quick test_ode_steady_state;
         ]
         @ qc [ prop_ode_matches_oracle ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "a direct-method firing allocates nothing"
+            `Quick test_direct_firing_allocates_nothing;
+          Alcotest.test_case "an RK4 step allocates under 16 words" `Quick
+            test_rk4_step_allocation;
+        ] );
     ]
