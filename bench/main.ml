@@ -43,8 +43,7 @@ let print_analysis circuit (r : Analyzer.result) (v : Verify.report) =
   Format.printf "expected minterms: %s@."
     (String.concat ", "
        (List.map
-          (Format.asprintf "%a"
-             (Report.pp_combination ~arity:r.Analyzer.arity))
+          (Truth_table.combination ~arity:r.Analyzer.arity)
           (Truth_table.minterms circuit.Circuit.expected)));
   Format.printf "%a@." Report.pp_verification v
 
@@ -308,9 +307,7 @@ let ablation_fov () =
       in
       let kept =
         String.concat ", "
-          (List.map
-             (Format.asprintf "%a" (Report.pp_combination ~arity:3))
-             r.Analyzer.minterms)
+          (List.map (Truth_table.combination ~arity:3) r.Analyzer.minterms)
       in
       Printf.printf "%8g %-26s %7.2f%%\n" fov_ud kept r.Analyzer.fitness)
     [ 0.005; 0.05; 0.25; 0.5; 1.0 ];
@@ -356,7 +353,6 @@ let ablation_algorithms () =
       r.Analyzer.fitness stats.Glc_ssa.Sim.reactions_fired wall
   in
   stochastic "direct (Gillespie)" Glc_ssa.Sim.Direct;
-  stochastic "next-reaction" Glc_ssa.Sim.Next_reaction;
   stochastic "tau-leap eps=0.03"
     (Glc_ssa.Sim.Tau_leaping { epsilon = 0.03 });
   (* the deterministic (ODE) limit: noise-free traces, perfect fitness *)
@@ -706,7 +702,7 @@ let campaign_bench () =
     in
     let journal = Journal.open_ ~dir in
     let summary =
-      Glc_campaign.Runner.run ~store ~journal spec [ job ]
+      Glc_campaign.Runner.run ~store ~journal spec [ (job, None) ]
     in
     Journal.close journal;
     assert (summary.Glc_campaign.Runner.succeeded = 1);
@@ -1057,7 +1053,7 @@ let obs_bench () =
     (fun name ->
       Printf.printf "  %-24s %d\n" name
         (Metrics.Counter.value (Metrics.counter registry name)))
-    [ "ssa.reactions_fired"; "ssa.propensity_evals"; "ssa.recorder_observes" ]
+    [ "ssa.reactions_fired"; "ssa.propensity_evals" ]
 
 let all () =
   fig2 ();

@@ -84,6 +84,20 @@ let find_circuit name =
 
 (* ---- common options ---- *)
 
+(* Every float option parses through here. cmdliner's [Arg.float]
+   accepts [inf] and [nan], which slip past sign checks: an infinite
+   --total never ends a run, an infinite --threshold still yields a
+   verdict. A non-finite value is a usage error instead. *)
+let finite_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv Arg.float)
+    (parse, Arg.conv_printer Arg.float)
+
 let circuit_arg =
   let parse s = find_circuit s in
   let print ppf c = Format.pp_print_string ppf c.Circuit.name in
@@ -97,19 +111,19 @@ let circuit_arg =
 
 let threshold_opt =
   Arg.value
-    (Arg.opt Arg.float Protocol.default.Protocol.threshold
+    (Arg.opt finite_float Protocol.default.Protocol.threshold
        (Arg.info [ "threshold"; "t" ] ~docv:"MOLECULES"
           ~doc:"Logic threshold; a logic-1 input is clamped to this \
                 amount (the paper's setup)."))
 
 let total_opt =
   Arg.value
-    (Arg.opt Arg.float Protocol.default.Protocol.total_time
+    (Arg.opt finite_float Protocol.default.Protocol.total_time
        (Arg.info [ "total" ] ~docv:"TIME" ~doc:"Total simulation time."))
 
 let hold_opt =
   Arg.value
-    (Arg.opt Arg.float Protocol.default.Protocol.hold_time
+    (Arg.opt finite_float Protocol.default.Protocol.hold_time
        (Arg.info [ "hold" ] ~docv:"TIME"
           ~doc:"Hold time per input combination (propagation delay)."))
 
@@ -120,7 +134,7 @@ let seed_opt =
 
 let fov_opt =
   Arg.value
-    (Arg.opt Arg.float Analyzer.default_params.Analyzer.fov_ud
+    (Arg.opt finite_float Analyzer.default_params.Analyzer.fov_ud
        (Arg.info [ "fov" ] ~docv:"FRACTION"
           ~doc:"FOV_UD: accepted fraction of output variation (eq. 1)."))
 
@@ -129,15 +143,14 @@ let algorithm_opt =
     Arg.enum
       [
         ("direct", Glc_ssa.Sim.Direct);
-        ("next-reaction", Glc_ssa.Sim.Next_reaction);
         ("tau-leap", Glc_ssa.Sim.Tau_leaping { epsilon = 0.03 });
       ]
   in
   Arg.value
     (Arg.opt conv Glc_ssa.Sim.Direct
        (Arg.info [ "algorithm"; "a" ] ~docv:"ALGO"
-          ~doc:"SSA variant: $(b,direct), $(b,next-reaction) or \
-                $(b,tau-leap)."))
+          ~doc:"SSA variant: $(b,direct) (exact) or $(b,tau-leap) \
+                (approximate)."))
 
 let gray_opt =
   Arg.value
@@ -270,7 +283,7 @@ let lint_cmd =
   in
   let threshold_opt =
     Arg.value
-      (Arg.opt Arg.float Protocol.default.Protocol.threshold
+      (Arg.opt finite_float Protocol.default.Protocol.threshold
          (Arg.info [ "threshold" ] ~docv:"T"
             ~doc:"Logic threshold (molecules) used by the \
                   conservation-bound check GLC005."))
@@ -497,10 +510,6 @@ let analyze_cmd =
 
 (* ---- verify ---- *)
 
-let combination_string ~arity row =
-  String.init arity (fun j ->
-      if (row lsr (arity - 1 - j)) land 1 = 1 then '1' else '0')
-
 (* The pure-SSA path, kept verbatim behind --no-certify: simulate the
    whole stimulus schedule and extract every row stochastically. *)
 let verify_one protocol fov c =
@@ -514,7 +523,7 @@ let verify_one protocol fov c =
 
 let margin_opt =
   Arg.value
-    (Arg.opt Arg.float Certificate.default_margin
+    (Arg.opt finite_float Certificate.default_margin
        (Arg.info [ "margin" ] ~docv:"SIGMAS"
           ~doc:"Noise margin of the symbolic analyser, in Poisson \
                 standard deviations: a steady-state bound must clear \
@@ -608,7 +617,7 @@ let verify_cmd =
               "combination" "source" "output" "expected";
             for row = 0 to (1 lsl arity) - 1 do
               Format.printf "%-12s %-10s %6s %8s@,"
-                (combination_string ~arity row)
+                (Glc_logic.Truth_table.combination ~arity row)
                 (Verify.provenance_string h.Verify.h_provenance.(row))
                 (if Glc_logic.Truth_table.output v.Verify.extracted row
                  then "1"
@@ -976,7 +985,7 @@ let sweep_cmd =
   let thresholds_opt =
     Arg.value
       (Arg.opt
-         (Arg.list Arg.float)
+         (Arg.list finite_float)
          [ 3.; 8.; 15.; 25.; 40.; 60.; 80.; 90. ]
          (Arg.info [ "thresholds" ] ~docv:"T1,T2,..."
             ~doc:"Threshold values to sweep (the Fig. 5 study)."))
@@ -1027,7 +1036,7 @@ let robustness_cmd =
   in
   let spread_opt =
     Arg.value
-      (Arg.opt Arg.float 0.2
+      (Arg.opt finite_float 0.2
          (Arg.info [ "spread" ] ~docv:"SIGMA"
             ~doc:"Log-normal spread of the part parameters."))
   in
@@ -1163,20 +1172,20 @@ module Campaign = struct
     in
     let thresholds_opt =
       Arg.value
-        (Arg.opt (Arg.list Arg.float)
+        (Arg.opt (Arg.list finite_float)
            [ Protocol.default.Protocol.threshold ]
            (Arg.info [ "thresholds" ] ~docv:"T,..."
               ~doc:"Logic-threshold axis of the grid."))
     in
     let fovs_opt =
       Arg.value
-        (Arg.opt (Arg.list Arg.float) [ 0.25 ]
+        (Arg.opt (Arg.list finite_float) [ 0.25 ]
            (Arg.info [ "fovs" ] ~docv:"F,..."
               ~doc:"FOV_UD axis of the grid (eq. 1)."))
     in
     let input_highs_opt =
       Arg.value
-        (Arg.opt (Arg.list Arg.float) []
+        (Arg.opt (Arg.list finite_float) []
            (Arg.info [ "input-highs" ] ~docv:"H,..."
               ~doc:"Logic-1 input-amount axis; default: the threshold \
                     value, as in the paper."))
@@ -1712,7 +1721,7 @@ module Serve = struct
 
   let opt_float names docv doc =
     Arg.value
-      (Arg.opt (Arg.some Arg.float) None (Arg.info names ~docv ~doc))
+      (Arg.opt (Arg.some finite_float) None (Arg.info names ~docv ~doc))
 
   let opt_int names docv doc =
     Arg.value
@@ -1727,7 +1736,7 @@ module Serve = struct
 
   let timeout_opt =
     Arg.value
-      (Arg.opt Arg.float 300.
+      (Arg.opt finite_float 300.
          (Arg.info [ "timeout" ] ~docv:"SECONDS"
             ~doc:"Give up waiting after this long (the job keeps \
                   running server-side)."))

@@ -35,8 +35,9 @@ let axis name check xs =
   List.iter (check name) xs
 
 let positive name x =
-  if not (x > 0.) then
-    invalid_arg (Printf.sprintf "Grid.make: non-positive %s" name)
+  if not (x > 0. && Float.is_finite x) then
+    invalid_arg
+      (Printf.sprintf "Grid.make: non-positive or non-finite %s" name)
 
 let make ?(thresholds = [ Protocol.default.Protocol.threshold ])
     ?(fov_uds = [ 0.25 ]) ?(input_highs = [ None ])
@@ -56,8 +57,10 @@ let make ?(thresholds = [ Protocol.default.Protocol.threshold ])
 
 let spec ?(seed = 42) ?(total_time = Protocol.default.Protocol.total_time)
     ?(hold_time = Protocol.default.Protocol.hold_time) grid =
-  if not (total_time > 0.) then invalid_arg "Grid.spec: total_time <= 0";
-  if not (hold_time > 0.) then invalid_arg "Grid.spec: hold_time <= 0";
+  if not (total_time > 0. && Float.is_finite total_time) then
+    invalid_arg "Grid.spec: total_time must be finite and > 0";
+  if not (hold_time > 0. && Float.is_finite hold_time) then
+    invalid_arg "Grid.spec: hold_time must be finite and > 0";
   { seed; total_time; hold_time; grid }
 
 (* Deterministic nested expansion: circuits outermost, replicate counts

@@ -48,14 +48,15 @@ val make :
 (** Axis defaults: the paper's protocol — threshold 15, FOV_UD 0.25,
     input-high = threshold, 16 replicates.
     @raise Invalid_argument on an empty or duplicate-carrying axis, a
-    non-positive threshold/FOV/input level, or a replicate count < 1
+    non-positive or non-finite threshold/FOV/input level, or a
+    replicate count < 1
     (duplicates would expand to jobs with colliding ids). *)
 
 val spec :
   ?seed:int -> ?total_time:float -> ?hold_time:float -> t -> spec
 (** Campaign-level parameters around a grid; defaults seed 42 and the
     paper's 10,000/1,000 t.u. protocol.
-    @raise Invalid_argument on non-positive times. *)
+    @raise Invalid_argument on non-positive or non-finite times. *)
 
 val expand : t -> job list
 (** Deterministic flattening; [List.length (expand g) = size g]. *)

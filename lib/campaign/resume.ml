@@ -83,7 +83,22 @@ let status ~dir =
         | Some _ | None -> None);
     }
 
-let run ?jobs ?limit ?on_progress ?metrics ?should_stop ?filter ~dir () =
+(* Certify every pending job once, keep those whose certificate settles
+   every row, each with its certificate. An unresolvable circuit stays,
+   without one, so the runner journals the failure. *)
+let keep_certified ?metrics spec todo =
+  List.filter_map
+    (fun job ->
+      match Runner.certify ?metrics spec job with
+      | Error _ -> Some (job, None)
+      | Ok ((_, cert) as c) ->
+          if Glc_symbolic.Certificate.fully_decided cert then
+            Some (job, Some c)
+          else None)
+    todo
+
+let run ?jobs ?limit ?on_progress ?metrics ?should_stop
+    ?(certified_only = false) ~dir () =
   let ( let* ) = Result.bind in
   let* store, spec = load ~dir in
   (* single-writer discipline: a concurrent drain of the same directory
@@ -92,9 +107,8 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop ?filter ~dir () =
     Store.Lock.with_lock ~dir (fun () ->
         let todo = pending ~store (Grid.expand spec.Grid.grid) in
         let todo =
-          match filter with
-          | None -> todo
-          | Some keep -> List.filter keep todo
+          if certified_only then keep_certified ?metrics spec todo
+          else List.map (fun job -> (job, None)) todo
         in
         let journal = Journal.open_ ~dir in
         Fun.protect

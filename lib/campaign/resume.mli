@@ -42,7 +42,7 @@ val run :
   ?on_progress:(Runner.progress -> unit) ->
   ?metrics:Glc_obs.Metrics.t ->
   ?should_stop:(unit -> bool) ->
-  ?filter:(Grid.job -> bool) ->
+  ?certified_only:bool ->
   dir:string ->
   unit ->
   (Store.t * Grid.spec * Runner.summary, string) result
@@ -58,9 +58,12 @@ val run :
     is the graceful-interrupt hook, polled between jobs — see
     {!Runner.run}.
 
-    [filter] (default: keep everything) prunes the pending set before
-    the drain — jobs it rejects are neither scheduled nor counted in
-    [remaining]. The function-space atlas uses it for certified-only
-    drains: keep just the jobs whose certificate settles every row, so
-    a sweep finishes without simulating and the undecided functions
-    stay pending for a later full drain. *)
+    [certified_only] (default [false]) prunes the pending set before
+    the drain: every pending job is certified once ({!Runner.certify},
+    counted on [metrics]), and only those whose certificate settles
+    every row are kept, each handed its certificate so the drain does
+    not certify it again. Pruned jobs are neither scheduled nor counted
+    in [remaining]; unresolvable circuits stay, so the drain journals
+    their failure. The function-space atlas uses it: a sweep finishes
+    without simulating, and the undecided functions stay pending for a
+    later full drain. *)

@@ -110,26 +110,34 @@ let certified_document ~seed (job : Grid.job) (cert : Certificate.t) =
     (Json.bool verified) (Json.float 100.)
     (Certificate.to_json cert)
 
-let run_job ?metrics ~pool ~cache (spec : Grid.spec) (job : Grid.job) =
-  match resolve job.Grid.j_circuit with
-  | Error m -> failwith m
-  | Ok circuit ->
+type certified = Circuit.t * Certificate.t
+
+let certify ?metrics spec (job : Grid.job) =
+  Result.map
+    (fun circuit ->
       let protocol = job_protocol spec job in
-      let seed = Grid.job_seed ~seed:spec.Grid.seed job in
-      (* symbolic fast path: a certificate that settles every row makes
-         the ensemble redundant — the job costs no simulation at all.
-         Otherwise the certificate still rides along in the document as
-         provenance for how much of the table was already settled. *)
-      let cert = Certificate.certify ?metrics ~protocol circuit in
-      if Certificate.fully_decided cert then
-        certified_document ~seed job cert
-      else
-        let cfg =
-          Ensemble.config ~replicates:job.Grid.j_replicates ~seed ~protocol
-            ~fov_ud:job.Grid.j_fov_ud ()
-        in
-        let t = Ensemble.run ~pool ~cache ?metrics cfg circuit in
-        job_document ~certificate:cert ~seed job t
+      (circuit, Certificate.certify ?metrics ~protocol circuit))
+    (resolve job.Grid.j_circuit)
+
+(* symbolic fast path: a certificate that settles every row makes the
+   ensemble redundant — the job costs no simulation at all. Otherwise
+   the certificate still rides along in the document as provenance for
+   how much of the table was already settled. *)
+let execute ?metrics ~pool ~cache spec (job : Grid.job) (circuit, cert) =
+  let seed = Grid.job_seed ~seed:spec.Grid.seed job in
+  if Certificate.fully_decided cert then certified_document ~seed job cert
+  else
+    let cfg =
+      Ensemble.config ~replicates:job.Grid.j_replicates ~seed
+        ~protocol:(job_protocol spec job) ~fov_ud:job.Grid.j_fov_ud ()
+    in
+    let t = Ensemble.run ~pool ~cache ?metrics cfg circuit in
+    job_document ~certificate:cert ~seed job t
+
+let run_job ?metrics ~pool ~cache (spec : Grid.spec) (job : Grid.job) =
+  match certify ?metrics spec job with
+  | Error m -> failwith m
+  | Ok certified -> execute ?metrics ~pool ~cache spec job certified
 
 let null_progress (_ : progress) = ()
 
@@ -172,7 +180,7 @@ let run ?(jobs = 0) ?limit ?(on_progress = null_progress)
     else Store.put store ~id doc
   in
   List.iter
-    (fun job ->
+    (fun (job, _) ->
       Metrics.Counter.incr c_scheduled;
       journal_append (Journal.Scheduled (Grid.job_id job)))
     pending;
@@ -204,7 +212,7 @@ let run ?(jobs = 0) ?limit ?(on_progress = null_progress)
          or replicate count) compile once *)
       let cache = Cache.create ~metrics () in
       List.iteri
-        (fun i job ->
+        (fun i (job, certified) ->
           if i < todo && not !stopped && should_stop () then
             stopped := true;
           if i < todo && not !stopped then begin
@@ -214,7 +222,9 @@ let run ?(jobs = 0) ?limit ?(on_progress = null_progress)
             let t_job = if live then Glc_obs.Clock.now () else 0. in
             (match
                Metrics.span metrics ("job:" ^ id) (fun () ->
-                   run_job ~metrics ~pool ~cache spec job)
+                   match certified with
+                   | Some c -> execute ~metrics ~pool ~cache spec job c
+                   | None -> run_job ~metrics ~pool ~cache spec job)
              with
             | doc ->
                 store_put ~id doc;

@@ -64,6 +64,16 @@ val certified_document :
     and [fitness_mean] is a clean [100] (a proof carries no sampling
     noise). [verified] is the certificate's own verdict. *)
 
+type certified = Glc_gates.Circuit.t * Glc_symbolic.Certificate.t
+(** A job's circuit and its certificate under {!job_protocol}. *)
+
+val certify :
+  ?metrics:Glc_obs.Metrics.t -> Grid.spec -> Grid.job ->
+  (certified, string) result
+(** Resolves the job's circuit ({!resolve}) and certifies it under the
+    job's protocol — the first step of {!run_job}. [Error] on an
+    unresolvable circuit. *)
+
 val run_job :
   ?metrics:Glc_obs.Metrics.t ->
   pool:Glc_engine.Pool.t ->
@@ -91,11 +101,13 @@ val run :
   store:Store.t ->
   journal:Journal.t ->
   Grid.spec ->
-  Grid.job list ->
+  (Grid.job * certified option) list ->
   summary
 (** [run ~store ~journal spec pending] journals every pending job as
     scheduled, then attempts the first [limit] of them (default: all)
-    in order. [jobs] sizes the worker pool (0 = hardware).
+    in order. A job that comes with its {!certify} result is not
+    certified again; one without goes through {!run_job}. [jobs] sizes
+    the worker pool (0 = hardware).
 
     [should_stop] (default: never) is polled before each job starts;
     once it returns [true] no further job begins — the in-flight job

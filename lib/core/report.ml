@@ -1,14 +1,6 @@
 module Expr = Glc_logic.Expr
 module Truth_table = Glc_logic.Truth_table
 
-let pp_combination ~arity ppf row =
-  for j = arity - 1 downto 0 do
-    Format.pp_print_int ppf ((row lsr j) land 1)
-  done
-
-let combination_string ~arity row =
-  Format.asprintf "%a" (fun ppf -> pp_combination ~arity ppf) row
-
 let pp_cases ~output_name ppf (r : Analyzer.result) =
   let arity = r.Analyzer.arity in
   Format.fprintf ppf "@[<v>%-*s %8s %8s %8s %9s %6s %6s %4s@," (max arity 5)
@@ -16,7 +8,7 @@ let pp_cases ~output_name ppf (r : Analyzer.result) =
   Array.iter
     (fun (c : Analyzer.case_stats) ->
       Format.fprintf ppf "%-*s %8d %8d %8d %9.4f %6s %6s %4s@," (max arity 5)
-        (combination_string ~arity c.Analyzer.row)
+        (Truth_table.combination ~arity c.Analyzer.row)
         c.case_count c.high_count c.variations c.fov_est
         (if c.passes_fov then "pass" else "fail")
         (if c.passes_majority then "pass" else "fail")
@@ -40,12 +32,11 @@ let pp_verification ppf (v : Verify.report) =
       v.Verify.fitness
   else
     Format.fprintf ppf
-      "@[<v>NOT verified: %d wrong state(s): %a (PFoBE %.2f%%)@]"
+      "@[<v>NOT verified: %d wrong state(s): %s (PFoBE %.2f%%)@]"
       (List.length v.Verify.wrong_states)
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf -> pp_combination ~arity ppf))
-      v.Verify.wrong_states v.Verify.fitness
+      (String.concat ", "
+         (List.map (Truth_table.combination ~arity) v.Verify.wrong_states))
+      v.Verify.fitness
 
 let result_to_string ~output_name r =
   Format.asprintf "%a" (pp_result ~output_name) r
@@ -53,16 +44,7 @@ let result_to_string ~output_name r =
 module Json = struct
   let string = Glc_obs.Metrics.json_string
 
-  let float x =
-    if not (Float.is_finite x) then "null"
-    else if Float.is_integer x && Float.abs x < 1e15 then
-      Printf.sprintf "%.0f" x
-    else begin
-      (* shortest decimal that round-trips, so equal floats always print
-         identically (the ensemble's byte-for-byte determinism check) *)
-      let s15 = Printf.sprintf "%.15g" x in
-      if float_of_string s15 = x then s15 else Printf.sprintf "%.17g" x
-    end
+  let float = Glc_obs.Metrics.json_float
 
   let bool b = if b then "true" else "false"
 

@@ -12,9 +12,6 @@ val pp_result :
 
 val pp_verification : Format.formatter -> Verify.report -> unit
 
-val pp_combination : arity:int -> Format.formatter -> int -> unit
-(** Binary rendering of a combination, I1 first (e.g. [011]). *)
-
 val result_to_string : output_name:string -> Analyzer.result -> string
 
 (** Deterministic JSON fragments, used by machine-readable reports (the

@@ -159,12 +159,8 @@ let diagnose (r : Analyzer.result) report =
       { f_row = row; f_cause = cause })
     report.wrong_states
 
-let combination_string ~arity row =
-  String.init arity (fun j ->
-      if (row lsr (arity - 1 - j)) land 1 = 1 then '1' else '0')
-
 let pp_finding ~arity ppf f =
-  let combination = combination_string ~arity f.f_row in
+  let combination = Truth_table.combination ~arity f.f_row in
   match f.f_cause with
   | Unobserved ->
       Format.fprintf ppf

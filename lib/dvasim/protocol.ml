@@ -35,17 +35,26 @@ let make ?(total_time = default.total_time) ?(hold_time = default.hold_time)
   let input_high =
     match input_high with Some h -> h | None -> threshold
   in
-  if total_time <= 0. then invalid_arg "Protocol.make: total_time <= 0";
-  if hold_time <= 0. then invalid_arg "Protocol.make: hold_time <= 0";
-  if threshold <= 0. then invalid_arg "Protocol.make: threshold <= 0";
-  if dt <= 0. then invalid_arg "Protocol.make: dt <= 0";
+  (* [not (x > 0.)] also rejects NaN; +infinity needs its own check *)
+  let positive name x =
+    if not (x > 0. && Float.is_finite x) then
+      invalid_arg
+        (Printf.sprintf "Protocol.make: %s must be finite and > 0" name)
+  in
+  positive "total_time" total_time;
+  positive "hold_time" hold_time;
+  positive "threshold" threshold;
+  positive "dt" dt;
+  if not (Float.is_finite input_low && Float.is_finite input_high) then
+    invalid_arg "Protocol.make: non-finite input level";
   if input_low >= input_high then
     invalid_arg "Protocol.make: input_low >= input_high";
   { total_time; hold_time; threshold; input_high; input_low; dt; seed;
     algorithm; order }
 
 let with_threshold p threshold =
-  if threshold <= 0. then invalid_arg "Protocol.with_threshold: <= 0";
+  if not (threshold > 0. && Float.is_finite threshold) then
+    invalid_arg "Protocol.with_threshold: threshold must be finite and > 0";
   { p with threshold; input_high = threshold }
 
 let slots p = int_of_float (Float.ceil (p.total_time /. p.hold_time))

@@ -47,12 +47,14 @@ val make :
   t
 (** {!default} with overrides. [input_high] defaults to the (possibly
     overridden) threshold.
-    @raise Invalid_argument on non-positive times or thresholds, or if
+    @raise Invalid_argument on non-positive or non-finite times or
+    thresholds, a non-finite input level, or if
     [input_low >= input_high]. *)
 
 val with_threshold : t -> float -> t
 (** Changes the threshold {e and} the logic-1 input amount together, as
-    the paper's Fig. 5 experiment does. *)
+    the paper's Fig. 5 experiment does.
+    @raise Invalid_argument on a non-positive or non-finite threshold. *)
 
 val slots : t -> int
 (** Number of hold slots in the run,

@@ -268,8 +268,7 @@ let pp ppf t =
     (fun c ->
       Format.fprintf ppf "%-*s %5d/%-3d %6.1f%% %6s %10.4f ± %.4f@,"
         (max t.arity 4)
-        (Format.asprintf "%a" (Report.pp_combination ~arity:t.arity)
-           c.cs_row)
+        (Truth_table.combination ~arity:t.arity c.cs_row)
         c.cs_minterm_votes n
         (100. *. c.cs_agreement)
         (if c.cs_flaky then "FLAKY" else "-")
@@ -278,12 +277,9 @@ let pp ppf t =
   (match t.flaky with
   | [] -> Format.fprintf ppf "@,flaky combinations: none"
   | rows ->
-      Format.fprintf ppf
-        "@,flaky combinations (replicates disagree): %a"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           (fun ppf -> Report.pp_combination ~arity:t.arity ppf))
-        rows);
+      Format.fprintf ppf "@,flaky combinations (replicates disagree): %s"
+        (String.concat ", "
+           (List.map (Truth_table.combination ~arity:t.arity) rows)));
   Array.iter
     (fun f ->
       Format.fprintf ppf "@,replicate %d FAILED: %s" f.fail_index
@@ -309,10 +305,7 @@ let to_json t =
       s.Stats.n (float s.Stats.mean) (float s.Stats.sd) (float s.Stats.ci95)
       (float s.Stats.min) (float s.Stats.max)
   in
-  let combination row =
-    string
-      (Format.asprintf "%a" (Report.pp_combination ~arity:t.arity) row)
-  in
+  let combination row = string (Truth_table.combination ~arity:t.arity row) in
   add "{";
   field "circuit" (string t.name);
   field "arity" (string_of_int t.arity);

@@ -80,7 +80,3 @@ let row_of_inputs c values =
     (fun acc v -> (acc lsl 1) lor (if v then 1 else 0))
     0 values
 
-let pp_combination ~arity ppf row =
-  for j = arity - 1 downto 0 do
-    Format.pp_print_int ppf ((row lsr j) land 1)
-  done

@@ -66,5 +66,3 @@ val row_of_inputs : t -> bool array -> int
 (** Inverse of {!input_value}: combination index of the given input
     values (ordered as [inputs]). *)
 
-val pp_combination : arity:int -> Format.formatter -> int -> unit
-(** Prints a combination as the paper does, e.g. [011]. *)

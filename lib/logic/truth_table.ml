@@ -116,14 +116,17 @@ let hamming_distance a b =
   done;
   !d
 
+let combination ~arity row =
+  String.init arity (fun j ->
+      if (row lsr (arity - 1 - j)) land 1 = 1 then '1' else '0')
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   for row = 0 to rows t - 1 do
     if row > 0 then Format.fprintf ppf "@,";
-    for i = t.arity - 1 downto 0 do
-      Format.pp_print_int ppf ((row lsr i) land 1)
-    done;
-    Format.fprintf ppf " | %d" (if output t row then 1 else 0)
+    Format.fprintf ppf "%s | %d"
+      (combination ~arity:t.arity row)
+      (if output t row then 1 else 0)
   done;
   Format.fprintf ppf "@]"
 

@@ -73,6 +73,12 @@ val row_of_bits : bool array -> int
 val bits_of_row : arity:int -> int -> bool array
 (** Inverse of {!row_of_bits} for a given arity. *)
 
+val combination : arity:int -> int -> string
+(** [combination ~arity row] spells the row as its [arity] bits, most
+    significant first — how the paper prints an input combination:
+    [combination ~arity:3 3 = "011"]. Every report, certificate and CLI
+    line prints rows through it. *)
+
 val pp : Format.formatter -> t -> unit
 (** Renders the full table, one row per line. *)
 

@@ -119,6 +119,12 @@ val json_string : string -> string
     export renders its strings through it, and
     [Glc_core.Report.Json.parse] reads them back. *)
 
+val json_float : float -> string
+(** The shortest decimal that round-trips, so equal floats always print
+    identical bytes (the ensemble's byte-for-byte determinism rests on
+    it); integers below 1e15 print without a fraction, and non-finite
+    values as [null]. The toolchain's one JSON number printer. *)
+
 val deterministic_json : t -> string
 (** The ["deterministic"] section alone — [{"counters":{...},
     "gauges":{...}}] with sorted keys. Byte-identical across runs with

@@ -2,7 +2,6 @@ module Grid = Glc_campaign.Grid
 module Store = Glc_campaign.Store
 module Runner = Glc_campaign.Runner
 module Resume = Glc_campaign.Resume
-module Certificate = Glc_symbolic.Certificate
 module Circuit = Glc_gates.Circuit
 module Protocol = Glc_dvasim.Protocol
 module Ode = Glc_ssa.Ode
@@ -76,13 +75,6 @@ let prepare ~dir spec =
   else
     let* store = Store.create ~dir (Grid.spec_to_json spec) in
     Ok (store, spec, false)
-
-let certified_filter spec job =
-  match Runner.resolve job.Grid.j_circuit with
-  | Error _ -> true (* let the runner journal the failure *)
-  | Ok circuit ->
-      let protocol = Runner.job_protocol spec job in
-      Certificate.fully_decided (Certificate.certify ~protocol circuit)
 
 (* {2 Propagation delay} *)
 
@@ -358,9 +350,9 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop
               ignore (Fn.describe ~arity code);
               Metrics.Counter.incr synthesised)
         names);
-  let filter = if certified_only then Some (certified_filter spec) else None in
   let* _store, spec, s =
-    Resume.run ?jobs ?limit ?on_progress ?metrics ?should_stop ?filter ~dir ()
+    Resume.run ?jobs ?limit ?on_progress ?metrics ?should_stop ~certified_only
+      ~dir ()
   in
   let* () =
     Metrics.span m "space:delays" (fun () ->

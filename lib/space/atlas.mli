@@ -54,12 +54,6 @@ val prepare : dir:string -> Grid.spec -> (Store.t * Grid.spec * bool, string) re
     differs from the argument — the caller should tell the user their
     flags were ignored. *)
 
-val certified_filter : Grid.spec -> Grid.job -> bool
-(** [true] iff the job's circuit certifies fully under the job's
-    protocol — the certified-only drain predicate for
-    {!Glc_campaign.Resume.run}. Unresolvable circuits pass (the runner
-    surfaces the error). *)
-
 (** {2 Propagation delay}
 
     Worst-case delay on the deterministic (ODE) limit: for every
@@ -116,8 +110,9 @@ val run :
   Grid.spec ->
   (summary, string) result
 (** {!prepare}, drain the pending functions through
-    {!Glc_campaign.Resume.run} (with {!certified_filter} when
-    [certified_only]), then measure the delay of every completed
+    {!Glc_campaign.Resume.run} (certified-only when [certified_only]:
+    each function is certified once, and only those it settles are
+    drained), then measure the delay of every completed
     function that lacks one. [jobs] (default: one worker per core) sizes
     the worker pool of both the drain and the delay pass; the delay
     pass hands the pool rounds of 16 functions and stores each round's

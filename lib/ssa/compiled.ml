@@ -11,25 +11,16 @@ type reaction = {
   c_cost : int;
 }
 
-type ir_stats = {
-  ir_instrs : int;
-  ir_regs : int;
-  ir_cse_hits : int;
-  ir_const_folds : int;
-}
-
 type t = {
   c_model : Model.t;
   c_names : string array;
   c_initial : float array;
   c_boundary : bool array;
   c_reactions : reaction array;
-  c_dependents : int list array;
   c_affected : int array array;
   c_regs : int;
   c_eval_cost : int;
   c_affected_cost : int array;
-  c_ir : ir_stats;
 }
 
 exception
@@ -189,18 +180,10 @@ let compile ?(metrics = Metrics.noop) (m : Model.t) =
     c_initial = Array.map (fun (s : Model.species) -> s.s_initial) species;
     c_boundary = boundary;
     c_reactions = reactions;
-    c_dependents = dependents;
     c_affected = affected;
     c_regs = !n_regs;
     c_eval_cost = Array.fold_left (fun acc r -> acc + r.c_cost) 0 reactions;
     c_affected_cost = affected_cost;
-    c_ir =
-      {
-        ir_instrs = !n_instrs;
-        ir_regs = !n_regs;
-        ir_cse_hits = !n_cse;
-        ir_const_folds = !n_folds;
-      };
   }
 
 let species_index t id =
@@ -227,10 +210,6 @@ let[@inline] eval_into t regs state j a =
 
 let make_regs t = Array.make t.c_regs 0.
 
-let propensity_in t ~regs state j =
-  let e = t.c_reactions.(j).c_expr in
-  clamp_checked t j (Ir.eval e ~regs state) state
-
 let propensities_into_in t ~regs state a =
   if Array.length a <> Array.length t.c_reactions then
     invalid_arg "Compiled.propensities_into_in: wrong buffer length";
@@ -243,8 +222,6 @@ let inert_reactions t =
   |> List.filter_map (fun r ->
          if Array.length r.c_delta_species = 0 then Some r.c_id else None)
 
-let affected_reactions t ri = t.c_affected.(ri)
-
 let refresh_affected_in t ~regs state ri a =
   let aff = t.c_affected.(ri) in
   for k = 0 to Array.length aff - 1 do
@@ -254,4 +231,35 @@ let refresh_affected_in t ~regs state ri a =
 
 let eval_cost t = t.c_eval_cost
 let affected_cost t ri = t.c_affected_cost.(ri)
-let ir_stats t = t.c_ir
+
+(* Once per event batch, never per firing. *)
+let apply_events_at t state schedule =
+  match Events.next schedule with
+  | None -> None
+  | Some (first, _) ->
+      let time = first.Events.e_time in
+      let rec go n schedule =
+        match Events.next schedule with
+        | Some (e, rest) when e.Events.e_time = time ->
+            (match species_index t e.Events.e_species with
+            | i -> state.(i) <- Float.max 0. e.Events.e_value
+            | exception Not_found ->
+                invalid_arg
+                  (Printf.sprintf "event on unknown species %S"
+                     e.Events.e_species));
+            go (n + 1) rest
+        | Some _ | None -> (n, schedule)
+      in
+      let n, rest = go 0 schedule in
+      Some (time, n, rest)
+
+let catch_up t state ~t0 schedule =
+  let rec go n schedule =
+    match Events.next schedule with
+    | Some (e, _) when e.Events.e_time <= t0 -> (
+        match apply_events_at t state schedule with
+        | Some (_, m, rest) -> go (n + m) rest
+        | None -> (n, schedule))
+    | Some _ | None -> (n, schedule)
+  in
+  go 0 schedule

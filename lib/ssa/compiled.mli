@@ -25,17 +25,10 @@ type reaction = {
           signed change of species [c_delta_species.(k)]; never 0. *)
   c_expr : Ir.expr;
       (** the compiled kinetic law — raw, unclamped and unchecked;
-          simulators go through {!propensity_in}/{!propensities_into_in}/
+          simulators go through {!propensities_into_in}/
           {!refresh_affected_in} instead *)
   c_reads : int list;  (** species indices the propensity depends on *)
   c_cost : int;  (** IR instructions executed per evaluation *)
-}
-
-type ir_stats = {
-  ir_instrs : int;  (** instructions across all reaction programs *)
-  ir_regs : int;  (** largest register file any program needs *)
-  ir_cse_hits : int;
-  ir_const_folds : int;
 }
 
 type t = {
@@ -44,9 +37,6 @@ type t = {
   c_initial : float array;
   c_boundary : bool array;
   c_reactions : reaction array;
-  c_dependents : int list array;
-      (** [c_dependents.(s)] lists reactions whose propensity reads
-          species [s] *)
   c_affected : int array array;
       (** [c_affected.(r)] is the dependency closure of reaction [r]:
           every reaction whose propensity reads a species [r] changes,
@@ -61,7 +51,6 @@ type t = {
   c_affected_cost : int array;
       (** [c_affected_cost.(r)]: IR instructions per sparse refresh
           after reaction [r] fires *)
-  c_ir : ir_stats;  (** compile-time IR statistics *)
 }
 
 exception
@@ -97,18 +86,13 @@ val make_regs : t -> float array
     with the caller: a simulator allocates one per trajectory and
     reuses it across every evaluation of the run. *)
 
-val propensity_in : t -> regs:float array -> float array -> int -> float
-(** [propensity_in t ~regs state j]: reaction [j]'s propensity in
-    [state], evaluated against the caller's scratch from {!make_regs};
-    finite negative values are clamped to zero (a kinetic law may dip
-    below zero transiently in ill-parameterised models).
-    @raise Non_finite_propensity on NaN or infinity. *)
-
 val propensities_into_in :
   t -> regs:float array -> float array -> float array -> unit
 (** [propensities_into_in t ~regs state a] writes every reaction's
-    propensity in [state], clamped as {!propensity_in}, into the
-    caller's buffer [a]. It allocates nothing: the simulators reuse one
+    propensity in [state], evaluated against the caller's scratch from
+    {!make_regs}, into the caller's buffer [a]. Finite negative values
+    are clamped to zero (a kinetic law may dip below zero transiently
+    in ill-parameterised models). It allocates nothing: the simulators reuse one
     buffer per trajectory, and each result operand is read inside this
     module instead of through {!Ir.eval}, whose float return is boxed
     under [-opaque] (dune's default dev profile, where nothing is
@@ -124,12 +108,6 @@ val inert_reactions : t -> string list
     product is a boundary species, so the compiled deltas are empty.
     Such reactions still consume SSA steps whenever their propensity is
     positive; the linter flags them ([GLC004]). In declaration order. *)
-
-val affected_reactions : t -> int -> int array
-(** Reactions whose propensity may change when the given reaction fires
-    (including itself if it reads a species it writes). Returns the
-    precomputed [c_affected] row — O(1), and the caller must not
-    mutate it. *)
 
 val refresh_affected_in :
   t -> regs:float array -> float array -> int -> float array -> int
@@ -150,5 +128,19 @@ val affected_cost : t -> int -> int
 (** IR instructions executed by one sparse refresh after the given
     reaction fires. O(1), precomputed. *)
 
-val ir_stats : t -> ir_stats
-(** Compile-time IR statistics. *)
+val apply_events_at :
+  t -> float array -> Events.schedule -> (float * int * Events.schedule) option
+(** [apply_events_at t state schedule] sets [state] for every event
+    scheduled at the head time of [schedule] (negative values clamp to
+    zero) and returns that time, the number applied and the rest of the
+    schedule; [None] when the schedule is empty. The one event applier
+    of every simulator — direct, tau-leap and the ODE.
+    @raise Invalid_argument on an event for a species [t] does not
+    have. *)
+
+val catch_up :
+  t -> float array -> t0:float -> Events.schedule -> int * Events.schedule
+(** [catch_up t state ~t0 schedule] applies, batch by batch, every event
+    due at or before [t0] — the interventions that initialise a run's
+    state — and returns how many it applied and the rest.
+    @raise Invalid_argument as {!apply_events_at}. *)

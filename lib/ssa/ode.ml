@@ -1,8 +1,10 @@
 type config = { t0 : float; t_end : float; dt : float; step : float }
 
 let config ?(t0 = 0.) ?(dt = 1.) ?(step = 0.1) ~t_end () =
+  if not (Float.is_finite t0 && Float.is_finite t_end && Float.is_finite dt)
+  then invalid_arg "Ode.config: non-finite time";
   if t_end < t0 then invalid_arg "Ode.config: t_end < t0";
-  if step <= 0. then invalid_arg "Ode.config: step <= 0";
+  if not (step > 0.) then invalid_arg "Ode.config: step <= 0";
   if step > dt then invalid_arg "Ode.config: step > dt";
   { t0; t_end; dt; step }
 
@@ -89,26 +91,6 @@ let rk4_step w state h =
   done;
   w.steps <- w.steps + 1
 
-let apply_events_at (c : Compiled.t) state schedule =
-  match Events.next schedule with
-  | None -> None
-  | Some (first, _) ->
-      let t = first.Events.e_time in
-      let rec go n schedule =
-        match Events.next schedule with
-        | Some (e, rest) when e.Events.e_time = t ->
-            (match Compiled.species_index c e.Events.e_species with
-            | i -> state.(i) <- Float.max 0. e.Events.e_value
-            | exception Not_found ->
-                invalid_arg
-                  (Printf.sprintf "Ode: event on unknown species %S"
-                     e.Events.e_species));
-            go (n + 1) rest
-        | Some _ | None -> (n, schedule)
-      in
-      let n, rest = go 0 schedule in
-      Some (t, n, rest)
-
 (* The integration loop shared by every entry point: steps of at most
    [cfg.step], split at event times so the input steps stay sharp.
    [observe t] runs after every change of [state] — at [t0] once the
@@ -116,15 +98,7 @@ let apply_events_at (c : Compiled.t) state schedule =
    simultaneous events. [continue t'] runs before each step with the
    time the step will reach; [false] ends the run without taking it. *)
 let integrate w cfg events state ~observe ~continue =
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at w.c state events with
-        | Some (_, _, rest) -> catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
+  let _, events = Compiled.catch_up w.c state ~t0:cfg.t0 events in
   observe cfg.t0;
   let rec loop t events =
     if t < cfg.t_end then begin
@@ -139,7 +113,7 @@ let integrate w cfg events state ~observe ~continue =
         end
       end
       else if t_ev <= cfg.t_end then begin
-        match apply_events_at w.c state events with
+        match Compiled.apply_events_at w.c state events with
         | Some (te, _, rest) ->
             observe te;
             loop te rest
@@ -187,26 +161,3 @@ let run_until ?(events = Events.empty) ~from cfg (c : Compiled.t) holds =
   integrate w cfg events state ~observe:ignore ~continue:scan;
   ignore (scan infinity);
   { u_time = !hit; u_steps = w.steps }
-
-let steady_state ?(max_time = 100_000.) ?(tolerance = 1e-9) model =
-  let c = Compiled.compile model in
-  let w = workspace c in
-  let state = Array.copy c.Compiled.c_initial in
-  let n = Array.length state in
-  let before = Array.make n 0. in
-  let h = 0.5 in
-  let t = ref 0. in
-  let settled = ref false in
-  while (not !settled) && !t < max_time do
-    Array.blit state 0 before 0 n;
-    rk4_step w state h;
-    t := !t +. h;
-    let change = ref 0. in
-    for i = 0 to n - 1 do
-      let scale = Float.max 1. (Float.abs before.(i)) in
-      change :=
-        Float.max !change (Float.abs (state.(i) -. before.(i)) /. scale)
-    done;
-    settled := !change /. h < tolerance
-  done;
-  Array.to_list (Array.mapi (fun i id -> (id, state.(i))) c.Compiled.c_names)

@@ -10,7 +10,9 @@
     limit of the propensity); species follow
     [dx/dt = sum over reactions of stoichiometry * flux]. Integration is
     classic fixed-step fourth-order Runge–Kutta, split at event times so
-    the virtual-lab input steps stay sharp. States are clamped at zero.
+    the virtual-lab input steps stay sharp; events go through
+    {!Compiled.apply_events_at}, the applier the SSA uses. States are
+    clamped at zero.
 
     Every entry point runs the same stepper over a per-run workspace:
     propensities come from {!Compiled.propensities_into_in} and the
@@ -35,8 +37,8 @@ type config = {
 val config : ?t0:float -> ?dt:float -> ?step:float -> t_end:float -> unit
   -> config
 (** Defaults: [t0 = 0.], [dt = 1.], [step = 0.1].
-    @raise Invalid_argument if [step <= 0], [step > dt] or
-    [t_end < t0]. *)
+    @raise Invalid_argument if [step <= 0], [step > dt], [t_end < t0]
+    or a time is not finite. *)
 
 val run : ?events:Events.schedule -> config -> Model.t -> Trace.t
 
@@ -63,10 +65,3 @@ val run_until :
     {!run_compiled} trace would find; integration just ends at the
     answer instead of at [t_end]. [holds] receives the state vector
     (indexed like [c_names]) and must not modify it. *)
-
-val steady_state :
-  ?max_time:float -> ?tolerance:float -> Model.t ->
-  (string * float) list
-(** Integrates until the largest relative change per unit time falls
-    below [tolerance] (default [1e-9], [max_time] 100,000) and returns
-    the settled amounts — a DC operating-point analysis. *)

@@ -2,7 +2,6 @@ module Model = Glc_model.Model
 
 type algorithm =
   | Direct
-  | Next_reaction
   | Tau_leaping of { epsilon : float }
 
 type config = {
@@ -15,8 +14,11 @@ type config = {
 
 let config ?(t0 = 0.) ?(dt = 1.) ?(seed = 42) ?(algorithm = Direct) ~t_end ()
     =
+  if not (Float.is_finite t0 && Float.is_finite t_end) then
+    invalid_arg "Sim.config: non-finite time";
   if t_end < t0 then invalid_arg "Sim.config: t_end < t0";
-  if dt <= 0. then invalid_arg "Sim.config: dt <= 0";
+  if not (dt > 0. && Float.is_finite dt) then
+    invalid_arg "Sim.config: dt must be finite and > 0";
   { t0; t_end; dt; seed; algorithm }
 
 type stats = {
@@ -24,28 +26,6 @@ type stats = {
   events_applied : int;
   final_state : (string * float) list;
 }
-
-(* Applies every event scheduled at the head time; returns that time, the
-   remaining schedule and the number applied. *)
-let apply_events_at (c : Compiled.t) state schedule =
-  match Events.next schedule with
-  | None -> None
-  | Some (first, _) ->
-      let t = first.Events.e_time in
-      let rec go n schedule =
-        match Events.next schedule with
-        | Some (e, rest) when e.Events.e_time = t ->
-            (match Compiled.species_index c e.e_species with
-            | i -> state.(i) <- Float.max 0. e.e_value
-            | exception Not_found ->
-                invalid_arg
-                  (Printf.sprintf "Sim: event on unknown species %S"
-                     e.e_species));
-            go (n + 1) rest
-        | Some _ | None -> (n, schedule)
-      in
-      let n, rest = go 0 schedule in
-      Some (t, n, rest)
 
 (* Applies reaction [mu]'s deltas; each count is clamped at zero. *)
 let fire (c : Compiled.t) state mu =
@@ -63,11 +43,6 @@ let[@inline] total a =
     acc := !acc +. a.(i)
   done;
   !acc
-
-let array_mem x a =
-  let n = Array.length a in
-  let rec go i = i < n && (a.(i) = x || go (i + 1)) in
-  go 0
 
 (* Selects a reaction index from propensities [a] given a uniform draw
    scaled by their sum. Floating-point rounding can leave the running
@@ -97,12 +72,10 @@ let[@inline] select a target =
 type tot = {
   mutable n_evals : int; (* propensity evaluations *)
   mutable n_instrs : int; (* IR instructions those evaluations executed *)
-  mutable n_heap : int; (* indexed-heap updates (next-reaction) *)
-  mutable n_obs : int; (* recorder observations *)
   mutable n_rej : int; (* tau-leap steps rejected (negative overshoot) *)
 }
 
-let make_tot () = { n_evals = 0; n_instrs = 0; n_heap = 0; n_obs = 0; n_rej = 0 }
+let make_tot () = { n_evals = 0; n_instrs = 0; n_rej = 0 }
 
 (* Gillespie's direct method with sparse propensity updates: the cached
    array [a] is kept authoritative — after a firing only the reactions
@@ -125,7 +98,7 @@ let make_tot () = { n_evals = 0; n_instrs = 0; n_heap = 0; n_obs = 0; n_rej = 0 
    per firing. *)
 let run_direct rng (c : Compiled.t) cfg events recorder tot =
   let state = Array.copy c.c_initial in
-  let fired = ref 0 and applied = ref 0 in
+  let fired = ref 0 in
   let n_r = Array.length c.c_reactions in
   let a = Array.make n_r 0. in
   let regs = Compiled.make_regs c in
@@ -135,21 +108,11 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
     tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c
   in
   (* Interventions scheduled at or before t0 initialise the state. *)
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c state events with
-        | Some (_, n, rest) ->
-            applied := !applied + n;
-            catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = ref (catch_up events) in
+  let n0, events = Compiled.catch_up c state ~t0:cfg.t0 events in
+  let applied = ref n0 and events = ref events in
   (* Observe only after catch-up so events at t0 are part of the
-     recorded initial state, exactly as in the other two algorithms. *)
+     recorded initial state, exactly as under tau-leaping. *)
   let next_grid = ref (Trace.Recorder.advance recorder cfg.t0 state) in
-  tot.n_obs <- tot.n_obs + 1;
   refresh_all ();
   let t_end = cfg.t_end in
   let t = ref cfg.t0 and t_ev = ref (Events.next_time !events) in
@@ -167,10 +130,9 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
       if !t_ev < !t then invalid_arg "Sim: time went backwards";
       if !next_grid < !t_ev then
         next_grid := Trace.Recorder.advance recorder !t_ev state;
-      match apply_events_at c state !events with
+      match Compiled.apply_events_at c state !events with
       | Some (te, n, rest) ->
           applied := !applied + n;
-          tot.n_obs <- tot.n_obs + 1;
           t := te;
           events := rest;
           t_ev := Events.next_time rest;
@@ -185,7 +147,6 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
         next_grid := Trace.Recorder.advance recorder t' state;
       fire c state mu;
       incr fired;
-      tot.n_obs <- tot.n_obs + 1;
       tot.n_evals <-
         tot.n_evals + Compiled.refresh_affected_in c ~regs state mu a;
       tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu;
@@ -194,101 +155,6 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
     else running := false
   done;
   ignore (Trace.Recorder.advance recorder infinity state);
-  (state, !fired, !applied)
-
-let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
-  let state = Array.copy c.c_initial in
-  let fired = ref 0 and applied = ref 0 in
-  let n = Array.length c.c_reactions in
-  let heap = Indexed_heap.create n in
-  let a = Array.make n 0. in
-  let regs = Compiled.make_regs c in
-  let observe t =
-    tot.n_obs <- tot.n_obs + 1;
-    Trace.Recorder.observe recorder t state
-  in
-  let draw_time t ai =
-    if ai <= 0. then infinity else t +. Rng.exponential rng ~rate:ai
-  in
-  let redraw_all t =
-    tot.n_evals <- tot.n_evals + n;
-    tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c;
-    tot.n_heap <- tot.n_heap + n;
-    for i = 0 to n - 1 do
-      a.(i) <- Compiled.propensity_in c ~regs state i;
-      Indexed_heap.update heap i (draw_time t a.(i))
-    done
-  in
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c state events with
-        | Some (_, m, rest) ->
-            applied := !applied + m;
-            catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
-  observe cfg.t0;
-  redraw_all cfg.t0;
-  let rec loop events =
-    let mu, t_mu = Indexed_heap.min heap in
-    let t_ev = Events.next_time events in
-    if Float.min t_mu t_ev >= cfg.t_end then ()
-    else if t_ev <= t_mu then begin
-      match apply_events_at c state events with
-      | Some (te, m, rest) ->
-          applied := !applied + m;
-          observe te;
-          (* Exponential memorylessness makes redrawing every clock after
-             an intervention statistically exact. *)
-          redraw_all te;
-          loop rest
-      | None -> assert false
-    end
-    else begin
-      fire c state mu;
-      incr fired;
-      observe t_mu;
-      (* The fired reaction always draws a fresh clock, even when its
-         propensity does not depend on anything it changed (a pure birth
-         reaction, say) — otherwise its old firing time would stay at the
-         heap minimum and time would stop advancing. When [mu] is not in
-         its own dependency closure its propensity is unchanged, so the
-         cached value serves the redraw without an evaluation; the draw
-         happens first to keep the RNG sequence identical to the
-         re-evaluate-[mu]-first ordering this loop always had. *)
-      let affected = Compiled.affected_reactions c mu in
-      let n_aff = Array.length affected in
-      tot.n_evals <- tot.n_evals + n_aff;
-      tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu;
-      tot.n_heap <- tot.n_heap + n_aff;
-      if not (array_mem mu affected) then begin
-        tot.n_heap <- tot.n_heap + 1;
-        Indexed_heap.update heap mu (draw_time t_mu a.(mu))
-      end;
-      Array.iter
-        (fun j ->
-          let aj_old = a.(j) in
-          let aj_new = Compiled.propensity_in c ~regs state j in
-          a.(j) <- aj_new;
-          if j = mu then Indexed_heap.update heap j (draw_time t_mu aj_new)
-          else begin
-            let tj = Indexed_heap.key heap j in
-            let tj' =
-              if aj_new <= 0. then infinity
-              else if aj_old <= 0. || tj = infinity then
-                draw_time t_mu aj_new
-              else t_mu +. (aj_old /. aj_new *. (tj -. t_mu))
-            in
-            Indexed_heap.update heap j tj'
-          end)
-        affected;
-      loop events
-    end
-  in
-  loop events;
   (state, !fired, !applied)
 
 (* Explicit tau-leaping. The leap length follows Cao, Gillespie & Petzold
@@ -305,14 +171,11 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
    were consumed, creating mass out of nothing and corrupting every
    propensity evaluated downstream. *)
 let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
-  if epsilon <= 0. || epsilon >= 1. then
+  if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg "Sim: tau-leaping epsilon must be in (0, 1)";
   let state = Array.copy c.c_initial in
-  let fired = ref 0 and applied = ref 0 in
-  let observe t =
-    tot.n_obs <- tot.n_obs + 1;
-    Trace.Recorder.observe recorder t state
-  in
+  let fired = ref 0 in
+  let observe t = Trace.Recorder.observe recorder t state in
   let n_species = Array.length c.c_names in
   let n_reactions = Array.length c.c_reactions in
   let mu = Array.make n_species 0. in
@@ -341,17 +204,8 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     done;
     !tau
   in
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c state events with
-        | Some (_, m, rest) ->
-            applied := !applied + m;
-            catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
+  let n0, events = Compiled.catch_up c state ~t0:cfg.t0 events in
+  let applied = ref n0 in
   observe cfg.t0;
   let a = Array.make n_reactions 0. in
   let regs = Compiled.make_regs c in
@@ -414,17 +268,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     if t < cfg.t_end then begin
       let a0 = total a in
       let t_ev = Events.next_time events in
-      if a0 <= 0. then begin
-        if t_ev <= cfg.t_end then begin
-          match apply_events_at c state events with
-          | Some (te, m, rest) ->
-              applied := !applied + m;
-              observe te;
-              refresh_all ();
-              loop te rest
-          | None -> ()
-        end
-      end
+      if a0 <= 0. then (if t_ev <= cfg.t_end then jump events)
       else begin
         let tau_sel = choose_tau a in
         if tau_sel < 10. /. a0 then exact_step t events a0 t_ev
@@ -437,15 +281,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
               exact_step t events a0 t_ev
           | Some tau ->
               let t' = t +. tau in
-              if t' >= t_ev && t_ev <= cfg.t_end then begin
-                match apply_events_at c state events with
-                | Some (te, m, rest) ->
-                    applied := !applied + m;
-                    observe te;
-                    refresh_all ();
-                    loop te rest
-                | None -> assert false
-              end
+              if t' >= t_ev && t_ev <= cfg.t_end then jump events
               else begin
                 observe t';
                 refresh_all ();
@@ -458,15 +294,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     (* exact fallback: one direct-method step, updated sparsely *)
     let tau = Rng.exponential rng ~rate:a0 in
     let t' = t +. tau in
-    if t' >= t_ev && t_ev <= cfg.t_end then begin
-      match apply_events_at c state events with
-      | Some (te, m, rest) ->
-          applied := !applied + m;
-          observe te;
-          refresh_all ();
-          loop te rest
-      | None -> assert false
-    end
+    if t' >= t_ev && t_ev <= cfg.t_end then jump events
     else if t' < cfg.t_end then begin
       let mu_r = select a (Rng.float rng *. a0) in
       fire c state mu_r;
@@ -477,6 +305,16 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
       observe t';
       loop t' events
     end
+  and jump events =
+    (* the next batch of interventions: apply, record, refresh every
+       propensity (events clamp arbitrary species), go on from there *)
+    match Compiled.apply_events_at c state events with
+    | Some (te, m, rest) ->
+        applied := !applied + m;
+        observe te;
+        refresh_all ();
+        loop te rest
+    | None -> ()
   in
   loop cfg.t0 events;
   (state, !fired, !applied)
@@ -485,7 +323,6 @@ module Metrics = Glc_obs.Metrics
 
 let algorithm_label = function
   | Direct -> "direct"
-  | Next_reaction -> "next_reaction"
   | Tau_leaping _ -> "tau_leaping"
 
 (* One registry interaction per run: the loops above count into [tot];
@@ -497,8 +334,6 @@ let flush_metrics metrics cfg ~fired ~applied ~samples tot ~t_start =
   Metrics.Counter.add (c "ssa.reactions_fired") fired;
   Metrics.Counter.add (c "ssa.events_applied") applied;
   Metrics.Counter.add (c "ssa.propensity_evals") tot.n_evals;
-  Metrics.Counter.add (c "ssa.heap_updates") tot.n_heap;
-  Metrics.Counter.add (c "ssa.recorder_observes") tot.n_obs;
   Metrics.Counter.add (c "ssa.tau_leap_rejections") tot.n_rej;
   Metrics.Counter.add (c "ssa.trace_samples") samples;
   Metrics.Counter.add (c "ssa.ir.instructions") tot.n_instrs;
@@ -516,7 +351,6 @@ let simulate ?(events = Events.empty) ?(metrics = Metrics.noop) ?columns ~rng
   let state, fired, applied =
     match cfg.algorithm with
     | Direct -> run_direct rng c cfg events recorder tot
-    | Next_reaction -> run_next_reaction rng c cfg events recorder tot
     | Tau_leaping { epsilon } ->
         run_tau_leap rng c cfg ~epsilon events recorder tot
   in

@@ -1,13 +1,14 @@
 (** Stochastic simulation of kinetic models.
 
-    Two exact SSA variants are provided — Gillespie's direct method
-    (Gillespie 1977, the algorithm cited by the paper) and the
-    Gibson–Bruck next-reaction method — plus explicit tau-leaping
-    (Gillespie 2001 with the step selection of Cao et al. 2006) for an
-    accuracy/speed trade-off. All interpret each kinetic law as the
-    reaction's propensity function, support timed interventions on
-    species (the virtual-lab input stimuli), and record a uniformly
-    sampled {!Trace.t}. *)
+    One exact SSA — Gillespie's direct method (Gillespie 1977, the
+    algorithm cited by the paper) — plus explicit tau-leaping (Gillespie
+    2001 with the step selection of Cao et al. 2006) for an
+    accuracy/speed trade-off on high-copy models. Both interpret each
+    kinetic law as the reaction's propensity function, support timed
+    interventions on species (the virtual-lab input stimuli, applied by
+    {!Compiled.apply_events_at}), and record a uniformly sampled
+    {!Trace.t}. The Gibson–Bruck next-reaction method lives in
+    [test_ssa] as an oracle the direct method is checked against. *)
 
 module Model := Glc_model.Model
 
@@ -19,7 +20,6 @@ type algorithm =
           are byte-identical to re-evaluating every propensity at every
           step for the same seed (the reference direct method in
           [test_ssa] checks this). *)
-  | Next_reaction
   | Tau_leaping of { epsilon : float }
       (** error-control parameter of the step selection, typically
           0.01–0.05; steps that would be finer than a few SSA steps fall
@@ -36,7 +36,9 @@ type config = {
 val config :
   ?t0:float -> ?dt:float -> ?seed:int -> ?algorithm:algorithm ->
   t_end:float -> unit -> config
-(** Defaults: [t0 = 0.], [dt = 1.], [seed = 42], [algorithm = Direct]. *)
+(** Defaults: [t0 = 0.], [dt = 1.], [seed = 42], [algorithm = Direct].
+    @raise Invalid_argument if [t_end < t0], [dt <= 0] or a time is
+    not finite. *)
 
 type stats = {
   reactions_fired : int;
@@ -54,11 +56,11 @@ val run :
     When [metrics] is a live registry (default {!Glc_obs.Metrics.noop}),
     each run flushes per-run totals into it once, after the simulation:
     counters [ssa.runs.<algo>], [ssa.reactions_fired],
-    [ssa.events_applied], [ssa.propensity_evals], [ssa.heap_updates],
-    [ssa.recorder_observes], [ssa.tau_leap_rejections],
-    [ssa.trace_samples], [ssa.ir.instructions] (all deterministic for a
-    fixed seed) and the wall-time histogram [ssa.run_seconds.<algo>],
-    where [<algo>] is [direct], [next_reaction] or [tau_leaping]. The
+    [ssa.events_applied], [ssa.propensity_evals],
+    [ssa.tau_leap_rejections], [ssa.trace_samples],
+    [ssa.ir.instructions] (all deterministic for a fixed seed) and the
+    wall-time histogram [ssa.run_seconds.<algo>], where [<algo>] is
+    [direct] or [tau_leaping]. The
     inner loops accumulate in plain local fields, so instrumentation
     adds no atomic traffic to the hot path. *)
 

@@ -140,34 +140,22 @@ let verdict_string = function
   | Proved_low -> "proved_low"
   | Undecided -> "undecided"
 
-(* local JSON float: the same shortest-round-trip printer the rest of
-   the code base uses (glc_symbolic sits below glc_core, so the helper
-   cannot be shared), with infinities kept as strings rather than
-   collapsed to null — an undecided row's upper bound is typically
-   infinite and that is information *)
+(* the shared shortest-round-trip printer, with infinities kept as
+   strings rather than collapsed to null — an undecided row's upper
+   bound is typically infinite and that is information *)
 let json_float x =
-  if Float.is_nan x then "null"
-  else if x = Float.infinity then "\"inf\""
+  if x = Float.infinity then "\"inf\""
   else if x = Float.neg_infinity then "\"-inf\""
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else begin
-    let s15 = Printf.sprintf "%.15g" x in
-    if float_of_string s15 = x then s15 else Printf.sprintf "%.17g" x
-  end
+  else Glc_obs.Metrics.json_float x
 
 let json_string = Glc_obs.Metrics.json_string
-
-let combination ~arity row =
-  String.init arity (fun j ->
-      if (row lsr (arity - 1 - j)) land 1 = 1 then '1' else '0')
 
 let to_json t =
   let row_json r =
     Printf.sprintf
       "{\"row\":%d,\"combination\":%s,\"lo\":%s,\"hi\":%s,\"verdict\":%s,\"expected\":%b,\"agrees\":%s,\"iterations\":%d,\"converged\":%b}"
       r.cr_row
-      (json_string (combination ~arity:t.c_arity r.cr_row))
+      (json_string (Truth_table.combination ~arity:t.c_arity r.cr_row))
       (json_float (Interval.lo r.cr_bounds))
       (json_float (Interval.hi r.cr_bounds))
       (json_string (verdict_string r.cr_verdict))
@@ -198,7 +186,7 @@ let pp ppf t =
   Array.iter
     (fun r ->
       Format.fprintf ppf "%-6s %-22s %-12s %-9b %s@,"
-        (combination ~arity:t.c_arity r.cr_row)
+        (Truth_table.combination ~arity:t.c_arity r.cr_row)
         (Interval.to_string r.cr_bounds)
         (verdict_string r.cr_verdict) r.cr_expected
         (match r.cr_verdict with

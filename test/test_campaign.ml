@@ -80,17 +80,18 @@ let test_json_parse_rejects () =
   checkb "lone minus" true (bad "-")
 
 let test_json_float_roundtrip () =
-  (* the determinism contract: parsing a Json.float rendering and
-     re-rendering it reproduces the bytes *)
+  (* the determinism contract: parsing a rendering of the one JSON
+     number printer and re-rendering it reproduces the bytes *)
+  let render = Glc_obs.Metrics.json_float in
   List.iter
     (fun f ->
-      let printed = Json.float f in
+      let printed = render f in
       let reparsed =
         Option.get (Json.to_number (Result.get_ok (Json.parse printed)))
       in
       checks
         (Printf.sprintf "roundtrip %s" printed)
-        printed (Json.float reparsed))
+        printed (render reparsed))
     [ 0.; 1.; -1.; 0.1; 15.; 97.34; 1e-7; 1.7976931348623157e308; 3.14 ]
 
 let prop_json_string_roundtrip =
@@ -155,7 +156,16 @@ let test_grid_validation () =
   checkb "replicates < 1" true
     (raises (fun () -> Grid.make ~replicate_counts:[ 0 ] [ "c" ]));
   checkb "non-positive time" true
-    (raises (fun () -> Grid.spec ~total_time:0. (Grid.make [ "c" ])))
+    (raises (fun () -> Grid.spec ~total_time:0. (Grid.make [ "c" ])));
+  checkb "infinite threshold" true
+    (raises (fun () -> Grid.make ~thresholds:[ infinity ] [ "c" ]));
+  checkb "NaN FOV" true (raises (fun () -> Grid.make ~fov_uds:[ nan ] [ "c" ]));
+  checkb "infinite input level" true
+    (raises (fun () -> Grid.make ~input_highs:[ Some infinity ] [ "c" ]));
+  checkb "infinite time" true
+    (raises (fun () -> Grid.spec ~total_time:infinity (Grid.make [ "c" ])));
+  checkb "NaN hold time" true
+    (raises (fun () -> Grid.spec ~hold_time:nan (Grid.make [ "c" ])))
 
 let test_manifest_roundtrip () =
   let spec = quick_spec () in
@@ -288,7 +298,8 @@ let test_runner_captures_failures () =
       in
       let journal = Journal.open_ ~dir in
       let summary =
-        Runner.run ~store ~journal spec (Grid.expand spec.Grid.grid)
+        Runner.run ~store ~journal spec
+          (List.map (fun j -> (j, None)) (Grid.expand spec.Grid.grid))
       in
       Journal.close journal;
       checki "both attempted" 2 summary.Runner.ran;
@@ -447,7 +458,7 @@ let test_runner_should_stop () =
 
 let glcv_exe = Filename.concat (Sys.getcwd ()) "../bin/glcv.exe"
 
-let run_glcv ?(kill_after : float option) args =
+let spawn_glcv args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
     Unix.create_process glcv_exe
@@ -455,14 +466,56 @@ let run_glcv ?(kill_after : float option) args =
       devnull devnull devnull
   in
   Unix.close devnull;
+  pid
+
+let exit_code = function
+  | _, Unix.WEXITED code -> code
+  | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+
+let run_glcv ?(kill_after : float option) args =
+  let pid = spawn_glcv args in
   (match kill_after with
   | None -> ()
   | Some dt ->
       ignore (Unix.select [] [] [] dt);
       (try Unix.kill pid Sys.sigint with Unix.Unix_error _ -> ()));
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED code -> code
-  | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  exit_code (Unix.waitpid [] pid)
+
+(* The exit code, or -1 for a run still going after [limit] seconds,
+   which is killed: a hang fails the test instead of stalling it. *)
+let run_glcv_within ~limit args =
+  let pid = spawn_glcv args in
+  let deadline = Unix.gettimeofday () +. limit in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        ignore (Unix.select [] [] [] 0.02);
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        -1
+    | r -> exit_code r
+  in
+  wait ()
+
+let test_cli_non_finite_numbers () =
+  (* cmdliner's float parser accepts inf and nan, which pass sign
+     checks: an infinite --total never ends a run, an infinite
+     --threshold still yields a verdict. Each is a usage error (124);
+     the time limit turns a hang into a failure. *)
+  List.iter
+    (fun args ->
+      checki (String.concat " " args) 124 (run_glcv_within ~limit:5. args))
+    [
+      [ "simulate"; "0x17"; "--total"; "inf" ];
+      [
+        "ensemble"; "genetic_NOT"; "--total"; "inf"; "--replicates"; "2";
+        "--no-lint";
+      ];
+      [ "verify"; "0x17"; "--total"; "inf"; "--no-lint" ];
+      [ "verify"; "0x17"; "--threshold"; "inf" ];
+    ]
 
 let test_cli_sigint_campaign () =
   with_dir (fun dir ->
@@ -571,5 +624,10 @@ let () =
             test_report_counts_missing;
           Alcotest.test_case "SIGINT exits 130 and resumes" `Slow
             test_cli_sigint_campaign;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "non-finite numbers are usage errors" `Quick
+            test_cli_non_finite_numbers;
         ] );
     ]

@@ -35,7 +35,16 @@ let test_protocol_validation () =
   expect_invalid (fun () -> Protocol.make ~threshold:0. ());
   expect_invalid (fun () ->
       Protocol.make ~input_high:1. ~input_low:2. ());
-  expect_invalid (fun () -> Protocol.with_threshold Protocol.default 0.)
+  expect_invalid (fun () -> Protocol.with_threshold Protocol.default 0.);
+  (* +infinity passes every sign check and NaN most; both must fail *)
+  expect_invalid (fun () -> Protocol.make ~total_time:infinity ());
+  expect_invalid (fun () -> Protocol.make ~hold_time:nan ());
+  expect_invalid (fun () -> Protocol.make ~threshold:infinity ());
+  expect_invalid (fun () -> Protocol.make ~input_high:infinity ());
+  expect_invalid (fun () -> Protocol.make ~input_low:neg_infinity ());
+  expect_invalid (fun () -> Protocol.make ~dt:nan ());
+  expect_invalid (fun () -> Protocol.with_threshold Protocol.default infinity);
+  expect_invalid (fun () -> Protocol.with_threshold Protocol.default nan)
 
 let test_protocol_with_threshold () =
   let p = Protocol.with_threshold Protocol.default 40. in

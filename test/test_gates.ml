@@ -88,8 +88,8 @@ let test_input_value_convention () =
   checki "row_of_inputs inverse" 3
     (Circuit.row_of_inputs c [| false; true; true |]);
   Alcotest.(check string)
-    "pp_combination" "011"
-    (Format.asprintf "%a" (Circuit.pp_combination ~arity:3) 3)
+    "combination" "011"
+    (Truth_table.combination ~arity:3 3)
 
 (* ---- deterministic steady-state (DC) analysis ---- *)
 

@@ -54,10 +54,12 @@ let test_seed_robustness () =
         Alcotest.failf "seed %d failed" seed)
     [ 1; 2; 3; 4; 5 ]
 
-let test_next_reaction_verifies () =
-  let protocol = Protocol.make ~algorithm:Sim.Next_reaction ~seed:9 () in
+let test_tau_leap_verifies () =
+  let protocol =
+    Protocol.make ~algorithm:(Sim.Tau_leaping { epsilon = 0.03 }) ~seed:9 ()
+  in
   let _, verdict = verify ~protocol (Cello.circuit_0x04 ()) in
-  checkb "next-reaction method verifies too" true verdict.Verify.verified
+  checkb "tau-leaping verifies too" true verdict.Verify.verified
 
 let test_fig5_low_threshold_breaks_logic () =
   let protocol = Protocol.with_threshold Protocol.default 3. in
@@ -237,8 +239,7 @@ let () =
           Alcotest.test_case "paper protocol on 0x0B" `Slow
             test_paper_protocol_0x0B;
           Alcotest.test_case "seed robustness" `Slow test_seed_robustness;
-          Alcotest.test_case "next-reaction method" `Slow
-            test_next_reaction_verifies;
+          Alcotest.test_case "tau-leap method" `Slow test_tau_leap_verifies;
         ] );
       ( "fig5",
         [

@@ -286,10 +286,36 @@ let test_e2e_lint_reject () =
 
 let test_e2e_invalid_and_routes () =
   with_state (fun ~dir ~sock ->
-      with_server ~dir ~sock (fun _server _metrics client ->
+      with_server ~dir ~sock (fun _server metrics client ->
           (match Client.submit ~replicates:0 client ~circuit:"genetic_NOT" with
           | Ok resp -> checki "invalid params are 400" 400 resp.W.status
           | Error m -> Alcotest.fail m);
+          (* a threshold that parses to infinity is no job either: 400,
+             nothing queued, nothing persisted *)
+          (match
+             Client.request client
+               {
+                 W.meth = W.POST;
+                 target = "/v1/jobs";
+                 headers = [ ("content-type", "application/json") ];
+                 body = "{\"circuit\":\"genetic_NOT\",\"threshold\":1e999}";
+               }
+           with
+          | Ok resp -> checki "infinite threshold is 400" 400 resp.W.status
+          | Error m -> Alcotest.fail m);
+          checki "both submissions invalid" 2
+            (Metrics.Counter.value
+               (Metrics.counter metrics "serve.admission_invalid"));
+          (match Client.list_jobs client with
+          | Ok resp ->
+              checkb "nothing queued" false
+                (contains resp.W.resp_body "genetic_NOT")
+          | Error m -> Alcotest.fail m);
+          let submitted = Filename.concat dir "submitted" in
+          checki "nothing persisted" 0
+            (if Sys.file_exists submitted then
+               Array.length (Sys.readdir submitted)
+             else 0);
           (match Client.status client ~id:"nope" with
           | Ok resp -> checki "unknown id is 404" 404 resp.W.status
           | Error m -> Alcotest.fail m);

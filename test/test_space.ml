@@ -427,9 +427,14 @@ let test_atlas_resume_identical () =
 let test_atlas_certified_only () =
   with_dir (fun dir ->
       let spec = Atlas.plan light_config in
+      let metrics = Glc_obs.Metrics.create () in
       let s =
-        Result.get_ok (Atlas.run ~certified_only:true ~dir spec)
+        Result.get_ok (Atlas.run ~metrics ~certified_only:true ~dir spec)
       in
+      (* the filter's certificate is the job's: one per function *)
+      checki "one certificate per function" s.Atlas.a_functions
+        (Glc_obs.Metrics.Counter.value
+           (Glc_obs.Metrics.counter metrics "symbolic.certificates"));
       (* certified-only never simulates: whatever completed did so via
          the symbolic certificate *)
       let store, spec' = Result.get_ok (Glc_campaign.Resume.load ~dir) in

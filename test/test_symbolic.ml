@@ -15,7 +15,6 @@ module Cello = Glc_gates.Cello
 module Benchmarks = Glc_gates.Benchmarks
 module Protocol = Glc_dvasim.Protocol
 module Experiment = Glc_dvasim.Experiment
-module Ode = Glc_ssa.Ode
 module Analyzer = Glc_core.Analyzer
 module Verify = Glc_core.Verify
 module Metrics = Glc_obs.Metrics
@@ -317,7 +316,8 @@ let ode_output (p : Protocol.t) (c : Circuit.t) row =
          (fun m (id, v) -> Model.with_initial m id v)
          (Circuit.model c)
   in
-  List.assoc c.Circuit.output (Ode.steady_state ~max_time:20_000. m)
+  List.assoc c.Circuit.output
+    (Ode_oracle.steady_state ~max_time:20_000. ~tolerance:1e-9 m)
 
 let widen_slack iv =
   Interval.make (Interval.lo iv -. 0.5) (Interval.hi iv +. 0.5)
@@ -414,7 +414,8 @@ let qcheck_random_circuits_sound =
                  m
           in
           let v =
-            List.assoc c.Circuit.output (Ode.steady_state ~max_time:20_000. m)
+            List.assoc c.Circuit.output
+              (Ode_oracle.steady_state ~max_time:20_000. ~tolerance:1e-9 m)
           in
           Interval.contains (widen_slack r.Certificate.cr_bounds) v)
         cert.Certificate.c_rows)
