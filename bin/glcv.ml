@@ -109,6 +109,20 @@ let circuit_arg =
           ~doc:"Benchmark circuit name (see $(b,glcv list)) or a \
                 truth-table code such as 0x1C."))
 
+(* An optional CIRCUIT for commands that also take --all or --expr: an
+   unknown name is reported only when the command uses it. *)
+let circuit_opt doc =
+  let parse s = Ok (find_circuit s) in
+  let print ppf = function
+    | Ok c -> Format.pp_print_string ppf c.Circuit.name
+    | Error _ -> Format.pp_print_string ppf "?"
+  in
+  Arg.value
+    (Arg.pos 0
+       (Arg.some (Arg.conv (parse, print)))
+       None
+       (Arg.info [] ~docv:"CIRCUIT" ~doc))
+
 let threshold_opt =
   Arg.value
     (Arg.opt finite_float Protocol.default.Protocol.threshold
@@ -182,20 +196,25 @@ let metrics_opt =
                 worker count) and $(b,timings) (latency histograms and \
                 spans, wall-clock)."))
 
+(* Every file the CLI writes goes through here. *)
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> output_string oc text)
+
+(* The --metrics export. The notice goes to stderr: stdout may carry a
+   machine-read JSON report. *)
+let export_metrics file metrics =
+  write_file file (Glc_obs.Metrics.to_json metrics ^ "\n");
+  Printf.eprintf "metrics written to %s\n%!" file
+
 (* Runs [f] against a live registry when --metrics FILE was given (the
-   no-op sink otherwise) and writes the export afterwards. The notice
-   goes to stderr: stdout may carry a machine-read JSON report. *)
+   no-op sink otherwise) and writes the export afterwards. *)
 let with_metrics path f =
   match path with
   | None -> f Glc_obs.Metrics.noop
   | Some file ->
       let metrics = Glc_obs.Metrics.create () in
       let r = f metrics in
-      let oc = open_out file in
-      output_string oc (Glc_obs.Metrics.to_json metrics);
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "metrics written to %s\n%!" file;
+      export_metrics file metrics;
       r
 
 (* ---- graceful interrupt (SIGINT/SIGTERM) ---- *)
@@ -356,9 +375,10 @@ let circuit_of_expression s =
                  n
                  (String.concat ", " (Array.to_list sensors))))
         else begin
-          (* table bit i corresponds to sensor n-1-i (see Circuit docs) *)
-          let bit_names = Array.init n (fun i -> sensors.(n - 1 - i)) in
-          let tt = Glc_logic.Expr.to_truth_table ~inputs:bit_names expr in
+          let tt =
+            Glc_logic.Expr.to_truth_table
+              ~inputs:(Glc_gates.Assembly.netlist_inputs n) expr
+          in
           match
             Glc_gates.Assembly.synthesize
               ~library:(Glc_gates.Repressor.extended 32)
@@ -389,24 +409,18 @@ let synth_cmd =
       c.Circuit.promoter_kinetics;
     (match dot with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Glc_sbol.Document.to_dot c.Circuit.document);
-        close_out oc;
+        write_file path (Glc_sbol.Document.to_dot c.Circuit.document);
         Format.printf "@.wrote %s (render with dot -Tsvg)@." path
     | None -> ());
     (match verilog with
     | Some path ->
-        let n = Circuit.arity c in
-        let sensors = Glc_gates.Assembly.sensors n in
-        let bit_names = Array.init n (fun i -> sensors.(n - 1 - i)) in
         let nl =
-          Glc_logic.Netlist.of_truth_table ~inputs:bit_names
+          Glc_logic.Netlist.of_truth_table
+            ~inputs:(Glc_gates.Assembly.netlist_inputs (Circuit.arity c))
             c.Circuit.expected
         in
-        let oc = open_out path in
-        output_string oc
+        write_file path
           (Glc_logic.Netlist.to_verilog ~name:"genetic_circuit" nl);
-        close_out oc;
         Format.printf "wrote %s@." path
     | None -> ());
     Ok 0
@@ -430,18 +444,6 @@ let synth_cmd =
          (Arg.info [ "dot" ] ~docv:"FILE"
             ~doc:"Also write the regulatory network as a Graphviz file."))
   in
-  let circuit_opt =
-    let parse s = Ok (find_circuit s) in
-    let print ppf = function
-      | Ok c -> Format.pp_print_string ppf c.Circuit.name
-      | Error _ -> Format.pp_print_string ppf "?"
-    in
-    Arg.value
-      (Arg.pos 0
-         (Arg.some (Arg.conv (parse, print)))
-         None
-         (Arg.info [] ~docv:"CIRCUIT" ~doc:"Circuit name or code."))
-  in
   Cmd.v
     (Cmd.info "synth"
        ~doc:"Synthesise a circuit (from the benchmark set, a truth-table \
@@ -449,7 +451,8 @@ let synth_cmd =
              document.")
     Term.(
       term_result
-        (const run $ expr_opt $ verilog_opt $ dot_opt $ circuit_opt))
+        (const run $ expr_opt $ verilog_opt $ dot_opt
+        $ circuit_opt "Circuit name or code."))
 
 (* ---- simulate ---- *)
 
@@ -510,17 +513,6 @@ let analyze_cmd =
 
 (* ---- verify ---- *)
 
-(* The pure-SSA path, kept verbatim behind --no-certify: simulate the
-   whole stimulus schedule and extract every row stochastically. *)
-let verify_one protocol fov c =
-  let e = Experiment.run ~protocol c in
-  let params =
-    { Analyzer.threshold = protocol.Protocol.threshold; fov_ud = fov }
-  in
-  let r = Analyzer.of_experiment ~params e in
-  let v = Verify.against ~expected:c.Circuit.expected r in
-  (r, v)
-
 let margin_opt =
   Arg.value
     (Arg.opt finite_float Certificate.default_margin
@@ -532,12 +524,15 @@ let margin_opt =
 
 let verify_cmd =
   let run protocol fov margin no_certify all no_lint metrics_file circuit =
+    let params =
+      { Analyzer.threshold = protocol.Protocol.threshold; fov_ud = fov }
+    in
     let hybrid metrics c =
-      let params =
-        { Analyzer.threshold = protocol.Protocol.threshold; fov_ud = fov }
-      in
       Verify.certified_first ~params ~margin ~metrics ~protocol c
     in
+    (* --no-certify: simulate the whole stimulus schedule and extract
+       every row stochastically *)
+    let simulated c = Verify.experiment ~params (Experiment.run ~protocol c) in
     if all then begin
       match lint_guard ~no_lint ~protocol (Benchmarks.all ()) with
       | Error code -> Ok code
@@ -546,7 +541,7 @@ let verify_cmd =
       if no_certify then
         List.iter
           (fun c ->
-            let r, v = verify_one protocol fov c in
+            let r, v = simulated c in
             if not v.Verify.verified then incr failures;
             Format.printf "%-14s %-8s fitness=%6.2f%%  %s = %a@."
               c.Circuit.name
@@ -595,7 +590,7 @@ let verify_cmd =
           | Error code -> Ok code
           | Ok () ->
           if no_certify then begin
-            let r, v = verify_one protocol fov c in
+            let r, v = simulated c in
             Format.printf "%a@.%a@."
               (Report.pp_result ~output_name:c.Circuit.output)
               r Report.pp_verification v;
@@ -641,18 +636,6 @@ let verify_cmd =
             ~doc:"Skip the symbolic analyser and simulate every row \
                   (the pre-certificate behaviour)."))
   in
-  let circuit_opt =
-    let parse s = Ok (find_circuit s) in
-    let print ppf = function
-      | Ok c -> Format.pp_print_string ppf c.Circuit.name
-      | Error _ -> Format.pp_print_string ppf "?"
-    in
-    Arg.value
-      (Arg.pos 0
-         (Arg.some (Arg.conv (parse, print)))
-         None
-         (Arg.info [] ~docv:"CIRCUIT" ~doc:"Circuit to verify."))
-  in
   Cmd.v
     (Cmd.info "verify" ~exits:verdict_exits
        ~doc:"Verify a circuit against the intended truth table. The \
@@ -666,7 +649,8 @@ let verify_cmd =
     Term.(
       term_result
         (const run $ protocol_term $ fov_opt $ margin_opt $ no_certify_opt
-        $ all_opt $ no_lint_opt $ metrics_opt $ circuit_opt))
+        $ all_opt $ no_lint_opt $ metrics_opt
+        $ circuit_opt "Circuit to verify."))
 
 (* ---- certify ---- *)
 
@@ -739,18 +723,6 @@ let certify_cmd =
       (Arg.flag
          (Arg.info [ "all" ] ~doc:"Certify all benchmark circuits."))
   in
-  let circuit_opt =
-    let parse s = Ok (find_circuit s) in
-    let print ppf = function
-      | Ok c -> Format.pp_print_string ppf c.Circuit.name
-      | Error _ -> Format.pp_print_string ppf "?"
-    in
-    Arg.value
-      (Arg.pos 0
-         (Arg.some (Arg.conv (parse, print)))
-         None
-         (Arg.info [] ~docv:"CIRCUIT" ~doc:"Circuit to certify."))
-  in
   Cmd.v
     (Cmd.info "certify" ~exits:certify_exits
        ~doc:"Prove truth-table rows symbolically, without simulating: \
@@ -763,7 +735,7 @@ let certify_cmd =
     Term.(
       term_result
         (const run $ protocol_term $ margin_opt $ json_opt $ all_opt
-        $ metrics_opt $ circuit_opt))
+        $ metrics_opt $ circuit_opt "Circuit to certify."))
 
 (* ---- ensemble ---- *)
 
@@ -970,7 +942,7 @@ let sweep_cmd =
           Protocol.make ~total_time:total ~hold_time:hold ~seed ~threshold
             ()
         in
-        let r, v = verify_one protocol 0.25 circuit in
+        let r, v = Verify.experiment (Experiment.run ~protocol circuit) in
         let total_var =
           Array.fold_left
             (fun acc c -> acc + c.Analyzer.variations)
@@ -986,7 +958,7 @@ let sweep_cmd =
     Arg.value
       (Arg.opt
          (Arg.list finite_float)
-         [ 3.; 8.; 15.; 25.; 40.; 60.; 80.; 90. ]
+         Glc_core.Robustness.default_sweep
          (Arg.info [ "thresholds" ] ~docv:"T1,T2,..."
             ~doc:"Threshold values to sweep (the Fig. 5 study)."))
   in
@@ -1058,7 +1030,6 @@ let robustness_cmd =
 module Campaign = struct
   module Grid = Glc_campaign.Grid
   module Store = Glc_campaign.Store
-  module Journal = Glc_campaign.Journal
   module Runner = Glc_campaign.Runner
   module Resume = Glc_campaign.Resume
 
@@ -1087,14 +1058,12 @@ module Campaign = struct
     if Unix.isatty Unix.stderr then Some (Runner.counter_progress ())
     else None
 
-  let summarize (store : Store.t) (spec : Grid.spec)
-      (s : Runner.summary) =
+  let summarize (store : Store.t) (s : Runner.summary) =
     Format.printf
       "campaign %s: attempted %d job(s), %d succeeded, %d failed, %d \
        still pending@."
       (Store.dir store) s.Runner.ran s.Runner.succeeded s.Runner.failed
       s.Runner.remaining;
-    ignore spec;
     if s.Runner.failed > 0 || s.Runner.remaining > 0 then exit_incomplete
     else 0
 
@@ -1106,8 +1075,8 @@ module Campaign = struct
             ~should_stop:interrupt_requested ~dir ()
         with
         | Error m -> Error (`Msg m)
-        | Ok (store, spec, summary) ->
-            let code = summarize store spec summary in
+        | Ok (store, _spec, summary) ->
+            let code = summarize store summary in
             if interrupt_requested () then begin
               Format.printf
                 "campaign interrupted: store and journal flushed; finish \
@@ -1312,7 +1281,6 @@ end
    netlists toward a target function. *)
 
 module Space = struct
-  module Grid = Glc_campaign.Grid
   module Store = Glc_campaign.Store
   module Resume = Glc_campaign.Resume
   module Atlas = Glc_space.Atlas
@@ -1370,20 +1338,6 @@ module Space = struct
       hold_time = hold;
     }
 
-  (* an existing directory keeps its own manifest (that is what makes
-     re-running the same command a resume); tell the user when their
-     flags disagree with it *)
-  let note_existing_plan ~dir spec =
-    match Resume.load ~dir with
-    | Error _ -> ()
-    | Ok (_store, stored) ->
-        if Grid.spec_to_json stored <> Grid.spec_to_json spec then
-          Printf.eprintf
-            "note: %s already holds an atlas plan; resuming it (the \
-             planning flags of this invocation were ignored)\n\
-             %!"
-            dir
-
   let summarize dir (s : Atlas.summary) =
     Format.printf
       "space %s: %d function(s), %d done (%d verified), %d failed, %d \
@@ -1406,10 +1360,20 @@ module Space = struct
       with
       | exception Invalid_argument m -> Error (`Msg m)
       | spec ->
-          note_existing_plan ~dir spec;
           install_interrupt_handlers ();
           with_metrics metrics_file (fun metrics ->
               match
+                let ( let* ) = Result.bind in
+                let* _, _, stored_plan = Atlas.prepare ~dir spec in
+                (* an existing directory keeps its own manifest (that is
+                   what makes re-running the same command a resume) *)
+                if stored_plan then
+                  Printf.eprintf
+                    "note: %s already holds an atlas plan; resuming it \
+                     (the planning flags of this invocation were \
+                     ignored)\n\
+                     %!"
+                    dir;
                 Atlas.run ~jobs ?limit
                   ?on_progress:(Campaign.progress ())
                   ~metrics ~should_stop:interrupt_requested
@@ -1484,9 +1448,7 @@ module Space = struct
 
   let report_cmd =
     let write file s =
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc;
+      write_file file s;
       Printf.eprintf "wrote %s\n%!" file
     in
     let run dir json out atlas_out =
@@ -1698,7 +1660,6 @@ module Serve = struct
   module Server = Glc_serve.Server
   module Client = Glc_serve.Client
   module W = Glc_serve.Protocol_wire
-  module Json = Report.Json
 
   let serve_exits =
     Cmd.Exit.info exit_lint_error
@@ -1741,24 +1702,11 @@ module Serve = struct
             ~doc:"Give up waiting after this long (the job keeps \
                   running server-side)."))
 
-  (* The verdict is the document's top-level "verified" (certified and
-     simulated jobs alike); documents stored before provenance existed
-     only carry the ensemble consensus. *)
-  let verdict_of_document doc =
-    match Json.parse doc with
-    | Error _ -> None
-    | Ok v -> (
-        match Option.bind (Json.member v "verified") Json.to_bool with
-        | Some _ as b -> b
-        | None ->
-            Option.bind (Json.member v "ensemble") (fun e ->
-                Option.bind (Json.member e "consensus_verified") Json.to_bool))
-
   let finish_result (resp : W.response) =
     match resp.W.status with
     | 200 -> (
         print_endline resp.W.resp_body;
-        match verdict_of_document resp.W.resp_body with
+        match Glc_campaign.Store.verdict resp.W.resp_body with
         | Some true -> Ok 0
         | Some false -> Ok exit_not_verified
         | None -> Error (`Msg "result document carries no verdict"))
@@ -1788,14 +1736,7 @@ module Serve = struct
           Server.run server;
           Printf.eprintf "glcv serve: stopped; state persisted under %s\n%!"
             state;
-          (match metrics_file with
-          | None -> ()
-          | Some file ->
-              let oc = open_out file in
-              output_string oc (Glc_obs.Metrics.to_json metrics);
-              output_char oc '\n';
-              close_out oc;
-              Printf.eprintf "metrics written to %s\n%!" file);
+          Option.iter (fun file -> export_metrics file metrics) metrics_file;
           Ok 0
     in
     let state_opt =
@@ -1963,9 +1904,7 @@ module Serve = struct
           (match out with
           | None -> print_string text
           | Some file ->
-              let oc = open_out file in
-              output_string oc text;
-              close_out oc;
+              write_file file text;
               Printf.eprintf "metrics scrape written to %s\n%!" file);
           Ok 0
     in

@@ -136,12 +136,15 @@ let job_seed ~seed job =
        (fnv64 (Printf.sprintf "%d/%s" seed (job_id job)))
        2)
 
-let pp_job ppf job =
-  Format.fprintf ppf "%s: threshold %g, FOV_UD %g, input-high %s, %d rep(s)"
-    job.j_circuit job.j_threshold job.j_fov_ud
+let job_fields job =
+  Printf.sprintf
+    "\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d"
+    (Json.string job.j_circuit)
+    (Json.float job.j_threshold)
+    (Json.float job.j_fov_ud)
     (match job.j_input_high with
-    | None -> "default"
-    | Some h -> Printf.sprintf "%g" h)
+    | None -> "null"
+    | Some h -> Json.float h)
     job.j_replicates
 
 (* ---- manifest (de)serialisation ---- *)

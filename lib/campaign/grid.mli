@@ -75,7 +75,12 @@ val job_seed : seed:int -> job -> int
     jobs ran before a crash, which is what makes resumed campaigns
     byte-identical to uninterrupted ones. *)
 
-val pp_job : Format.formatter -> job -> unit
+val job_fields : job -> string
+(** The job's coordinates as JSON object members, without braces:
+    ["circuit":…,"threshold":…,"fov_ud":…,"input_high":…,"replicates":…]
+    ([input_high] is [null] for the protocol default). Every document
+    that names a job — stored results, the campaign report, the serve
+    daemon's status and submission records — renders it here. *)
 
 (** {2 Manifest (de)serialisation} *)
 

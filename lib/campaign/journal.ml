@@ -96,12 +96,3 @@ let read ~dir =
     in
     List.filter_map event_of_json (complete lines)
   end
-
-let job_of = function
-  | Scheduled id | Started id | Done id | Failed (id, _) -> id
-
-let pp_event ppf = function
-  | Scheduled id -> Format.fprintf ppf "scheduled %s" id
-  | Started id -> Format.fprintf ppf "started %s" id
-  | Done id -> Format.fprintf ppf "done %s" id
-  | Failed (id, e) -> Format.fprintf ppf "FAILED %s: %s" id e

@@ -33,7 +33,3 @@ val close : t -> unit
 val read : dir:string -> event list
 (** Every complete, parseable record in append order. Unparseable or
     newline-less trailing data is skipped, not an error. *)
-
-val job_of : event -> string
-
-val pp_event : Format.formatter -> event -> unit

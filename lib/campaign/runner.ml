@@ -66,16 +66,9 @@ let job_protocol (spec : Grid.spec) (job : Grid.job) =
    [fitness_mean] summary fields, whichever execution path produced
    it — report readers never branch on the document's origin. *)
 let document_prefix ~seed (job : Grid.job) =
-  Printf.sprintf
-    "{\"id\":%s,\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d,\"seed\":%d"
+  Printf.sprintf "{\"id\":%s,%s,\"seed\":%d"
     (Json.string (Grid.job_id job))
-    (Json.string job.Grid.j_circuit)
-    (Json.float job.Grid.j_threshold)
-    (Json.float job.Grid.j_fov_ud)
-    (match job.Grid.j_input_high with
-    | None -> "null"
-    | Some h -> Json.float h)
-    job.Grid.j_replicates seed
+    (Grid.job_fields job) seed
 
 (* The simulated document: coordinates, provenance (how many rows the
    certificate settled before the ensemble ran), top-level verdict and

@@ -146,6 +146,10 @@ let load ~dir =
     Ok ({ dir }, read_file path)
   end
 
+let open_or_create ~dir manifest_json =
+  if Sys.file_exists (manifest_path dir) then load ~dir
+  else Result.map (fun t -> (t, manifest_json)) (create ~dir manifest_json)
+
 let dir t = t.dir
 let result_path t ~id = Filename.concat (results_dir t) (id ^ ".json")
 
@@ -174,6 +178,17 @@ let completed t =
            | Some _ | None -> None)
 
 (* ---- the campaign report ---- *)
+
+(* top-level verdict; documents stored before provenance existed only
+   carry the ensemble consensus *)
+let verdict_of doc =
+  match Option.bind (Json.member doc "verified") Json.to_bool with
+  | Some _ as b -> b
+  | None ->
+      Option.bind (Json.member doc "ensemble") (fun e ->
+          Option.bind (Json.member e "consensus_verified") Json.to_bool)
+
+let verdict text = Option.bind (Result.to_option (Json.parse text)) verdict_of
 
 type job_line = {
   l_id : string;
@@ -221,14 +236,7 @@ let job_line t job =
       {
         absent with
         l_done = true;
-        l_verified =
-          (* top-level verdict; documents stored before provenance
-             existed only carry the ensemble consensus *)
-          (match top "verified" Json.to_bool with
-          | Some b -> b
-          | None ->
-              Option.value ~default:false
-                (ens "consensus_verified" Json.to_bool));
+        l_verified = Option.value ~default:false (verdict_of doc);
         l_verified_count = int "verified_count";
         l_completed = int "completed";
         l_failed = int "failed";
@@ -270,16 +278,8 @@ let report_json t (spec : Grid.spec) =
     (fun i l ->
       if i > 0 then add ",";
       add
-        (Printf.sprintf
-           "{\"id\":%s,\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d,"
-           (Json.string l.l_id)
-           (Json.string l.l_job.Grid.j_circuit)
-           (Json.float l.l_job.Grid.j_threshold)
-           (Json.float l.l_job.Grid.j_fov_ud)
-           (match l.l_job.Grid.j_input_high with
-           | None -> "null"
-           | Some h -> Json.float h)
-           l.l_job.Grid.j_replicates);
+        (Printf.sprintf "{\"id\":%s,%s," (Json.string l.l_id)
+           (Grid.job_fields l.l_job));
       if not l.l_done then add "\"status\":\"missing\"}"
       else
         add

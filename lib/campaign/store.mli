@@ -76,6 +76,14 @@ val load : dir:string -> (t * string, string) result
 (** Opens an existing campaign directory; returns the store and the
     raw manifest text. *)
 
+val open_or_create : dir:string -> string -> (t * string, string) result
+(** [open_or_create ~dir manifest_json] is {!load} when [dir] already
+    holds a manifest, and {!create} with [manifest_json] otherwise; in
+    both cases it returns the manifest text now on disk. The one place
+    that decides whether a directory is already a store — the atlas,
+    the evolver and the serve daemon all open their directory here and
+    check the returned manifest against their own plan. *)
+
 val dir : t -> string
 
 val result_path : t -> id:string -> string
@@ -117,6 +125,12 @@ type job_line = {
   l_certified_rows : int;  (** truth-table rows the certificate proved *)
   l_total_rows : int;  (** 0 on documents stored before provenance *)
 }
+
+val verdict : string -> bool option
+(** A result document's verdict: its top-level [verified], or for
+    documents stored before provenance existed the ensemble's
+    [consensus_verified]. [None] when the text does not parse or
+    carries neither. {!lines} reads [l_verified] here too. *)
 
 val lines : t -> Grid.spec -> job_line list
 (** One line per grid job, in grid order. *)

@@ -85,7 +85,7 @@ let product_of_row ~inputs row =
     Array.to_list
       (Array.mapi
          (fun j name ->
-           if (row lsr (n - 1 - j)) land 1 = 1 then Expr.Var name
+           if Truth_table.input_value ~arity:n row j then Expr.Var name
            else Expr.Not (Var name))
          inputs)
   in
@@ -188,7 +188,7 @@ let minimised_expr r =
     let lits =
       Glc_logic.Qm.implicant_literals ~arity imp
       |> List.map (fun (bit, positive) ->
-             let j = arity - 1 - bit in
+             let j = Truth_table.input_bit ~arity bit in
              (j, if positive then Expr.Var names.(j)
                  else Expr.Not (Var names.(j))))
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

@@ -22,11 +22,14 @@ type window_point = {
   w_variations : int;  (** total output variations over all combinations *)
 }
 
+val default_sweep : float list
+(** The Fig. 5 thresholds [3, 8, 15, 25, 40, 60, 80, 90]. *)
+
 val threshold_window :
   ?protocol:Protocol.t -> ?thresholds:float list -> Circuit.t ->
   window_point list
-(** Verifies the circuit at each threshold (default sweep
-    [3, 8, 15, 25, 40, 60, 80, 90]), in order. *)
+(** Verifies the circuit at each threshold (default {!default_sweep}),
+    in order. *)
 
 val operating_range : window_point list -> (float * float) option
 (** Smallest and largest verified threshold of a sweep, or [None] if the

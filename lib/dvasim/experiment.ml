@@ -9,20 +9,22 @@ type t = {
   trace : Trace.t;
 }
 
-let stimulus_for (p : Protocol.t) ~inputs ~row_of slots =
+let clamp (p : Protocol.t) ~inputs ~at row =
   let arity = Array.length inputs in
+  List.mapi
+    (fun j species ->
+      Events.set at species
+        (if Glc_logic.Truth_table.input_value ~arity row j then p.input_high
+         else p.input_low))
+    (Array.to_list inputs)
+
+(* equal-time events apply in list order; a slot's inputs go in
+   descending order, the order the pinned traces were recorded with *)
+let stimulus_for (p : Protocol.t) ~inputs ~row_of slots =
   let events = ref [] in
   for slot = 0 to slots - 1 do
-    let t = float_of_int slot *. p.hold_time in
-    let row = row_of slot in
-    Array.iteri
-      (fun j species ->
-        let v =
-          if (row lsr (arity - 1 - j)) land 1 = 1 then p.input_high
-          else p.input_low
-        in
-        events := Events.set t species v :: !events)
-      inputs
+    let at = float_of_int slot *. p.hold_time in
+    events := List.rev_append (clamp p ~inputs ~at (row_of slot)) !events
   done;
   Events.of_list !events
 

@@ -16,6 +16,15 @@ type t = {
   trace : Trace.t;  (** all species, sampled every [protocol.dt] *)
 }
 
+val clamp :
+  Protocol.t -> inputs:string array -> at:float -> int -> Events.event list
+(** [clamp p ~inputs ~at row]: at time [at], every input species is set
+    to [input_high] or [input_low] according to its value in [row]
+    (input 0 of the array is the most significant bit,
+    {!Glc_logic.Truth_table.input_value}), in array order. The one
+    stimulus builder — the lab's schedule, the propagation-delay
+    experiments and the atlas's ODE transitions all clamp here. *)
+
 val stimulus : Protocol.t -> inputs:string array -> Events.schedule
 (** The stimulus events the lab applies: at each slot boundary, every
     input species is clamped to [input_high] or [input_low] according to

@@ -13,17 +13,6 @@ type measurement = {
   max_delay : float;
 }
 
-let inputs_events (p : Protocol.t) circuit ~at row =
-  Array.to_list
-    (Array.mapi
-       (fun j species ->
-         let v =
-           if Circuit.input_value circuit ~row j then p.Protocol.input_high
-           else p.Protocol.input_low
-         in
-         Events.set at species v)
-       circuit.Circuit.inputs)
-
 let measure ?(protocol = Protocol.default) ?(repeats = 5) ?settle_time
     ?timeout ~from_row ~to_row circuit =
   let expected = circuit.Circuit.expected in
@@ -46,10 +35,11 @@ let measure ?(protocol = Protocol.default) ?(repeats = 5) ?settle_time
     let threshold = protocol.Protocol.threshold in
     let delays = ref [] in
     for rep = 0 to repeats - 1 do
+      let inputs = circuit.Circuit.inputs in
       let events =
         Events.of_list
-          (inputs_events protocol circuit ~at:0. from_row
-          @ inputs_events protocol circuit ~at:settle to_row)
+          (Experiment.clamp protocol ~inputs ~at:0. from_row
+          @ Experiment.clamp protocol ~inputs ~at:settle to_row)
       in
       let cfg =
         Sim.config ~dt:protocol.Protocol.dt

@@ -10,6 +10,10 @@ let sensors n =
       | 2 -> "AraC"
       | _ -> Printf.sprintf "IN%d" (j + 1))
 
+let netlist_inputs n =
+  let s = sensors n in
+  Array.init n (fun i -> s.(Truth_table.input_bit ~arity:n i))
+
 let reporter = "YFP"
 
 (* Sensor proteins bind their operators tightly (LacI's operator affinity
@@ -69,11 +73,10 @@ let of_netlist ?(library = Repressor.library) ~name ~expected
   let library_size = List.length library in
   let n = Array.length nl.Netlist.inputs in
   let sensor_names = sensors n in
-  (* Net array index i corresponds to sensor n-1-i (combination
-     convention: I1 is the most significant bit of the row index). *)
+  let wanted = netlist_inputs n in
   Array.iteri
     (fun i net ->
-      let want = sensor_names.(n - 1 - i) in
+      let want = wanted.(i) in
       if not (String.equal net want) then
         invalid_arg
           (Printf.sprintf
@@ -153,10 +156,6 @@ let of_netlist ?(library = Repressor.library) ~name ~expected
     ~expected ~promoter_kinetics:(List.rev b.kinetics) ~regulator_affinity ()
 
 let synthesize ?library ~name tt =
-  let n = Truth_table.arity tt in
-  let sensor_names = sensors n in
-  let netlist_inputs =
-    Array.init n (fun i -> sensor_names.(n - 1 - i))
-  in
-  let nl = Netlist.of_truth_table ~inputs:netlist_inputs tt in
+  let inputs = netlist_inputs (Truth_table.arity tt) in
+  let nl = Netlist.of_truth_table ~inputs tt in
   of_netlist ?library ~name ~expected:tt nl

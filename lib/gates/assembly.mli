@@ -18,6 +18,13 @@ module Truth_table := Glc_logic.Truth_table
 val sensors : int -> string array
 (** Sensor protein names for an [n]-input circuit, [I1] first. *)
 
+val netlist_inputs : int -> string array
+(** The sensors in netlist and truth-table variable order: net [i]
+    (table bit [i]) is sensor [n-1-i], because a circuit's input 1 is
+    the most significant bit of a row
+    ({!Glc_logic.Truth_table.input_bit}). Every netlist built for
+    assembly names its inputs with this array. *)
+
 val reporter : string
 (** ["YFP"]. *)
 
@@ -30,9 +37,7 @@ val sensor_affinity : string -> float * float
 val of_netlist :
   ?library:Repressor.t list ->
   name:string -> expected:Truth_table.t -> Netlist.t -> Circuit.t
-(** Assembles a netlist whose input nets are named by {!sensors} in
-    {e reversed} order (net array index [i] = table bit [i] = sensor
-    [n-1-i], per the combination convention in {!Circuit}). [library]
+(** Assembles a netlist whose input nets are {!netlist_inputs}. [library]
     defaults to {!Repressor.library}; pass {!Repressor.extended} for
     circuits beyond twelve gates.
     @raise Invalid_argument if the netlist needs more repressors than the

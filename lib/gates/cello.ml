@@ -18,10 +18,6 @@ let code_of_name name =
         if code >= 0 && code < 1 lsl (1 lsl arity) then Some (arity, code)
         else None
 
-let reversed_sensors arity =
-  let s = Assembly.sensors arity in
-  Array.init arity (fun i -> s.(arity - 1 - i))
-
 let of_code ?(arity = 3) code =
   let tt = Truth_table.of_code ~arity code in
   let name = name_of_code ~arity code in
@@ -32,7 +28,7 @@ let of_code ?(arity = 3) code =
        gates), so size an extended library to the netlist — plus one
        spare, consumed by the auxiliary inverter a Const-false output
        needs *)
-    let nl = Netlist.of_truth_table ~inputs:(reversed_sensors arity) tt in
+    let nl = Netlist.of_truth_table ~inputs:(Assembly.netlist_inputs arity) tt in
     let library = Repressor.extended (Netlist.gate_count nl + 1) in
     Assembly.of_netlist ~library ~name ~expected:tt nl
   end

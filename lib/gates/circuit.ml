@@ -69,9 +69,7 @@ let n_gates c =
 
 let n_components c = List.length c.document.doc_parts
 
-let input_value c ~row j =
-  let n = arity c in
-  (row lsr (n - 1 - j)) land 1 = 1
+let input_value c ~row j = Truth_table.input_value ~arity:(arity c) row j
 
 let row_of_inputs c values =
   if Array.length values <> arity c then

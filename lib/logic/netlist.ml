@@ -279,19 +279,3 @@ let to_verilog ?(name = "circuit") t =
   Buffer.add_string buf (Printf.sprintf "  assign y = %s;\n" t.output);
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>inputs: %a@,output: %s@,"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       Format.pp_print_string)
-    (Array.to_list t.inputs)
-    t.output;
-  List.iter
-    (fun (net, gate) ->
-      match gate with
-      | Not a -> Format.fprintf ppf "%s = NOT %s@," net a
-      | Nor (a, b) -> Format.fprintf ppf "%s = NOR %s %s@," net a b
-      | Const b -> Format.fprintf ppf "%s = CONST %b@," net b)
-    t.gates;
-  Format.fprintf ppf "@]"

@@ -50,8 +50,6 @@ val depth : t -> int
 val logic_gates : t -> (net * gate) list
 (** Alias for the [gates] field, in topological order. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_verilog : ?name:string -> t -> string
 (** Structural Verilog of the netlist (gate primitives [not] and [nor]),
     one module with the primary inputs as ports and one output [y].

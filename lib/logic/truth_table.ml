@@ -102,11 +102,6 @@ let complement t = create ~arity:t.arity (fun row -> not (output t row))
 
 let equal a b = a.arity = b.arity && Bytes.equal a.outputs b.outputs
 
-let compare a b =
-  match Int.compare a.arity b.arity with
-  | 0 -> Bytes.compare a.outputs b.outputs
-  | c -> c
-
 let hamming_distance a b =
   if a.arity <> b.arity then
     invalid_arg "Truth_table.hamming_distance: arity mismatch";
@@ -116,9 +111,11 @@ let hamming_distance a b =
   done;
   !d
 
+let input_bit ~arity j = arity - 1 - j
+let input_value ~arity row j = (row lsr input_bit ~arity j) land 1 = 1
+
 let combination ~arity row =
-  String.init arity (fun j ->
-      if (row lsr (arity - 1 - j)) land 1 = 1 then '1' else '0')
+  String.init arity (fun j -> if input_value ~arity row j then '1' else '0')
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -60,7 +60,6 @@ val complement : t -> t
 (** Pointwise negation. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val hamming_distance : t -> t -> int
 (** Number of rows on which two tables of equal arity disagree.
@@ -72,6 +71,17 @@ val row_of_bits : bool array -> int
 
 val bits_of_row : arity:int -> int -> bool array
 (** Inverse of {!row_of_bits} for a given arity. *)
+
+val input_bit : arity:int -> int -> int
+(** [input_bit ~arity j] is the row bit that carries circuit input [j]
+    — circuits, stimuli and reports number their inputs most
+    significant first, so input 0 is bit [arity - 1]. The map is its
+    own inverse: [input_bit ~arity b] is also the input that row bit
+    [b] carries. *)
+
+val input_value : arity:int -> int -> int -> bool
+(** [input_value ~arity row j] is circuit input [j] in [row]
+    ({!input_bit}). *)
 
 val combination : arity:int -> int -> string
 (** [combination ~arity row] spells the row as its [arity] bits, most

@@ -7,30 +7,16 @@ module Diagnostic = Glc_lint.Diagnostic
 module Metrics = Glc_obs.Metrics
 module Json = Glc_core.Report.Json
 
-type config = {
-  seed : int;
-  total_time : float;
-  hold_time : float;
-  lint_admission : bool;
-  queue_capacity : int;
-}
-
-let config ?(seed = 42) ?(total_time = 10_000.) ?(hold_time = 1_000.)
-    ?(lint_admission = true) ?(queue_capacity = 64) () =
-  if total_time <= 0. || hold_time <= 0. then
-    invalid_arg "Admission.config: non-positive time";
-  if queue_capacity < 1 then
-    invalid_arg "Admission.config: queue_capacity < 1";
-  { seed; total_time; hold_time; lint_admission; queue_capacity }
-
 type t = {
-  cfg : config;
   registry : Jobstate.registry;
   scheduler : Jobstate.entry Scheduler.t;
   store : Store.t;
   journal : Journal.t;
   submitted_dir : string;
   metrics : Glc_obs.Metrics.t;
+  spec_for : Grid.job -> Grid.spec;
+  lint : bool;
+  mutable next_seq : int;
   mutable avg_job_seconds : float;
 }
 
@@ -58,18 +44,20 @@ let preregister metrics =
     [ "serve.job_seconds"; "serve.queue_wait_seconds";
       "serve.request_seconds" ]
 
-let create ~cfg ~store ~journal ~metrics ~state_dir =
+let create ~spec_for ~lint ~capacity ~store ~journal ~metrics ~state_dir =
   let submitted_dir = Filename.concat state_dir submitted_subdir in
   Store.mkdir_p submitted_dir;
   preregister metrics;
   {
-    cfg;
     registry = Jobstate.registry ();
-    scheduler = Scheduler.create ~capacity:cfg.queue_capacity;
+    scheduler = Scheduler.create ~capacity;
     store;
     journal;
     submitted_dir;
     metrics;
+    spec_for;
+    lint;
+    next_seq = 0;
     avg_job_seconds = 0.;
   }
 
@@ -121,54 +109,77 @@ let note_job_seconds t dt =
       (if t.avg_job_seconds <= 0. then dt
        else (0.7 *. t.avg_job_seconds) +. (0.3 *. dt))
 
-let protocol_of t job =
-  let spec =
-    Jobstate.spec_for ~seed:t.cfg.seed ~total_time:t.cfg.total_time
-      ~hold_time:t.cfg.hold_time job
-  in
-  Runner.job_protocol spec job
-
 let submitted_path t ~id = Filename.concat t.submitted_dir (id ^ ".json")
-
-(* a submission record is either fully present or absent after any
-   crash, never truncated *)
-let persist_submission t entry =
-  Store.atomic_write (submitted_path t ~id:entry.Jobstate.id)
-    (Jobstate.submission_json entry)
 
 let remove_submission t ~id =
   try Sys.remove (submitted_path t ~id) with Sys_error _ -> ()
 
-let pending_submissions ~state_dir =
-  let dir = Filename.concat state_dir submitted_subdir in
-  if not (Sys.file_exists dir) then Ok []
-  else
-    match Sys.readdir dir with
-    | exception Sys_error m -> Error m
-    | names ->
-        Array.to_list names
-        |> List.filter (fun n -> Filename.check_suffix n ".json")
-        |> List.filter_map (fun n ->
-               match Store.read_file (Filename.concat dir n) with
-               | exception _ -> None
-               | text -> (
-                   match Jobstate.submission_of_json text with
-                   | Ok r -> Some r
-                   | Error _ -> None))
-        |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
-        |> Result.ok
+let pending_submissions dir =
+  match Sys.readdir dir with
+  | exception Sys_error m -> Error m
+  | names ->
+      Array.to_list names
+      |> List.filter (fun n -> Filename.check_suffix n ".json")
+      |> List.filter_map (fun n ->
+             match Store.read_file (Filename.concat dir n) with
+             | exception _ -> None
+             | text -> Result.to_option (Jobstate.submission_of_json text))
+      |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
+      |> Result.ok
+
+let note_queue_depth t =
+  Metrics.Gauge.set
+    (Metrics.gauge t.metrics "serve.queue_depth")
+    (float_of_int (Scheduler.length t.scheduler))
+
+(* Every registered entry carries its own admission number; the
+   counter only ever moves past the numbers handed out. *)
+let register t (e : Jobstate.entry) =
+  t.next_seq <- max t.next_seq (e.Jobstate.seq + 1);
+  Jobstate.add t.registry e
+
+let register_done t e =
+  e.Jobstate.phase <- Jobstate.Done;
+  e.Jobstate.from_cache <- true;
+  register t e
+
+let recover t ~now =
+  match pending_submissions t.submitted_dir with
+  | Error m -> Error m
+  | Ok records ->
+      let resumed = ref 0 in
+      List.iter
+        (fun (job, priority, seq) ->
+          (* a refused record still owns its number for the next life *)
+          t.next_seq <- max t.next_seq (seq + 1);
+          let entry = Jobstate.make ~job ~priority ~seq ~now in
+          let id = entry.Jobstate.id in
+          if Store.mem t.store ~id then begin
+            (* the result landed before the crash removed the record *)
+            register_done t entry;
+            remove_submission t ~id
+          end
+          else
+            match Scheduler.push t.scheduler ~priority ~seq entry with
+            | `Full -> () (* capacity shrank across restarts: next life *)
+            | `Queued ->
+                incr resumed;
+                Journal.append t.journal (Journal.Scheduled id);
+                register t entry)
+        records;
+      if !resumed > 0 then
+        Metrics.Counter.add (Metrics.counter t.metrics "serve.jobs_resumed")
+          !resumed;
+      note_queue_depth t;
+      Ok ()
 
 let lint_errors t job =
   match Runner.resolve job.Grid.j_circuit with
   | Error m -> Error (Invalid m)
   | Ok circuit ->
-      let ds = Lint.circuit ~protocol:(protocol_of t job) ~metrics:t.metrics circuit in
+      let protocol = Runner.job_protocol (t.spec_for job) job in
+      let ds = Lint.circuit ~protocol ~metrics:t.metrics circuit in
       if Diagnostic.exit_code ds >= 2 then Error (Rejected_lint ds) else Ok ()
-
-let queue_depth_gauge t =
-  Metrics.Gauge.set
-    (Metrics.gauge t.metrics "serve.queue_depth")
-    (float_of_int (Scheduler.length t.scheduler))
 
 let admit t ~now (s : submit) =
   let counter name = Metrics.counter t.metrics name in
@@ -187,31 +198,24 @@ let admit t ~now (s : submit) =
         | None -> 5
         | Some p -> max 0 (min 9 p)
       in
-      let id = Grid.job_id job in
+      let entry = Jobstate.make ~job ~priority ~seq:t.next_seq ~now in
+      let id = entry.Jobstate.id in
       match Jobstate.find t.registry id with
-      | Some entry ->
+      | Some known ->
           (* the same coordinates hash to the same id: this submission
              is already queued, running, or finished here *)
           Metrics.Counter.incr (counter "serve.dedup_hits");
-          Duplicate entry
+          Duplicate known
       | None -> (
           match Store.get t.store ~id with
           | Some doc ->
               (* a previous daemon life (or a campaign sharing the
                  store) already computed it: serve the stored bytes *)
               Metrics.Counter.incr (counter "serve.dedup_hits");
-              let entry =
-                Jobstate.make ~job ~priority
-                  ~seq:(Scheduler.length t.scheduler) ~now
-              in
-              entry.Jobstate.phase <- Jobstate.Done;
-              entry.Jobstate.from_cache <- true;
-              Jobstate.add t.registry entry;
+              register_done t entry;
               Completed (entry, doc)
           | None -> (
-              match
-                if t.cfg.lint_admission then lint_errors t job else Ok ()
-              with
+              match if t.lint then lint_errors t job else Ok () with
               | Error (Rejected_lint _ as r) ->
                   Metrics.Counter.incr
                     (counter "serve.admission_rejected_lint");
@@ -220,36 +224,24 @@ let admit t ~now (s : submit) =
                   Metrics.Counter.incr (counter "serve.admission_invalid");
                   r
               | Error r -> r
-              | Ok () ->
-                  if Scheduler.is_full t.scheduler then begin
-                    Metrics.Counter.incr
-                      (counter "serve.admission_rejected_busy");
-                    Rejected_busy
-                      (retry_after
-                         ~queue_depth:(Scheduler.length t.scheduler)
-                         ~avg_job_seconds:t.avg_job_seconds)
-                  end
-                  else begin
-                    let seq = Scheduler.next_seq t.scheduler in
-                    let entry = Jobstate.make ~job ~priority ~seq ~now in
-                    match
-                      Scheduler.push_seq t.scheduler ~priority ~seq entry
-                    with
-                    | `Full ->
-                        (* capacity re-checked above; unreachable, but
-                           fail closed *)
-                        Metrics.Counter.incr
-                          (counter "serve.admission_rejected_busy");
-                        Rejected_busy
-                          (retry_after
-                             ~queue_depth:(Scheduler.length t.scheduler)
-                             ~avg_job_seconds:t.avg_job_seconds)
-                    | `Queued _ ->
-                        (* persist before acknowledging: a daemon killed
-                           after this line still re-discovers the job *)
-                        persist_submission t entry;
-                        Journal.append t.journal (Journal.Scheduled id);
-                        Jobstate.add t.registry entry;
-                        queue_depth_gauge t;
-                        Accepted entry
-                  end)))
+              | Ok () -> (
+                  match
+                    Scheduler.push t.scheduler ~priority ~seq:entry.Jobstate.seq
+                      entry
+                  with
+                  | `Full ->
+                      Metrics.Counter.incr
+                        (counter "serve.admission_rejected_busy");
+                      Rejected_busy
+                        (retry_after
+                           ~queue_depth:(Scheduler.length t.scheduler)
+                           ~avg_job_seconds:t.avg_job_seconds)
+                  | `Queued ->
+                      (* persist before acknowledging: a daemon killed
+                         after this line still re-discovers the job *)
+                      Store.atomic_write (submitted_path t ~id)
+                        (Jobstate.submission_json entry);
+                      Journal.append t.journal (Journal.Scheduled id);
+                      register t entry;
+                      note_queue_depth t;
+                      Accepted entry))))

@@ -23,8 +23,15 @@
       growing without bound;
     + {b persist} — an accepted job is recorded under
       [<state>/submitted/<id>.json] (atomic write) and journaled
-      [scheduled] {e before} it is enqueued, so a daemon killed at any
-      instant re-discovers every acknowledged job on restart.
+      [scheduled] {e before} it is acknowledged, so a daemon killed at
+      any instant re-discovers every acknowledged job on restart
+      ({!recover}).
+
+    Admission owns the facts a submission leaves behind: the registry
+    (an entry is registered only when it is queued or its result is
+    stored, so "queued" in a status reply means the {!Scheduler} holds
+    it), the submission records, and the admission counter whose next
+    number every registered entry takes as its [seq].
 
     All entry points must be called under the server's state mutex. *)
 
@@ -33,36 +40,40 @@ module Store := Glc_campaign.Store
 module Journal := Glc_campaign.Journal
 module Diagnostic := Glc_lint.Diagnostic
 
-type config = {
-  seed : int;  (** daemon root seed; job seeds derive from it *)
-  total_time : float;
-  hold_time : float;
-  lint_admission : bool;  (** run the lint pre-flight (default) *)
-  queue_capacity : int;
-}
-
-val config :
-  ?seed:int -> ?total_time:float -> ?hold_time:float ->
-  ?lint_admission:bool -> ?queue_capacity:int -> unit -> config
-(** Defaults: seed 42, the paper's 10,000/1,000 t.u. protocol, lint
-    on, capacity 64.
-    @raise Invalid_argument on non-positive times or capacity. *)
-
 type t = {
-  cfg : config;
   registry : Jobstate.registry;
   scheduler : Jobstate.entry Scheduler.t;
   store : Store.t;
   journal : Journal.t;
   submitted_dir : string;
   metrics : Glc_obs.Metrics.t;
+  spec_for : Grid.job -> Grid.spec;
+      (** the campaign spec a job executes under — what the lint
+          pre-flight checks and what the worker runs *)
+  lint : bool;  (** run the lint pre-flight *)
+  mutable next_seq : int;
+      (** the admission counter: the next entry's sequence number *)
   mutable avg_job_seconds : float;
       (** EWMA of completed-job wall time; feeds the retry-after hint *)
 }
 
 val create :
-  cfg:config -> store:Store.t -> journal:Journal.t ->
-  metrics:Glc_obs.Metrics.t -> state_dir:string -> t
+  spec_for:(Grid.job -> Grid.spec) -> lint:bool -> capacity:int ->
+  store:Store.t -> journal:Journal.t -> metrics:Glc_obs.Metrics.t ->
+  state_dir:string -> t
+(** Empty registry, a scheduler of [capacity] (which the {!Server} has
+    already checked), and [<state_dir>/submitted/]. *)
+
+val recover : t -> now:float -> (unit, string) result
+(** Replays the persisted admission records, in sequence order. A
+    record whose result is already stored registers as done and is
+    removed; the others are re-enqueued under their original priority
+    and sequence number, journaled [scheduled] and counted in
+    [serve.jobs_resumed]. A record the queue refuses (a restart with a
+    smaller capacity) is neither registered nor removed — it waits on
+    disk for the next life. The counter moves past every persisted
+    number, refused ones included. Unreadable records are skipped;
+    [Error] only when the directory cannot be listed. *)
 
 (** A parsed submission request body. *)
 type submit = {
@@ -90,10 +101,11 @@ type outcome =
   | Invalid of string  (** unresolvable circuit / illegal parameters *)
 
 val admit : t -> now:float -> submit -> outcome
-(** Runs the policy above. Counts [serve.jobs_submitted],
-    [serve.dedup_hits], [serve.admission_rejected_lint],
-    [serve.admission_rejected_busy] and maintains the
-    [serve.queue_depth] gauge. *)
+(** Runs the policy above. Every entry it registers — queued or served
+    from the store — takes the next admission number. Counts
+    [serve.jobs_submitted], [serve.dedup_hits],
+    [serve.admission_rejected_lint], [serve.admission_rejected_busy]
+    and maintains the [serve.queue_depth] gauge. *)
 
 val retry_after : queue_depth:int -> avg_job_seconds:float -> int
 (** The backpressure hint: roughly the time the current queue needs to
@@ -104,22 +116,9 @@ val retry_after : queue_depth:int -> avg_job_seconds:float -> int
 val note_job_seconds : t -> float -> unit
 (** Feeds a completed job's wall time into the EWMA (worker calls it). *)
 
-val protocol_of : t -> Grid.job -> Glc_dvasim.Protocol.t
-(** The protocol a job will execute under — also what the lint
-    pre-flight checks against. *)
-
-val submitted_path : t -> id:string -> string
-
-val persist_submission : t -> Jobstate.entry -> unit
-(** Atomic write of the admission record. *)
+val note_queue_depth : t -> unit
+(** Sets the [serve.queue_depth] gauge to the scheduler's length. *)
 
 val remove_submission : t -> id:string -> unit
 (** Removes the record once the job is done or cancelled. Never
     raises. *)
-
-val pending_submissions :
-  state_dir:string -> ((Grid.job * int * int) list, string) result
-(** All persisted admission records under [state_dir], sorted by
-    sequence number — what a restarting daemon re-enqueues (after
-    dropping the ones whose result is already stored). Unreadable or
-    unparseable records are skipped, not fatal. *)

@@ -70,17 +70,6 @@ let spec_for ~seed ~total_time ~hold_time (job : Grid.job) =
 
 (* ---- JSON ---- *)
 
-let job_fields (job : Grid.job) =
-  Printf.sprintf
-    "\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d"
-    (Json.string job.Grid.j_circuit)
-    (Json.float job.Grid.j_threshold)
-    (Json.float job.Grid.j_fov_ud)
-    (match job.Grid.j_input_high with
-    | None -> "null"
-    | Some h -> Json.float h)
-    job.Grid.j_replicates
-
 let status_json ~now e =
   let error =
     match e.phase with
@@ -89,7 +78,7 @@ let status_json ~now e =
   in
   Printf.sprintf
     "{\"id\":%s,%s,\"priority\":%d,\"seq\":%d,\"status\":%s%s,\"from_cache\":%s,\"attempts\":%d,\"age_s\":%s}"
-    (Json.string e.id) (job_fields e.job) e.priority e.seq
+    (Json.string e.id) (Grid.job_fields e.job) e.priority e.seq
     (Json.string (phase_label e.phase))
     error
     (Json.bool e.from_cache)
@@ -98,7 +87,7 @@ let status_json ~now e =
 
 let submission_json e =
   Printf.sprintf "{\"id\":%s,%s,\"priority\":%d,\"seq\":%d}"
-    (Json.string e.id) (job_fields e.job) e.priority e.seq
+    (Json.string e.id) (Grid.job_fields e.job) e.priority e.seq
 
 let submission_of_json text =
   match Json.parse text with

@@ -1,22 +1,16 @@
 (* A sorted list — queues are bounded (default capacity 64) and
    operations are O(n) with a tiny constant, which beats a heap's
-   bookkeeping at this scale and keeps [to_list]/[remove] trivial. The
+   bookkeeping at this scale and keeps [remove] trivial. The
    invariant: [items] is sorted by (priority descending, seq
    ascending), so the head is always the next job to pop. *)
 
 type 'a entry = { e_priority : int; e_seq : int; e_item : 'a }
-
-type 'a t = {
-  q_capacity : int;
-  mutable q_items : 'a entry list;
-  mutable q_next_seq : int;
-}
+type 'a t = { q_capacity : int; mutable q_items : 'a entry list }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Scheduler.create: capacity < 1";
-  { q_capacity = capacity; q_items = []; q_next_seq = 0 }
+  { q_capacity = capacity; q_items = [] }
 
-let capacity t = t.q_capacity
 let length t = List.length t.q_items
 let is_empty t = t.q_items = []
 let is_full t = length t >= t.q_capacity
@@ -29,26 +23,19 @@ let rec insert e = function
   | [] -> [ e ]
   | x :: rest -> if before e x then e :: x :: rest else x :: insert e rest
 
-let next_seq t = t.q_next_seq
-
-let push_seq t ~priority ~seq item =
-  if seq < 0 then invalid_arg "Scheduler.push_seq: negative seq";
+let push t ~priority ~seq item =
   if is_full t then `Full
   else begin
     t.q_items <- insert { e_priority = priority; e_seq = seq; e_item = item } t.q_items;
-    if seq >= t.q_next_seq then t.q_next_seq <- seq + 1;
-    `Queued seq
+    `Queued
   end
-
-let push t ~priority item =
-  push_seq t ~priority ~seq:t.q_next_seq item
 
 let pop t =
   match t.q_items with
   | [] -> None
   | e :: rest ->
       t.q_items <- rest;
-      Some (e.e_seq, e.e_item)
+      Some e.e_item
 
 let remove t pred =
   let rec go acc = function
@@ -61,6 +48,3 @@ let remove t pred =
         else go (e :: acc) rest
   in
   go [] t.q_items
-
-let to_list t =
-  List.map (fun e -> (e.e_priority, e.e_seq, e.e_item)) t.q_items

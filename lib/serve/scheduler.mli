@@ -1,11 +1,13 @@
 (** Bounded priority queue of admitted jobs.
 
-    Pure data structure — no threads, no clock — so its ordering and
-    backpressure behaviour are deterministic and unit-testable; the
-    {!Server} wraps it in the daemon's mutex/condition pair. Jobs pop
-    in priority order (higher first), first-in-first-out within a
-    priority level (ties broken by the monotonically assigned sequence
-    number, which is the queue's logical clock).
+    Pure data structure — no threads, no clock, no counter — so its
+    ordering and backpressure behaviour are deterministic and
+    unit-testable; the {!Server} wraps it in the daemon's
+    mutex/condition pair. Jobs pop in priority order (higher first),
+    first-in-first-out within a priority level: ties are broken by the
+    sequence number each {!push} is handed, which is the admission
+    order {!Admission} assigns — the scheduler never numbers jobs
+    itself.
 
     The queue is {e bounded}: {!push} on a full queue returns [`Full]
     instead of growing, which the {!Admission} layer turns into an
@@ -18,36 +20,21 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
 val is_full : 'a t -> bool
 
-val push : 'a t -> priority:int -> 'a -> [ `Queued of int | `Full ]
-(** Enqueues at [priority] (higher pops earlier). [`Queued seq] carries
-    the assigned sequence number. [`Full] when at capacity — nothing is
-    evicted; admission backpressure is the caller's job. *)
+val push : 'a t -> priority:int -> seq:int -> 'a -> [ `Queued | `Full ]
+(** Enqueues at [priority] (higher pops earlier), after every queued
+    item of the same priority with a smaller [seq]. [`Full] when at
+    capacity — nothing is evicted; admission backpressure is the
+    caller's job. *)
 
-val next_seq : 'a t -> int
-(** The sequence number the next {!push} will assign — lets a caller
-    that stores the sequence inside the item build it first. *)
-
-val push_seq : 'a t -> priority:int -> seq:int -> 'a -> [ `Queued of int | `Full ]
-(** Like {!push} with an explicit sequence number — how a restarted
-    daemon re-enqueues persisted submissions under their original
-    arrival order. Also advances the internal counter past [seq].
-    @raise Invalid_argument if [seq] is negative. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Highest-priority, oldest job — [(seq, item)] — or [None] when
-    empty. *)
+val pop : 'a t -> 'a option
+(** Highest-priority, lowest-[seq] item, or [None] when empty. *)
 
 val remove : 'a t -> ('a -> bool) -> 'a option
 (** Removes and returns the first queued item (in pop order) matching
     the predicate — the cancel path. [None] when nothing matches. *)
-
-val to_list : 'a t -> (int * int * 'a) list
-(** [(priority, seq, item)] snapshots in pop order. *)

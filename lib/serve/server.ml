@@ -1,5 +1,4 @@
 module W = Protocol_wire
-module Grid = Glc_campaign.Grid
 module Store = Glc_campaign.Store
 module Journal = Glc_campaign.Journal
 module Runner = Glc_campaign.Runner
@@ -7,6 +6,7 @@ module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
 module Metrics = Glc_obs.Metrics
 module Json = Glc_core.Report.Json
+module Clock = Glc_obs.Clock
 
 type config = {
   socket_path : string;
@@ -41,15 +41,26 @@ let config ~socket_path ~state_dir ?(pool_jobs = 0) ?(queue_capacity = 64)
 type t = {
   s_cfg : config;
   s_ctx : Session.ctx;
-  s_store : Store.t;
-  s_journal : Journal.t;
   s_lock : Store.Lock.lock;
   s_listen : Unix.file_descr;
   s_interrupt : bool Atomic.t;
 }
 
 let ctx t = t.s_ctx
-let effective_config t = t.s_cfg
+
+(* The one check of the settings, for the flags and for a stored
+   manifest alike: nothing is written or held when it fails. *)
+let check cfg =
+  let time x = x > 0. && Float.is_finite x in
+  if cfg.queue_capacity < 1 then
+    Error
+      (Printf.sprintf "queue capacity must be at least 1, not %d"
+         cfg.queue_capacity)
+  else if not (time cfg.total_time && time cfg.hold_time) then
+    Error
+      (Printf.sprintf "total time %g and hold time %g must be finite and > 0"
+         cfg.total_time cfg.hold_time)
+  else Ok cfg
 
 let manifest_json cfg =
   Printf.sprintf
@@ -73,59 +84,11 @@ let manifest_override cfg text =
           let int k = Option.bind (Json.member doc k) Json.to_int in
           match (int "seed", num "total_time", num "hold_time") with
           | Some seed, Some total_time, Some hold_time ->
-              Ok { cfg with seed; total_time; hold_time }
+              Result.map_error
+                (Printf.sprintf "stored serve manifest in %s: %s"
+                   cfg.state_dir)
+                (check { cfg with seed; total_time; hold_time })
           | _ -> Error "serve manifest lacks seed/total_time/hold_time"))
-
-let open_store cfg =
-  if Sys.file_exists (Filename.concat cfg.state_dir "MANIFEST.json") then
-    match Store.load ~dir:cfg.state_dir with
-    | Error m -> Error m
-    | Ok (store, manifest) -> (
-        match manifest_override cfg manifest with
-        | Error m -> Error m
-        | Ok cfg -> Ok (store, cfg))
-  else
-    match Store.create ~dir:cfg.state_dir (manifest_json cfg) with
-    | Error m -> Error m
-    | Ok store -> Ok (store, cfg)
-
-(* Re-enqueue every persisted-but-unfinished submission; register the
-   finished ones as done so their status survives the restart. *)
-let resume_submissions adm ~state_dir ~metrics =
-  match Admission.pending_submissions ~state_dir with
-  | Error m -> Error m
-  | Ok records ->
-      let now = Unix.gettimeofday () in
-      let resumed = ref 0 in
-      List.iter
-        (fun (job, priority, seq) ->
-          let id = Grid.job_id job in
-          let entry = Jobstate.make ~job ~priority ~seq ~now in
-          if Store.mem adm.Admission.store ~id then begin
-            (* result landed before the crash removed the record *)
-            entry.Jobstate.phase <- Jobstate.Done;
-            entry.Jobstate.from_cache <- true;
-            Admission.remove_submission adm ~id
-          end
-          else begin
-            match
-              Scheduler.push_seq adm.Admission.scheduler ~priority ~seq entry
-            with
-            | `Full -> () (* capacity shrank across restarts; next life *)
-            | `Queued _ ->
-                incr resumed;
-                Journal.append adm.Admission.journal (Journal.Scheduled id)
-          end;
-          Jobstate.add adm.Admission.registry entry)
-        records;
-      if !resumed > 0 then
-        Metrics.Counter.add
-          (Metrics.counter metrics "serve.jobs_resumed")
-          !resumed;
-      Metrics.Gauge.set
-        (Metrics.gauge metrics "serve.queue_depth")
-        (float_of_int (Scheduler.length adm.Admission.scheduler));
-      Ok ()
 
 let bind_socket path =
   if Sys.file_exists path then
@@ -145,50 +108,42 @@ let bind_socket path =
         (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))
 
 let create cfg =
-  Store.mkdir_p cfg.state_dir;
-  match Store.Lock.acquire ~dir:cfg.state_dir with
-  | Error m -> Error m
-  | Ok lock -> (
-      let fail m =
-        Store.Lock.release lock;
+  let ( let* ) = Result.bind in
+  let* cfg = check cfg in
+  let* lock = Store.Lock.acquire ~dir:cfg.state_dir in
+  let held =
+    let* store, manifest =
+      Store.open_or_create ~dir:cfg.state_dir (manifest_json cfg)
+    in
+    let* cfg = manifest_override cfg manifest in
+    let journal = Journal.open_ ~dir:cfg.state_dir in
+    let adm =
+      Admission.create
+        ~spec_for:
+          (Jobstate.spec_for ~seed:cfg.seed ~total_time:cfg.total_time
+             ~hold_time:cfg.hold_time)
+        ~lint:cfg.lint_admission ~capacity:cfg.queue_capacity ~store
+        ~journal ~metrics:cfg.metrics ~state_dir:cfg.state_dir
+    in
+    match
+      let* () = Admission.recover adm ~now:(Clock.now ()) in
+      bind_socket cfg.socket_path
+    with
+    | Error m ->
+        Journal.close journal;
         Error m
-      in
-      match open_store cfg with
-      | Error m -> fail m
-      | Ok (store, cfg) -> (
-          let journal = Journal.open_ ~dir:cfg.state_dir in
-          let adm_cfg =
-            Admission.config ~seed:cfg.seed ~total_time:cfg.total_time
-              ~hold_time:cfg.hold_time ~lint_admission:cfg.lint_admission
-              ~queue_capacity:cfg.queue_capacity ()
-          in
-          let adm =
-            Admission.create ~cfg:adm_cfg ~store ~journal
-              ~metrics:cfg.metrics ~state_dir:cfg.state_dir
-          in
-          match
-            resume_submissions adm ~state_dir:cfg.state_dir
-              ~metrics:cfg.metrics
-          with
-          | Error m ->
-              Journal.close journal;
-              fail m
-          | Ok () -> (
-              match bind_socket cfg.socket_path with
-              | Error m ->
-                  Journal.close journal;
-                  fail m
-              | Ok listen ->
-                  Ok
-                    {
-                      s_cfg = cfg;
-                      s_ctx = Session.make_ctx adm;
-                      s_store = store;
-                      s_journal = journal;
-                      s_lock = lock;
-                      s_listen = listen;
-                      s_interrupt = Atomic.make false;
-                    })))
+    | Ok listen ->
+        Ok
+          {
+            s_cfg = cfg;
+            s_ctx = Session.make_ctx adm;
+            s_lock = lock;
+            s_listen = listen;
+            s_interrupt = Atomic.make false;
+          }
+  in
+  if Result.is_error held then Store.Lock.release lock;
+  held
 
 let stop t =
   Atomic.set t.s_interrupt true;
@@ -206,19 +161,14 @@ let install_signal_handlers t =
 (* ---- worker ---- *)
 
 let run_one t ~pool ~cache entry =
-  let cfg = t.s_cfg in
-  let metrics = cfg.metrics in
   let job = entry.Jobstate.job in
-  let spec =
-    Jobstate.spec_for ~seed:cfg.seed ~total_time:cfg.total_time
-      ~hold_time:cfg.hold_time job
-  in
-  let t0 = Unix.gettimeofday () in
+  let spec = t.s_ctx.Session.adm.Admission.spec_for job in
+  let t0 = Clock.now () in
   let result =
-    try Ok (Runner.run_job ~metrics ~pool ~cache spec job)
+    try Ok (Runner.run_job ~metrics:t.s_cfg.metrics ~pool ~cache spec job)
     with e -> Error (Printexc.to_string e)
   in
-  (Unix.gettimeofday () -. t0, result)
+  (Clock.now () -. t0, result)
 
 let worker_loop t ~pool ~cache =
   let ctx = t.s_ctx in
@@ -239,26 +189,23 @@ let worker_loop t ~pool ~cache =
       | None ->
           Mutex.unlock ctx.Session.mutex;
           loop ()
-      | Some (_, entry) ->
+      | Some entry ->
           let id = entry.Jobstate.id in
           entry.Jobstate.phase <- Jobstate.Running;
           entry.Jobstate.attempts <- entry.Jobstate.attempts + 1;
-          ctx.Session.running <- Some id;
           gauge "serve.jobs_running" 1.;
-          gauge "serve.queue_depth"
-            (float_of_int (Scheduler.length adm.Admission.scheduler));
+          Admission.note_queue_depth adm;
           Metrics.Histogram.observe
             (Metrics.histogram metrics "serve.queue_wait_seconds")
-            (Float.max 0.
-               (Unix.gettimeofday () -. entry.Jobstate.submitted_at));
-          Journal.append t.s_journal (Journal.Started id);
+            (Clock.now () -. entry.Jobstate.submitted_at);
+          Journal.append adm.Admission.journal (Journal.Started id);
           Mutex.unlock ctx.Session.mutex;
           let dt, result = run_one t ~pool ~cache entry in
           Mutex.lock ctx.Session.mutex;
           (match result with
           | Ok doc ->
-              Store.put t.s_store ~id doc;
-              Journal.append t.s_journal (Journal.Done id);
+              Store.put adm.Admission.store ~id doc;
+              Journal.append adm.Admission.journal (Journal.Done id);
               entry.Jobstate.phase <- Jobstate.Done;
               Admission.remove_submission adm ~id;
               Admission.note_job_seconds adm dt;
@@ -270,11 +217,10 @@ let worker_loop t ~pool ~cache =
           | Error msg ->
               (* keep the submission record: a transient failure is
                  retried by the next daemon life *)
-              Journal.append t.s_journal (Journal.Failed (id, msg));
+              Journal.append adm.Admission.journal (Journal.Failed (id, msg));
               entry.Jobstate.phase <- Jobstate.Failed msg;
               Metrics.Counter.incr
                 (Metrics.counter metrics "serve.jobs_failed"));
-          ctx.Session.running <- None;
           gauge "serve.jobs_running" 0.;
           Mutex.unlock ctx.Session.mutex;
           loop ()
@@ -346,6 +292,6 @@ let run t =
   Option.iter Thread.join worker;
   Pool.shutdown pool;
   Mutex.lock t.s_ctx.Session.mutex;
-  Journal.close t.s_journal;
+  Journal.close t.s_ctx.Session.adm.Admission.journal;
   Mutex.unlock t.s_ctx.Session.mutex;
   Store.Lock.release t.s_lock

@@ -17,16 +17,24 @@
       the same [Runner.run_job] path campaigns use, so a job's stored
       bytes are independent of how it arrived.
 
+    {2 Settings}
+
+    {!type-config} is the daemon's one settings record. {!create}
+    checks it before it touches the state directory, and again after a
+    stored manifest has overridden the seed and times; either failure
+    is an [Error] that leaves nothing written or held.
+
     {2 Crash recovery}
 
     Admission persists every accepted job under
     [<state>/submitted/<id>.json] before acknowledging it, and the
     worker removes the record only after the result is in the store.
-    {!create} therefore re-enqueues every leftover record (original
-    priority and sequence number) and counts them in
-    [serve.jobs_resumed] — a daemon killed with [SIGKILL] mid-job
-    resumes it on restart and, because the job's seed is
-    content-derived, stores byte-identical results.
+    {!create} therefore replays the leftover records through
+    {!Admission.recover} (original priority and sequence number) — a
+    daemon killed with [SIGKILL] mid-job resumes it on restart and,
+    because the job's seed is content-derived, stores byte-identical
+    results. The journal is history only; recovery reads the records
+    and the result store.
 
     {2 Shutdown}
 
@@ -70,20 +78,20 @@ val config :
 type t
 
 val create : config -> (t, string) result
-(** Acquires the state-directory lock, opens (or initialises) the
+(** Checks the settings ([Error] on a queue capacity below 1 or a
+    non-positive or non-finite time, before anything is written),
+    acquires the state-directory lock, opens (or initialises) the
     store — a fresh directory gets a serve manifest
     [{"serve":1,"seed":…,…}]; an existing serve manifest {e overrides}
     the configured seed/times so a restart always resumes under the
-    parameters the stored results were computed with; a campaign
-    manifest is refused — opens the journal, re-enqueues persisted
-    submissions, and binds + listens on [socket_path] (removing a
-    stale socket file first). On [Error] nothing is left held. *)
+    parameters the stored results were computed with, and is checked
+    like the flags; a campaign manifest is refused — opens the
+    journal, recovers persisted submissions, and binds + listens on
+    [socket_path] (removing a stale socket file first). On [Error]
+    nothing is left held. *)
 
 val ctx : t -> Session.ctx
 (** The shared state — what tests poke at directly. *)
-
-val effective_config : t -> config
-(** The configuration after any manifest override. *)
 
 val run : t -> unit
 (** Serves until {!stop}; returns only after the worker has drained

@@ -3,25 +3,22 @@ module Store = Glc_campaign.Store
 module Diagnostic = Glc_lint.Diagnostic
 module Metrics = Glc_obs.Metrics
 module Json = Glc_core.Report.Json
+module Clock = Glc_obs.Clock
 
 type ctx = {
   adm : Admission.t;
   mutex : Mutex.t;
   cond : Condition.t;
-  clock : unit -> float;
   started_at : float;
-  mutable running : string option;
   mutable stopping : bool;
 }
 
-let make_ctx ?(clock = Unix.gettimeofday) adm =
+let make_ctx adm =
   {
     adm;
     mutex = Mutex.create ();
     cond = Condition.create ();
-    clock;
-    started_at = clock ();
-    running = None;
+    started_at = Clock.now ();
     stopping = false;
   }
 
@@ -38,7 +35,7 @@ let submit_reply ~now ~dedup entry =
 (* ---- handlers (called under the ctx mutex) ---- *)
 
 let post_job ctx body =
-  let now = ctx.clock () in
+  let now = Clock.now () in
   if ctx.stopping then
     W.response 503 (error_body "daemon is shutting down")
   else
@@ -65,7 +62,7 @@ let post_job ctx body =
         | Admission.Invalid m -> W.response 400 (error_body m))
 
 let list_jobs ctx =
-  let now = ctx.clock () in
+  let now = Clock.now () in
   let entries = Jobstate.entries ctx.adm.Admission.registry in
   let jobs =
     entries
@@ -80,7 +77,7 @@ let job_status ctx id =
   match Jobstate.find ctx.adm.Admission.registry id with
   | None -> W.response 404 (error_body ("unknown job " ^ id))
   | Some entry ->
-      W.response 200 (Jobstate.status_json ~now:(ctx.clock ()) entry)
+      W.response 200 (Jobstate.status_json ~now:(Clock.now ()) entry)
 
 let job_result ctx id =
   match Jobstate.find ctx.adm.Admission.registry id with
@@ -121,7 +118,7 @@ let cancel_job ctx id =
                 String.equal e.Jobstate.id id)
           with
           | None ->
-              (* raced with the worker between phase check and pop *)
+              (* unreachable: a queued entry is in the scheduler *)
               W.response 409 (error_body "job already started")
           | Some _ ->
               entry.Jobstate.phase <- Jobstate.Cancelled;
@@ -129,11 +126,9 @@ let cancel_job ctx id =
               Metrics.Counter.incr
                 (Metrics.counter ctx.adm.Admission.metrics
                    "serve.jobs_cancelled");
-              Metrics.Gauge.set
-                (Metrics.gauge ctx.adm.Admission.metrics "serve.queue_depth")
-                (float_of_int (Scheduler.length ctx.adm.Admission.scheduler));
+              Admission.note_queue_depth ctx.adm;
               W.response 200
-                (Jobstate.status_json ~now:(ctx.clock ()) entry))
+                (Jobstate.status_json ~now:(Clock.now ()) entry))
       | Jobstate.Running ->
           W.response 409 (error_body "job is running; cannot cancel")
       | Jobstate.Done | Jobstate.Failed _ | Jobstate.Cancelled ->
@@ -146,7 +141,7 @@ let health ctx =
   W.response 200
     (Printf.sprintf
        "{\"ok\":true,\"uptime_s\":%s,\"queued\":%d,\"running\":%d,\"done\":%d,\"failed\":%d,\"cancelled\":%d}"
-       (Json.float (Float.max 0. (ctx.clock () -. ctx.started_at)))
+       (Json.float (Float.max 0. (Clock.now () -. ctx.started_at)))
        (Jobstate.count reg Jobstate.Queued)
        (Jobstate.count reg Jobstate.Running)
        (Jobstate.count reg Jobstate.Done)
@@ -174,12 +169,12 @@ let route ctx (req : W.request) =
 
 let handle ctx req =
   let metrics = ctx.adm.Admission.metrics in
-  let t0 = ctx.clock () in
+  let t0 = Clock.now () in
   let resp = try route ctx req with e -> W.response 500 (error_body (Printexc.to_string e)) in
   Metrics.Counter.incr (Metrics.counter metrics "serve.requests");
   if resp.W.status >= 400 then
     Metrics.Counter.incr (Metrics.counter metrics "serve.http_errors");
   Metrics.Histogram.observe
     (Metrics.histogram metrics "serve.request_seconds")
-    (Float.max 0. (ctx.clock () -. t0));
+    (Float.max 0. (Clock.now () -. t0));
   resp

@@ -4,7 +4,9 @@
     response — it owns no socket, spawns no thread and never blocks on
     job execution, so the whole API surface is testable without a
     listener. Connection threads call it once per parsed request; all
-    state access happens under {!ctx}'s mutex.
+    state access happens under {!ctx}'s mutex. Every time the daemon
+    reads — admission stamps, queue waits, request latencies, ages,
+    uptime — comes from one clock, {!Glc_obs.Clock.now}.
 
     {2 Endpoints}
 
@@ -34,14 +36,12 @@ type ctx = {
   adm : Admission.t;
   mutex : Mutex.t;
   cond : Condition.t;  (** signalled when a job is enqueued *)
-  clock : unit -> float;  (** injectable for tests *)
   started_at : float;
-  mutable running : string option;  (** id the worker is executing *)
   mutable stopping : bool;
 }
 
-val make_ctx : ?clock:(unit -> float) -> Admission.t -> ctx
-(** A fresh context; [clock] defaults to [Unix.gettimeofday]. *)
+val make_ctx : Admission.t -> ctx
+(** A fresh context; [started_at] is now. *)
 
 val handle : ctx -> Protocol_wire.request -> Protocol_wire.response
 (** Routes one request. Counts [serve.requests] and [serve.http_errors]

@@ -4,6 +4,7 @@ module Runner = Glc_campaign.Runner
 module Resume = Glc_campaign.Resume
 module Circuit = Glc_gates.Circuit
 module Protocol = Glc_dvasim.Protocol
+module Experiment = Glc_dvasim.Experiment
 module Ode = Glc_ssa.Ode
 module Compiled = Glc_ssa.Compiled
 module Events = Glc_ssa.Events
@@ -68,13 +69,13 @@ let plan cfg =
 
 let prepare ~dir spec =
   let ( let* ) = Result.bind in
-  if Sys.file_exists (Filename.concat dir "MANIFEST.json") then
-    let* store, manifest = Store.load ~dir in
-    let* stored = Grid.spec_of_json manifest in
-    Ok (store, stored, Grid.spec_to_json stored <> Grid.spec_to_json spec)
+  let plan = Grid.spec_to_json spec in
+  let* store, manifest = Store.open_or_create ~dir plan in
+  (* a fresh directory stores exactly [plan]: nothing to parse *)
+  if manifest = plan then Ok (store, spec, false)
   else
-    let* store = Store.create ~dir (Grid.spec_to_json spec) in
-    Ok (store, spec, false)
+    let* stored = Grid.spec_of_json manifest in
+    Ok (store, stored, Grid.spec_to_json stored <> plan)
 
 (* {2 Propagation delay} *)
 
@@ -98,20 +99,11 @@ let measure ~protocol circuit =
   let threshold = protocol.Protocol.threshold in
   let settle = protocol.Protocol.hold_time in
   let timeout = 2.5 *. protocol.Protocol.hold_time in
-  let level b =
-    if b then protocol.Protocol.input_high else protocol.Protocol.input_low
-  in
+  let inputs = circuit.Circuit.inputs in
   let events ~from_row ~to_row =
     Events.of_list
-      (List.concat
-         (List.init arity (fun j ->
-              let species = circuit.Circuit.inputs.(j) in
-              [
-                Events.set 0. species
-                  (level (Circuit.input_value circuit ~row:from_row j));
-                Events.set settle species
-                  (level (Circuit.input_value circuit ~row:to_row j));
-              ])))
+      (Experiment.clamp protocol ~inputs ~at:0. from_row
+      @ Experiment.clamp protocol ~inputs ~at:settle to_row)
   in
   let c = Compiled.compile (Circuit.model circuit) in
   let out = Compiled.species_index c circuit.Circuit.output in

@@ -72,13 +72,9 @@ let decode_genome s =
           Some { genes = Array.of_list (List.map Option.get genes); out }
       | _ -> None)
 
-let reversed_sensors arity =
-  let s = Assembly.sensors arity in
-  Array.init arity (fun i -> s.(arity - 1 - i))
-
 let netlist_of cfg g =
   let arity = cfg.v_arity in
-  let inputs = reversed_sensors arity in
+  let inputs = Assembly.netlist_inputs arity in
   let net idx = if idx < arity then inputs.(idx) else Printf.sprintf "g%d" (idx - arity) in
   (* phenotype = genes reachable from the output pointer *)
   let active = Array.make (Array.length g.genes) false in
@@ -365,24 +361,19 @@ let load_population store gen =
 let run ?(metrics = Metrics.noop) ?(should_stop = fun () -> false)
     ?(on_progress = fun _ _ _ -> ()) ~dir cfg =
   let ( let* ) = Result.bind in
-  let* store, cfg =
-    if Sys.file_exists (Filename.concat dir "MANIFEST.json") then
-      let* store, manifest = Store.load ~dir in
-      let* stored = config_of_manifest manifest in
-      if
-        stored.v_target <> cfg.v_target
-        || stored.v_arity <> cfg.v_arity
-        || stored.v_seed <> cfg.v_seed
-      then
-        Error
-          (Printf.sprintf
-             "evolution journal %s holds a different run (target %s seed %d)"
-             dir
-             (target_name stored) stored.v_seed)
-      else Ok (store, stored)
-    else
-      let* store = Store.create ~dir (manifest_json cfg) in
-      Ok (store, cfg)
+  let* store, manifest = Store.open_or_create ~dir (manifest_json cfg) in
+  let* stored = config_of_manifest manifest in
+  let* cfg =
+    if
+      stored.v_target <> cfg.v_target
+      || stored.v_arity <> cfg.v_arity
+      || stored.v_seed <> cfg.v_seed
+    then
+      Error
+        (Printf.sprintf
+           "evolution journal %s holds a different run (target %s seed %d)"
+           dir (target_name stored) stored.v_seed)
+    else Ok stored
   in
   let generations = Metrics.counter metrics "space.ga_generations" in
   let evaluations = Metrics.counter metrics "space.ga_evaluations" in

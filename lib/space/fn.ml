@@ -18,15 +18,9 @@ type info = {
 
 let name_of_code = Cello.name_of_code
 
-let reversed_sensors arity =
-  let s = Assembly.sensors arity in
-  Array.init arity (fun i -> s.(arity - 1 - i))
-
 let netlist ~arity code =
-  Netlist.of_truth_table ~inputs:(reversed_sensors arity)
+  Netlist.of_truth_table ~inputs:(Assembly.netlist_inputs arity)
     (Truth_table.of_code ~arity code)
-
-let circuit ~arity code = Cello.of_code ~arity code
 
 let describe ~arity code =
   let nl = netlist ~arity code in

@@ -26,12 +26,8 @@ val name_of_code : arity:int -> int -> string
 (** Alias of {!Glc_gates.Cello.name_of_code}. *)
 
 val netlist : arity:int -> int -> Glc_logic.Netlist.t
-(** Minimal NOT/NOR netlist of the function, over the sensor names in
-    the assembly convention (net index [i] = sensor [n-1-i], see
-    {!Glc_gates.Assembly.of_netlist}). *)
-
-val circuit : arity:int -> int -> Glc_gates.Circuit.t
-(** Alias of {!Glc_gates.Cello.of_code}. *)
+(** Minimal NOT/NOR netlist of the function over
+    {!Glc_gates.Assembly.netlist_inputs}. *)
 
 val describe : arity:int -> int -> info
 (** Synthesises the netlist and classifies the function. *)

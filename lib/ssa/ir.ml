@@ -509,45 +509,3 @@ let eval e ~regs state =
   | Reg r -> regs.(r)
   | Pool i -> e.e_prog.p_pool.(i)
   | State i -> state.(i)
-
-let bin_name = [| "add"; "sub"; "mul"; "div"; "pow"; "min"; "max" |]
-let un_name = [| "neg"; "exp"; "ln" |]
-
-let pp_operand pool ppf (k, i) =
-  match k with
-  | 0 -> Format.fprintf ppf "r%d" i
-  | 1 -> Format.fprintf ppf "%h" pool.(i)
-  | _ -> Format.fprintf ppf "state[%d]" i
-
-let pp_prog ppf p =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun pc w ->
-      if pc > 0 then Format.fprintf ppf "@,";
-      let op = w land 0x7f in
-      let d = (w lsr 7) land 0x3fff in
-      let a = (w lsr 21) land 0x3fff in
-      let b = (w lsr 35) land 0x3fff in
-      if op < 63 then
-        Format.fprintf ppf "r%d <- %s %a %a" d bin_name.(op / 9)
-          (pp_operand p.p_pool)
-          (op mod 9 / 3, a)
-          (pp_operand p.p_pool)
-          (op mod 3, b)
-      else if op < 72 then
-        Format.fprintf ppf "r%d <- %s %a" d
-          un_name.((op - 63) / 3)
-          (pp_operand p.p_pool)
-          ((op - 63) mod 3, a)
-      else
-        let name =
-          match op with
-          | 72 -> "hillrf"
-          | 73 -> "hillaf"
-          | 74 -> "hillr1"
-          | 75 -> "hilla1"
-          | _ -> "hillrr2"
-        in
-        Format.fprintf ppf "r%d <- %s state[%d] pool[%d..]" d name a b)
-    p.p_code;
-  Format.fprintf ppf "@]"

@@ -104,6 +104,3 @@ val eval : expr -> regs:float array -> float array -> float
     float it returns is boxed when the caller is another module
     compiled with [-opaque]; a hot loop calls {!exec} and reads
     [e_result] itself. *)
-
-val pp_prog : Format.formatter -> prog -> unit
-(** Human-readable disassembly, for tests and debugging. *)

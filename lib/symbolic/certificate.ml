@@ -43,13 +43,11 @@ let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
   let n_rows = 1 lsl arity in
   let rows =
     Array.init n_rows (fun row ->
-        (* input j drives bit (arity - 1 - j): I1 is the MSB, matching
-           Experiment.stimulus and Circuit.input_value *)
         let env =
           Array.to_list
             (Array.mapi
                (fun j name ->
-                 let bit = (row lsr (arity - 1 - j)) land 1 = 1 in
+                 let bit = Truth_table.input_value ~arity row j in
                  (name, Interval.point (if bit then input_high else input_low)))
                inputs)
         in

@@ -14,6 +14,7 @@ module Server = Glc_serve.Server
 module Client = Glc_serve.Client
 module Grid = Glc_campaign.Grid
 module Store = Glc_campaign.Store
+module Journal = Glc_campaign.Journal
 module Runner = Glc_campaign.Runner
 module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
@@ -24,10 +25,15 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
-let contains hay needle =
+let occurrences hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+  let rec go i n =
+    if i + nn > nh then n
+    else go (i + 1) (if String.sub hay i nn = needle then n + 1 else n)
+  in
+  go 0 0
+
+let contains hay needle = occurrences hay needle > 0
 
 (* ---- scratch state ---- *)
 
@@ -58,11 +64,12 @@ let with_state f =
     (fun () -> f ~dir ~sock)
 
 (* A daemon running in its own thread for the duration of [f]. *)
-let with_server ?(start_worker = true) ~dir ~sock f =
+let with_server ?(start_worker = true) ?queue_capacity ~dir ~sock f =
   let metrics = Metrics.create () in
   let cfg =
     Server.config ~socket_path:sock ~state_dir:dir ~pool_jobs:2
-      ~total_time:2_000. ~hold_time:1_000. ~start_worker ~metrics ()
+      ?queue_capacity ~total_time:2_000. ~hold_time:1_000. ~start_worker
+      ~metrics ()
   in
   let server = Result.get_ok (Server.create cfg) in
   let thread = Thread.create Server.run server in
@@ -150,11 +157,11 @@ let test_wire_paths () =
 
 let test_scheduler_priority_fifo () =
   let q = Scheduler.create ~capacity:8 in
-  ignore (Scheduler.push q ~priority:5 "a");
-  ignore (Scheduler.push q ~priority:9 "urgent");
-  ignore (Scheduler.push q ~priority:5 "b");
-  ignore (Scheduler.push q ~priority:1 "lazy");
-  let pops = List.init 4 (fun _ -> snd (Option.get (Scheduler.pop q))) in
+  ignore (Scheduler.push q ~priority:5 ~seq:0 "a");
+  ignore (Scheduler.push q ~priority:9 ~seq:1 "urgent");
+  ignore (Scheduler.push q ~priority:5 ~seq:2 "b");
+  ignore (Scheduler.push q ~priority:1 ~seq:3 "lazy");
+  let pops = List.init 4 (fun _ -> Option.get (Scheduler.pop q)) in
   Alcotest.(check (list string))
     "priority order, FIFO within a level"
     [ "urgent"; "a"; "b"; "lazy" ] pops;
@@ -162,28 +169,59 @@ let test_scheduler_priority_fifo () =
 
 let test_scheduler_backpressure () =
   let q = Scheduler.create ~capacity:2 in
-  checkb "first fits" true (Scheduler.push q ~priority:5 "a" <> `Full);
-  checkb "second fits" true (Scheduler.push q ~priority:5 "b" <> `Full);
-  checkb "third rejected" true (Scheduler.push q ~priority:9 "c" = `Full);
+  checkb "first fits" true (Scheduler.push q ~priority:5 ~seq:0 "a" = `Queued);
+  checkb "second fits" true (Scheduler.push q ~priority:5 ~seq:1 "b" = `Queued);
+  checkb "third rejected" true (Scheduler.push q ~priority:9 ~seq:2 "c" = `Full);
   checkb "full flag" true (Scheduler.is_full q);
   ignore (Scheduler.pop q);
-  checkb "slot freed" true (Scheduler.push q ~priority:0 "d" <> `Full)
+  checkb "slot freed" true (Scheduler.push q ~priority:0 ~seq:3 "d" = `Queued)
+
+(* An admission layer over a fresh state directory, without a daemon:
+   no lint, so admitting a job never resolves its circuit. *)
+let with_admission ~dir ~capacity f =
+  let store = Result.get_ok (Store.create ~dir "{}") in
+  let journal = Journal.open_ ~dir in
+  Fun.protect
+    ~finally:(fun () -> Journal.close journal)
+    (fun () ->
+      f
+        (Admission.create
+           ~spec_for:
+             (Jobstate.spec_for ~seed:42 ~total_time:2_000. ~hold_time:1_000.)
+           ~lint:false ~capacity ~store ~journal ~metrics:Metrics.noop
+           ~state_dir:dir))
+
+let submit_not replicates =
+  {
+    Admission.sub_circuit = "genetic_NOT";
+    sub_threshold = None;
+    sub_fov_ud = None;
+    sub_input_high = None;
+    sub_replicates = Some replicates;
+    sub_priority = None;
+  }
 
 let test_scheduler_seq_resume () =
-  let q = Scheduler.create ~capacity:8 in
-  (* a restart re-enqueues persisted seqs; fresh pushes continue after *)
-  ignore (Scheduler.push_seq q ~priority:5 ~seq:7 "old");
-  checki "counter advanced past resumed seq" 8 (Scheduler.next_seq q);
-  (match Scheduler.push q ~priority:5 "new" with
-  | `Queued seq -> checki "fresh push continues" 8 seq
-  | `Full -> Alcotest.fail "queue full");
-  checks "resumed pops first (same priority, lower seq)" "old"
-    (snd (Option.get (Scheduler.pop q)))
+  with_state (fun ~dir ~sock:_ ->
+      with_admission ~dir ~capacity:8 (fun adm ->
+          (* a restart re-enqueues persisted seqs; fresh admissions
+             continue after them *)
+          let old = Jobstate.make ~job:(not_job ()) ~priority:5 ~seq:7 ~now:0. in
+          Store.atomic_write
+            (Filename.concat adm.Admission.submitted_dir (old.Jobstate.id ^ ".json"))
+            (Jobstate.submission_json old);
+          Result.get_ok (Admission.recover adm ~now:0.);
+          checki "counter advanced past resumed seq" 8 adm.Admission.next_seq;
+          (match Admission.admit adm ~now:0. (submit_not 3) with
+          | Admission.Accepted e -> checki "fresh admission continues" 8 e.Jobstate.seq
+          | _ -> Alcotest.fail "not accepted");
+          checks "resumed pops first (same priority, lower seq)" old.Jobstate.id
+            (Option.get (Scheduler.pop adm.Admission.scheduler)).Jobstate.id))
 
 let test_scheduler_remove () =
   let q = Scheduler.create ~capacity:8 in
-  ignore (Scheduler.push q ~priority:5 "keep");
-  ignore (Scheduler.push q ~priority:5 "drop");
+  ignore (Scheduler.push q ~priority:5 ~seq:0 "keep");
+  ignore (Scheduler.push q ~priority:5 ~seq:1 "drop");
   checkb "removes the match" true
     (Scheduler.remove q (String.equal "drop") = Some "drop");
   checkb "no rematch" true (Scheduler.remove q (String.equal "drop") = None);
@@ -403,6 +441,100 @@ let test_e2e_result_survives_restart () =
           checks "same bytes" (reference_document (not_job ()))
             resp.W.resp_body))
 
+let test_e2e_bad_settings () =
+  with_state (fun ~dir ~sock ->
+      let create ?queue_capacity ?hold_time () =
+        Server.create
+          (Server.config ~socket_path:sock ~state_dir:dir ?queue_capacity
+             ?hold_time ())
+      in
+      let left_behind () =
+        List.filter
+          (fun f -> Sys.file_exists (Filename.concat dir f))
+          [ "MANIFEST.json"; "LOCK"; "journal.jsonl" ]
+      in
+      checkb "queue 0 is an error" true
+        (Result.is_error (create ~queue_capacity:0 ()));
+      Alcotest.(check (list string)) "queue 0 writes nothing" [] (left_behind ());
+      checkb "hold 0 is an error" true (Result.is_error (create ~hold_time:0. ()));
+      Alcotest.(check (list string)) "hold 0 writes nothing" [] (left_behind ());
+      (* a stored manifest overrides the flags, so it is checked too *)
+      Store.mkdir_p dir;
+      Store.atomic_write
+        (Filename.concat dir "MANIFEST.json")
+        "{\"serve\":1,\"seed\":42,\"total_time\":2000,\"hold_time\":0}";
+      checkb "stored hold 0 is an error" true (Result.is_error (create ()));
+      checkb "lock released" false (Sys.file_exists (Filename.concat dir "LOCK")))
+
+(* life 1 persists three submissions without running them *)
+let persist_three ~dir ~sock =
+  with_server ~start_worker:false ~dir ~sock (fun _server _metrics client ->
+      List.map
+        (fun replicates ->
+          match Client.submit ~replicates client ~circuit:"genetic_NOT" with
+          | Ok r -> Option.get (Client.job_id_of_response r)
+          | Error m -> Alcotest.fail m)
+        [ 2; 3; 4 ])
+
+let test_e2e_smaller_queue () =
+  with_state (fun ~dir ~sock ->
+      let ids = persist_three ~dir ~sock in
+      with_server ~start_worker:false ~queue_capacity:1 ~dir ~sock
+        (fun _server _metrics client ->
+          let l = Result.get_ok (Client.list_jobs client) in
+          checki "only the enqueued entry reports queued" 1
+            (occurrences l.W.resp_body "\"status\":\"queued\"");
+          (match Client.cancel client ~id:(List.nth ids 2) with
+          | Ok resp -> checki "a refused record is unknown" 404 resp.W.status
+          | Error m -> Alcotest.fail m);
+          checki "refused records stay on disk" 3
+            (Array.length (Sys.readdir (Filename.concat dir "submitted")))))
+
+let test_e2e_seq_after_restart () =
+  with_state (fun ~dir ~sock ->
+      (* life 1 queues one job; a result for another lands in the store *)
+      ignore
+        (with_server ~start_worker:false ~dir ~sock (fun _ _ client ->
+             submit_ok client));
+      let stored =
+        Result.get_ok (Jobstate.job ~circuit:"genetic_NOT" ~replicates:3 ())
+      in
+      let store, _ = Result.get_ok (Store.load ~dir) in
+      Store.put store ~id:(Grid.job_id stored) "{\"verified\":true}";
+      with_server ~start_worker:false ~dir ~sock (fun _server _metrics client ->
+          let seq_of resp =
+            let v = Result.get_ok (Json.parse resp.W.resp_body) in
+            Option.get
+              (Option.bind (Json.member v "job") (fun j ->
+                   Option.bind (Json.member j "seq") Json.to_int))
+          in
+          let submit replicates =
+            seq_of
+              (Result.get_ok
+                 (Client.submit ~replicates client ~circuit:"genetic_NOT"))
+          in
+          let hit = submit 3 in
+          let fresh = submit 4 in
+          checkb "store hit and fresh job get distinct seqs" true (hit <> fresh);
+          let l = Result.get_ok (Client.list_jobs client) in
+          let seqs =
+            match
+              Option.bind
+                (Result.to_option (Json.parse l.W.resp_body))
+                (fun v -> Option.bind (Json.member v "jobs") Json.to_list)
+            with
+            | Some jobs ->
+                List.map
+                  (fun j -> Option.get (Option.bind (Json.member j "seq") Json.to_int))
+                  jobs
+            | None -> Alcotest.fail "unparseable job list"
+          in
+          checki "three jobs listed" 3 (List.length seqs);
+          checkb "seqs strictly increase" true
+            (List.for_all2 ( < )
+               (List.filteri (fun i _ -> i < 2) seqs)
+               (List.tl seqs))))
+
 let () =
   Alcotest.run "glc_serve"
     [
@@ -449,5 +581,11 @@ let () =
             test_e2e_lock_contention;
           Alcotest.test_case "results outlive restarts" `Slow
             test_e2e_result_survives_restart;
+          Alcotest.test_case "bad settings are errors" `Quick
+            test_e2e_bad_settings;
+          Alcotest.test_case "restart with a smaller queue" `Quick
+            test_e2e_smaller_queue;
+          Alcotest.test_case "seqs stay distinct across restarts" `Quick
+            test_e2e_seq_after_restart;
         ] );
     ]
