@@ -680,15 +680,9 @@ let certify_cmd =
         let certify c = Certificate.certify ~metrics ~margin ~protocol c in
         if all then begin
           let certs = List.map certify (Benchmarks.all ()) in
-          if json then begin
-            print_string "[";
-            List.iteri
-              (fun i ct ->
-                if i > 0 then print_string ",";
-                print_string (Certificate.to_json ct))
-              certs;
-            print_string "]\n"
-          end
+          if json then
+            print_string
+              (Glc_obs.Json.arr (List.map Certificate.to_json certs) ^ "\n")
           else begin
             List.iter (Format.printf "%a@.@." Certificate.pp) certs;
             let proved =

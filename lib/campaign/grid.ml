@@ -1,4 +1,5 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
+module Cache = Glc_engine.Cache
 module Protocol = Glc_dvasim.Protocol
 
 type t = {
@@ -95,17 +96,8 @@ let size g =
   * List.length g.fov_uds * List.length g.input_highs
   * List.length g.replicate_counts
 
-(* FNV-1a 64 over the canonical field rendering: the id depends only on
-   the job's content, never on its position in the grid. *)
-let fnv64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
-
+(* The id hashes the canonical field rendering: it depends only on the
+   job's content, never on its position in the grid. *)
 let canonical job =
   Printf.sprintf "circuit=%s;threshold=%s;fov=%s;high=%s;replicates=%d"
     job.j_circuit
@@ -126,59 +118,54 @@ let sanitize name =
 
 let job_id job =
   Printf.sprintf "%s-%016Lx" (sanitize job.j_circuit)
-    (fnv64 (canonical job))
+    (Cache.fnv64 (canonical job))
 
 let job_seed ~seed job =
   (* root seed folded with the content id: stable under re-ordering,
      re-expansion and resume; positive so it is a valid RNG seed *)
   Int64.to_int
     (Int64.shift_right_logical
-       (fnv64 (Printf.sprintf "%d/%s" seed (job_id job)))
+       (Cache.fnv64 (Printf.sprintf "%d/%s" seed (job_id job)))
        2)
 
 let job_fields job =
-  Printf.sprintf
-    "\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d"
-    (Json.string job.j_circuit)
-    (Json.float job.j_threshold)
-    (Json.float job.j_fov_ud)
-    (match job.j_input_high with
-    | None -> "null"
-    | Some h -> Json.float h)
-    job.j_replicates
+  [
+    ("circuit", Json.string job.j_circuit);
+    ("threshold", Json.float job.j_threshold);
+    ("fov_ud", Json.float job.j_fov_ud);
+    ("input_high", Json.option Json.float job.j_input_high);
+    ("replicates", string_of_int job.j_replicates);
+  ]
 
 (* ---- manifest (de)serialisation ---- *)
 
-let json_list to_item xs =
-  "[" ^ String.concat "," (List.map to_item xs) ^ "]"
-
-let to_json g =
-  Printf.sprintf
-    "{\"circuits\":%s,\"thresholds\":%s,\"fov_uds\":%s,\"input_highs\":%s,\"replicate_counts\":%s}"
-    (json_list Json.string g.circuits)
-    (json_list Json.float g.thresholds)
-    (json_list Json.float g.fov_uds)
-    (json_list
-       (function None -> "null" | Some h -> Json.float h)
-       g.input_highs)
-    (json_list string_of_int g.replicate_counts)
-
 let spec_to_json s =
-  Printf.sprintf
-    "{\"version\":1,\"seed\":%d,\"total_time\":%s,\"hold_time\":%s,\"grid\":%s}"
-    s.seed
-    (Json.float s.total_time)
-    (Json.float s.hold_time)
-    (to_json s.grid)
+  let g = s.grid and list render xs = Json.arr (List.map render xs) in
+  Json.obj
+    [
+      ("version", "1");
+      ("seed", string_of_int s.seed);
+      ("total_time", Json.float s.total_time);
+      ("hold_time", Json.float s.hold_time);
+      ( "grid",
+        Json.obj
+          [
+            ("circuits", list Json.string g.circuits);
+            ("thresholds", list Json.float g.thresholds);
+            ("fov_uds", list Json.float g.fov_uds);
+            ("input_highs", list (Json.option Json.float) g.input_highs);
+            ("replicate_counts", list string_of_int g.replicate_counts);
+          ] );
+    ]
 
-let field_of v name conv =
-  match Option.bind (Json.member v name) conv with
+let field_of v name read =
+  match read v name with
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "manifest: missing or bad %S" name)
 
 let list_field v name conv =
   let ( let* ) = Result.bind in
-  let* items = field_of v name Json.to_list in
+  let* items = field_of v name Json.list_field in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | item :: rest -> (
@@ -209,13 +196,13 @@ let of_json v =
 let spec_of_json text =
   let ( let* ) = Result.bind in
   let* v = Json.parse text in
-  let* version = field_of v "version" Json.to_int in
+  let* version = field_of v "version" Json.int_field in
   if version <> 1 then
     Error (Printf.sprintf "manifest: unsupported version %d" version)
   else
-    let* seed = field_of v "seed" Json.to_int in
-    let* total_time = field_of v "total_time" Json.to_number in
-    let* hold_time = field_of v "hold_time" Json.to_number in
+    let* seed = field_of v "seed" Json.int_field in
+    let* total_time = field_of v "total_time" Json.number_field in
+    let* hold_time = field_of v "hold_time" Json.number_field in
     let* grid =
       match Json.member v "grid" with
       | Some g -> of_json g

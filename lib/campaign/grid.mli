@@ -75,16 +75,15 @@ val job_seed : seed:int -> job -> int
     jobs ran before a crash, which is what makes resumed campaigns
     byte-identical to uninterrupted ones. *)
 
-val job_fields : job -> string
-(** The job's coordinates as JSON object members, without braces:
-    ["circuit":…,"threshold":…,"fov_ud":…,"input_high":…,"replicates":…]
-    ([input_high] is [null] for the protocol default). Every document
-    that names a job — stored results, the campaign report, the serve
-    daemon's status and submission records — renders it here. *)
+val job_fields : job -> (string * string) list
+(** The job's coordinates as rendered JSON object members, for
+    {!Glc_obs.Json.obj}: [circuit], [threshold], [fov_ud], [input_high]
+    ([null] for the protocol default) and [replicates], in that order.
+    Every document that names a job — stored results, the campaign
+    report, the serve daemon's status and submission records — renders
+    it here. *)
 
 (** {2 Manifest (de)serialisation} *)
-
-val to_json : t -> string
 
 val spec_to_json : spec -> string
 (** The campaign [MANIFEST.json] body. Deterministic bytes. *)

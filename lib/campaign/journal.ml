@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 type event =
   | Scheduled of string
@@ -34,26 +34,21 @@ let open_ ~dir =
     ignore (Unix.write_substring fd "\n" 0 1);
   { fd; closed = false }
 
-let event_to_json = function
-  | Scheduled id ->
-      Printf.sprintf "{\"event\":\"scheduled\",\"job\":%s}" (Json.string id)
-  | Started id ->
-      Printf.sprintf "{\"event\":\"started\",\"job\":%s}" (Json.string id)
-  | Done id ->
-      Printf.sprintf "{\"event\":\"done\",\"job\":%s}" (Json.string id)
-  | Failed (id, error) ->
-      Printf.sprintf "{\"event\":\"failed\",\"job\":%s,\"error\":%s}"
-        (Json.string id) (Json.string error)
+let event_to_json event =
+  let fields name id =
+    [ ("event", Json.string name); ("job", Json.string id) ]
+  in
+  Json.obj
+    (match event with
+    | Scheduled id -> fields "scheduled" id
+    | Started id -> fields "started" id
+    | Done id -> fields "done" id
+    | Failed (id, error) ->
+        fields "failed" id @ [ ("error", Json.string error) ])
 
 let append t event =
   if t.closed then invalid_arg "Journal.append: closed";
-  let line = event_to_json event ^ "\n" in
-  let n = String.length line in
-  let written = ref 0 in
-  while !written < n do
-    written :=
-      !written + Unix.write_substring t.fd line !written (n - !written)
-  done;
+  Store.write_all t.fd (event_to_json event ^ "\n");
   (* fsync per record: a killed process loses at most the events of
      jobs that were in flight, never an acknowledged one *)
   Unix.fsync t.fd
@@ -68,7 +63,7 @@ let event_of_json line =
   match Json.parse line with
   | Error _ -> None
   | Ok v -> (
-      let str name = Option.bind (Json.member v name) Json.to_str in
+      let str = Json.str_field v in
       match (str "event", str "job") with
       | Some "scheduled", Some id -> Some (Scheduled id)
       | Some "started", Some id -> Some (Started id)
@@ -81,12 +76,7 @@ let read ~dir =
   let p = path ~dir in
   if not (Sys.file_exists p) then []
   else begin
-    let ic = open_in_bin p in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let text = In_channel.with_open_bin p In_channel.input_all in
     (* only newline-terminated records count: a crash mid-append leaves
        a partial last line, which must not parse as an event *)
     let lines = String.split_on_char '\n' text in

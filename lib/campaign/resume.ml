@@ -110,11 +110,12 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop
           if certified_only then keep_certified ?metrics spec todo
           else List.map (fun job -> (job, None)) todo
         in
-        let journal = Journal.open_ ~dir in
+        let* journal = Store.guard ~dir (fun () -> Ok (Journal.open_ ~dir)) in
         Fun.protect
           ~finally:(fun () -> Journal.close journal)
           (fun () ->
-            Runner.run ?jobs ?limit ?on_progress ?metrics ?should_stop
-              ~store ~journal spec todo))
+            Ok
+              (Runner.run ?jobs ?limit ?on_progress ?metrics ?should_stop
+                 ~store ~journal spec todo)))
   in
-  Ok (store, spec, summary)
+  Result.map (fun summary -> (store, spec, summary)) summary

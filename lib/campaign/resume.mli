@@ -54,9 +54,10 @@ val run :
     The drain holds the directory's single-writer {!Store.Lock}: a
     second process draining the same campaign concurrently gets a clean
     [Error] instead of duplicated work and an interleaved journal (a
-    stale lock left by a [kill -9] is detected and broken). [should_stop]
-    is the graceful-interrupt hook, polled between jobs — see
-    {!Runner.run}.
+    stale lock left by a [kill -9] is detected and broken); a journal
+    that cannot be opened is an [Error] too ({!Store.guard}), and the
+    lock is released. [should_stop] is the graceful-interrupt hook,
+    polled between jobs — see {!Runner.run}.
 
     [certified_only] (default [false]) prunes the pending set before
     the drain: every pending job is certified once ({!Runner.certify},

@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 module Circuit = Glc_gates.Circuit
 module Benchmarks = Glc_gates.Benchmarks
 module Cello = Glc_gates.Cello
@@ -61,14 +61,23 @@ let job_protocol (spec : Grid.spec) (job : Grid.job) =
         ~hold_time:spec.Grid.hold_time ~threshold:job.Grid.j_threshold
         ~input_high ()
 
-(* Every stored document opens with the same job-coordinate prefix and
+(* Every stored document opens with the same job coordinates and
    carries the same provenance triple + top-level [verified] /
    [fitness_mean] summary fields, whichever execution path produced
    it — report readers never branch on the document's origin. *)
-let document_prefix ~seed (job : Grid.job) =
-  Printf.sprintf "{\"id\":%s,%s,\"seed\":%d"
-    (Json.string (Grid.job_id job))
-    (Grid.job_fields job) seed
+let document ~seed (job : Grid.job) ~provenance ~certified_rows ~total_rows
+    ~verified ~fitness_mean evidence =
+  Json.obj
+    ((("id", Json.string (Grid.job_id job)) :: Grid.job_fields job)
+    @ [
+        ("seed", string_of_int seed);
+        ("provenance", Json.string provenance);
+        ("certified_rows", string_of_int certified_rows);
+        ("total_rows", string_of_int total_rows);
+        ("verified", Json.bool verified);
+        ("fitness_mean", Json.float fitness_mean);
+        evidence;
+      ])
 
 (* The simulated document: coordinates, provenance (how many rows the
    certificate settled before the ensemble ran), top-level verdict and
@@ -80,13 +89,10 @@ let job_document ?certificate ~seed (job : Grid.job) (t : Ensemble.t) =
     | None -> (0, 0)
     | Some c -> (Certificate.decided c, Certificate.rows c)
   in
-  Printf.sprintf
-    "%s,\"provenance\":\"simulated\",\"certified_rows\":%d,\"total_rows\":%d,\"verified\":%s,\"fitness_mean\":%s,\"ensemble\":%s}"
-    (document_prefix ~seed job)
-    certified_rows total_rows
-    (Json.bool t.Ensemble.consensus_verified)
-    (Json.float t.Ensemble.fitness.Stats.mean)
-    (Ensemble.to_json t)
+  document ~seed job ~provenance:"simulated" ~certified_rows ~total_rows
+    ~verified:t.Ensemble.consensus_verified
+    ~fitness_mean:t.Ensemble.fitness.Stats.mean
+    ("ensemble", Ensemble.to_json t)
 
 (* The certified document: every row was proved symbolically, so there
    is no ensemble — the certificate itself is the evidence. A proof
@@ -95,13 +101,10 @@ let certified_document ~seed (job : Grid.job) (cert : Certificate.t) =
   let verified =
     match Certificate.verified cert with Some b -> b | None -> false
   in
-  Printf.sprintf
-    "%s,\"provenance\":\"certified\",\"certified_rows\":%d,\"total_rows\":%d,\"verified\":%s,\"fitness_mean\":%s,\"certificate\":%s}"
-    (document_prefix ~seed job)
-    (Certificate.decided cert)
-    (Certificate.rows cert)
-    (Json.bool verified) (Json.float 100.)
-    (Certificate.to_json cert)
+  document ~seed job ~provenance:"certified"
+    ~certified_rows:(Certificate.decided cert)
+    ~total_rows:(Certificate.rows cert) ~verified ~fitness_mean:100.
+    ("certificate", Certificate.to_json cert)
 
 type certified = Circuit.t * Certificate.t
 
@@ -177,11 +180,11 @@ let run ?(jobs = 0) ?limit ?(on_progress = null_progress)
       Metrics.Counter.incr c_scheduled;
       journal_append (Journal.Scheduled (Grid.job_id job)))
     pending;
-  let started_at = Unix.gettimeofday () in
+  let started_at = Glc_obs.Clock.now () in
   let succeeded = ref 0 and failed = ref 0 in
   let report () =
     let completed = !succeeded + !failed in
-    let elapsed = Unix.gettimeofday () -. started_at in
+    let elapsed = Glc_obs.Clock.now () -. started_at in
     on_progress
       {
         p_completed = completed;
@@ -235,7 +238,7 @@ let run ?(jobs = 0) ?limit ?(on_progress = null_progress)
           end)
         pending);
   let completed = !succeeded + !failed in
-  let elapsed = Unix.gettimeofday () -. started_at in
+  let elapsed = Glc_obs.Clock.now () -. started_at in
   if live && completed > 0 && elapsed > 0. then
     Metrics.Histogram.observe
       (Metrics.histogram metrics "campaign.jobs_per_second")

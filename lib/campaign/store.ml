@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 type t = { dir : string }
 
@@ -16,11 +16,21 @@ let mkdir_p dir =
   in
   go dir
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let guard ~dir f =
+  try f () with
+  | Unix.Unix_error (e, _, path) ->
+      Error
+        (Printf.sprintf "%s: %s"
+           (if path = "" then dir else path)
+           (Unix.error_message e))
+  | Sys_error m -> Error (Printf.sprintf "%s: %s" dir m)
+
+let write_all fd s =
+  let n = String.length s in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write_substring fd s !written (n - !written)
+  done
 
 (* Temp-file + rename in the destination directory: the visible path
    either holds the complete document or nothing. The temp name embeds
@@ -37,13 +47,7 @@ let atomic_write path content =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let n = String.length content in
-        let written = ref 0 in
-        while !written < n do
-          written :=
-            !written
-            + Unix.write_substring fd content !written (n - !written)
-        done;
+        write_all fd content;
         Unix.fsync fd);
     Unix.rename tmp path
   with
@@ -72,7 +76,7 @@ module Lock = struct
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
 
   let holder path =
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception _ -> None
     | text -> int_of_string_opt (String.trim text)
 
@@ -86,30 +90,31 @@ module Lock = struct
     | exception Unix.Unix_error (_, _, _) -> false
 
   let acquire ~dir =
-    mkdir_p dir;
-    let p = path ~dir in
-    let taken () = Ok { l_path = p; l_released = false } in
-    if try_create p then taken ()
-    else begin
-      match holder p with
-      | Some pid when pid_live pid ->
-          Error
-            (Printf.sprintf
-               "%s is locked by running process %d — only one process may \
-                drain a campaign/serve directory at a time"
-               dir pid)
-      | Some _ | None ->
-          (* stale: remove and retry once; losing the re-creation race
-             to another process is a genuine "busy" again *)
-          (try Sys.remove p with Sys_error _ -> ());
-          if try_create p then taken ()
-          else
-            Error
-              (Printf.sprintf
-                 "%s: lost the lock acquisition race after removing a \
-                  stale lock — another process is draining this directory"
-                 dir)
-    end
+    guard ~dir (fun () ->
+        mkdir_p dir;
+        let p = path ~dir in
+        let taken () = Ok { l_path = p; l_released = false } in
+        if try_create p then taken ()
+        else
+          match holder p with
+          | Some pid when pid_live pid ->
+              Error
+                (Printf.sprintf
+                   "%s is locked by running process %d — only one process \
+                    may drain a campaign/serve directory at a time"
+                   dir pid)
+          | Some _ | None ->
+              (* stale: remove and retry once; losing the re-creation
+                 race to another process is a genuine "busy" again *)
+              (try Sys.remove p with Sys_error _ -> ());
+              if try_create p then taken ()
+              else
+                Error
+                  (Printf.sprintf
+                     "%s: lost the lock acquisition race after removing a \
+                      stale lock — another process is draining this \
+                      directory"
+                     dir))
 
   let release l =
     if not l.l_released then begin
@@ -131,20 +136,20 @@ let create ~dir manifest_json =
     Error
       (Printf.sprintf
          "%s already holds a campaign manifest — resume it instead" dir)
-  else begin
-    mkdir_p (Filename.concat dir results_subdir);
-    atomic_write (manifest_path dir) manifest_json;
-    Ok { dir }
-  end
+  else
+    guard ~dir (fun () ->
+        mkdir_p (Filename.concat dir results_subdir);
+        atomic_write (manifest_path dir) manifest_json;
+        Ok { dir })
 
 let load ~dir =
   let path = manifest_path dir in
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "%s: no campaign manifest found" path)
-  else begin
-    mkdir_p (Filename.concat dir results_subdir);
-    Ok ({ dir }, read_file path)
-  end
+  else
+    guard ~dir (fun () ->
+        mkdir_p (Filename.concat dir results_subdir);
+        Ok ({ dir }, In_channel.with_open_bin path In_channel.input_all))
 
 let open_or_create ~dir manifest_json =
   if Sys.file_exists (manifest_path dir) then load ~dir
@@ -162,7 +167,7 @@ let get t ~id =
     (* a result counts only when it parses: half-written or corrupted
        files (which the atomic rename should already preclude) are
        treated as absent, so resume re-runs the job *)
-    let text = read_file path in
+    let text = In_channel.with_open_bin path In_channel.input_all in
     match Json.parse text with Ok _ -> Some text | Error _ -> None
 
 let mem t ~id = Option.is_some (get t ~id)
@@ -182,11 +187,12 @@ let completed t =
 (* top-level verdict; documents stored before provenance existed only
    carry the ensemble consensus *)
 let verdict_of doc =
-  match Option.bind (Json.member doc "verified") Json.to_bool with
+  match Json.bool_field doc "verified" with
   | Some _ as b -> b
-  | None ->
-      Option.bind (Json.member doc "ensemble") (fun e ->
-          Option.bind (Json.member e "consensus_verified") Json.to_bool)
+  | None -> (
+      match Json.member doc "ensemble" with
+      | Some e -> Json.bool_field e "consensus_verified"
+      | None -> None)
 
 let verdict text = Option.bind (Result.to_option (Json.parse text)) verdict_of
 
@@ -227,71 +233,67 @@ let job_line t job =
       (* summary numbers are parsed once and re-rendered with the same
          shortest-round-trip printer that produced them, so they pass
          through the store byte-identically *)
-      let top name conv = Option.bind (Json.member doc name) conv in
-      let ens name conv =
-        Option.bind (Json.member doc "ensemble") (fun e ->
-            Option.bind (Json.member e name) conv)
-      in
-      let int name = Option.value ~default:0 (ens name Json.to_int) in
+      let int o name = Option.value ~default:0 (Json.int_field o name) in
+      let ens = Option.value ~default:Json.Null (Json.member doc "ensemble") in
       {
         absent with
         l_done = true;
         l_verified = Option.value ~default:false (verdict_of doc);
-        l_verified_count = int "verified_count";
-        l_completed = int "completed";
-        l_failed = int "failed";
+        l_verified_count = int ens "verified_count";
+        l_completed = int ens "completed";
+        l_failed = int ens "failed";
         l_fitness_mean =
-          Option.value ~default:nan (top "fitness_mean" Json.to_number);
+          Option.value ~default:nan (Json.number_field doc "fitness_mean");
         l_provenance =
-          Option.value ~default:"simulated" (top "provenance" Json.to_str);
-        l_certified_rows =
-          Option.value ~default:0 (top "certified_rows" Json.to_int);
-        l_total_rows =
-          Option.value ~default:0 (top "total_rows" Json.to_int);
+          Option.value ~default:"simulated" (Json.str_field doc "provenance");
+        l_certified_rows = int doc "certified_rows";
+        l_total_rows = int doc "total_rows";
       }
 
 let lines t (spec : Grid.spec) =
   List.map (job_line t) (Grid.expand spec.Grid.grid)
 
 let report_json t (spec : Grid.spec) =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
   let ls = lines t spec in
-  let done_count = List.length (List.filter (fun l -> l.l_done) ls) in
-  let verified_count =
-    List.length (List.filter (fun l -> l.l_verified) ls)
-  in
-  add "{\"campaign\":{";
-  add (Printf.sprintf "\"seed\":%d," spec.Grid.seed);
-  add
-    (Printf.sprintf "\"total_time\":%s,\"hold_time\":%s},"
-       (Json.float spec.Grid.total_time)
-       (Json.float spec.Grid.hold_time));
-  add
-    (Printf.sprintf
-       "\"totals\":{\"jobs\":%d,\"done\":%d,\"missing\":%d,\"verified\":%d},"
-       (List.length ls) done_count
-       (List.length ls - done_count)
-       verified_count);
-  add "\"jobs\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf "{\"id\":%s,%s," (Json.string l.l_id)
-           (Grid.job_fields l.l_job));
-      if not l.l_done then add "\"status\":\"missing\"}"
+  let count p = string_of_int (List.length (List.filter p ls)) in
+  let job l =
+    let status =
+      if not l.l_done then [ ("status", Json.string "missing") ]
       else
-        add
-          (Printf.sprintf
-             "\"status\":\"done\",\"provenance\":%s,\"certified_rows\":%d,\"total_rows\":%d,\"verified\":%s,\"verified_count\":%d,\"completed\":%d,\"failed\":%d,\"fitness_mean\":%s}"
-             (Json.string l.l_provenance) l.l_certified_rows l.l_total_rows
-             (Json.bool l.l_verified) l.l_verified_count l.l_completed
-             l.l_failed
-             (Json.float l.l_fitness_mean)))
-    ls;
-  add "]}";
-  Buffer.contents buf
+        [
+          ("status", Json.string "done");
+          ("provenance", Json.string l.l_provenance);
+          ("certified_rows", string_of_int l.l_certified_rows);
+          ("total_rows", string_of_int l.l_total_rows);
+          ("verified", Json.bool l.l_verified);
+          ("verified_count", string_of_int l.l_verified_count);
+          ("completed", string_of_int l.l_completed);
+          ("failed", string_of_int l.l_failed);
+          ("fitness_mean", Json.float l.l_fitness_mean);
+        ]
+    in
+    Json.obj
+      ((("id", Json.string l.l_id) :: Grid.job_fields l.l_job) @ status)
+  in
+  Json.obj
+    [
+      ( "campaign",
+        Json.obj
+          [
+            ("seed", string_of_int spec.Grid.seed);
+            ("total_time", Json.float spec.Grid.total_time);
+            ("hold_time", Json.float spec.Grid.hold_time);
+          ] );
+      ( "totals",
+        Json.obj
+          [
+            ("jobs", string_of_int (List.length ls));
+            ("done", count (fun l -> l.l_done));
+            ("missing", count (fun l -> not l.l_done));
+            ("verified", count (fun l -> l.l_verified));
+          ] );
+      ("jobs", Json.arr (List.map job ls));
+    ]
 
 let pp_report ppf (t, (spec : Grid.spec)) =
   let ls = lines t spec in

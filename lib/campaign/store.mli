@@ -22,9 +22,17 @@ type t
 val mkdir_p : string -> unit
 (** [mkdir "-p"]: creates the directory and its missing parents. *)
 
-val read_file : string -> string
-(** The whole file, read in binary mode.
-    @raise Sys_error if it cannot be opened or read. *)
+val guard : dir:string -> (unit -> ('a, string) result) -> ('a, string) result
+(** [guard ~dir f] is [f ()], with a failing system call under [dir]
+    (a path component that is a regular file, a directory where a file
+    belongs, a full disk) turned into an [Error] naming the failing
+    path and the reason. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Writes the whole string to the descriptor, looping over short
+    writes. The one write loop: the atomic writer, the journal, and
+    both ends of the serve socket use it.
+    @raise Unix.Unix_error on a failing write. *)
 
 val atomic_write : string -> string -> unit
 (** [atomic_write path content] writes [content] to a pid-stamped temp
@@ -57,7 +65,8 @@ module Lock : sig
       ([Error] naming the pid); a dead pid or unparseable content is a
       stale lock left by a [kill -9], which is removed and the
       acquisition retried (once — losing the re-acquisition race to
-      another process is again a clean [Error]). *)
+      another process is again a clean [Error]). A [dir] that cannot
+      be a directory (a regular file, say) is an [Error] too. *)
 
   val release : lock -> unit
   (** Removes the lock file. Idempotent; never raises. *)
@@ -70,7 +79,9 @@ end
 val create : dir:string -> string -> (t, string) result
 (** [create ~dir manifest_json] initialises a fresh campaign directory
     (creating [dir] and [dir/results]) and persists the manifest.
-    Errors if [dir] already holds a manifest — resume instead. *)
+    Errors if [dir] already holds a manifest — resume instead. Like
+    {!load} and {!open_or_create}, it reports a failing system call
+    (a [dir] that is a regular file, say) as an [Error] ({!guard}). *)
 
 val load : dir:string -> (t * string, string) result
 (** Opens an existing campaign directory; returns the store and the

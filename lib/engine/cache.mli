@@ -25,6 +25,11 @@ val create : ?metrics:Glc_obs.Metrics.t -> unit -> t
     lookups under [engine.cache_hits] / [engine.cache_misses] in
     addition to the in-process {!hits}/{!misses} accessors. *)
 
+val fnv64 : string -> int64
+(** FNV-1a, 64 bit: deterministic across runs and architectures. The
+    toolchain's one content hash — model fingerprints here, campaign
+    job ids and job seeds in [Glc_campaign.Grid]. *)
+
 val fingerprint : Model.t -> string
 (** Cheap content digest (FNV-1a 64, rendered as 16 hex digits) over
     species (id, initial amount, boundary flag), parameters and

@@ -4,7 +4,7 @@ module Experiment = Glc_dvasim.Experiment
 module Truth_table = Glc_logic.Truth_table
 module Analyzer = Glc_core.Analyzer
 module Verify = Glc_core.Verify
-module Report = Glc_core.Report
+module Json = Glc_obs.Json
 module Sim = Glc_ssa.Sim
 module Compiled = Glc_ssa.Compiled
 
@@ -288,65 +288,65 @@ let pp ppf t =
   Format.fprintf ppf "@]"
 
 let to_json t =
-  let open Report.Json in
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  let field ?(last = false) k v =
-    add (string k);
-    add ":";
-    add v;
-    if not last then add ","
-  in
-  let array_of to_item items =
-    "[" ^ String.concat "," (List.map to_item items) ^ "]"
-  in
   let summary (s : Stats.summary) =
-    Printf.sprintf "{\"n\":%d,\"mean\":%s,\"sd\":%s,\"ci95\":%s,\"min\":%s,\"max\":%s}"
-      s.Stats.n (float s.Stats.mean) (float s.Stats.sd) (float s.Stats.ci95)
-      (float s.Stats.min) (float s.Stats.max)
+    Json.obj
+      [
+        ("n", string_of_int s.Stats.n);
+        ("mean", Json.float s.Stats.mean);
+        ("sd", Json.float s.Stats.sd);
+        ("ci95", Json.float s.Stats.ci95);
+        ("min", Json.float s.Stats.min);
+        ("max", Json.float s.Stats.max);
+      ]
   in
-  let combination row = string (Truth_table.combination ~arity:t.arity row) in
-  add "{";
-  field "circuit" (string t.name);
-  field "arity" (string_of_int t.arity);
-  field "seed" (string_of_int t.seed);
-  field "requested" (string_of_int t.requested);
-  field "completed" (string_of_int (Array.length t.replicates));
-  field "failed" (string_of_int (Array.length t.failures));
-  field "expected_code" (string_of_int (Truth_table.to_code t.expected));
-  field "consensus_code" (string_of_int (Truth_table.to_code t.consensus));
-  field "consensus_verified" (bool t.consensus_verified);
-  field "verified_count" (string_of_int t.verified_count);
-  field "fitness" (summary t.fitness);
-  field "flaky_rows"
-    (array_of string_of_int t.flaky);
-  field "cases"
-    (array_of
-       (fun c ->
-         Printf.sprintf
-           "{\"row\":%d,\"combination\":%s,\"minterm_votes\":%d,\"consensus\":%s,\"agreement\":%s,\"flaky\":%s,\"fov\":%s}"
-           c.cs_row (combination c.cs_row) c.cs_minterm_votes
-           (bool c.cs_consensus)
-           (float c.cs_agreement)
-           (bool c.cs_flaky)
-           (summary c.cs_fov))
-       (Array.to_list t.cases));
-  field "replicates"
-    (array_of
-       (fun r ->
-         Printf.sprintf
-           "{\"index\":%d,\"fitness\":%s,\"verified\":%s,\"extracted_code\":%d,\"minterms\":%s}"
-           r.rep_index
-           (float r.rep_result.Analyzer.fitness)
-           (bool r.rep_verify.Verify.verified)
-           (Truth_table.to_code r.rep_verify.Verify.extracted)
-           (array_of string_of_int r.rep_result.Analyzer.minterms))
-       (Array.to_list t.replicates));
-  field ~last:true "failures"
-    (array_of
-       (fun f ->
-         Printf.sprintf "{\"index\":%d,\"error\":%s}" f.fail_index
-           (string f.fail_error))
-       (Array.to_list t.failures));
-  add "}";
-  Buffer.contents buf
+  let ints xs = Json.arr (List.map string_of_int xs) in
+  let case c =
+    Json.obj
+      [
+        ("row", string_of_int c.cs_row);
+        ( "combination",
+          Json.string (Truth_table.combination ~arity:t.arity c.cs_row) );
+        ("minterm_votes", string_of_int c.cs_minterm_votes);
+        ("consensus", Json.bool c.cs_consensus);
+        ("agreement", Json.float c.cs_agreement);
+        ("flaky", Json.bool c.cs_flaky);
+        ("fov", summary c.cs_fov);
+      ]
+  in
+  let replicate r =
+    Json.obj
+      [
+        ("index", string_of_int r.rep_index);
+        ("fitness", Json.float r.rep_result.Analyzer.fitness);
+        ("verified", Json.bool r.rep_verify.Verify.verified);
+        ( "extracted_code",
+          string_of_int (Truth_table.to_code r.rep_verify.Verify.extracted) );
+        ("minterms", ints r.rep_result.Analyzer.minterms);
+      ]
+  in
+  let failure f =
+    Json.obj
+      [
+        ("index", string_of_int f.fail_index);
+        ("error", Json.string f.fail_error);
+      ]
+  in
+  Json.obj
+    [
+      ("circuit", Json.string t.name);
+      ("arity", string_of_int t.arity);
+      ("seed", string_of_int t.seed);
+      ("requested", string_of_int t.requested);
+      ("completed", string_of_int (Array.length t.replicates));
+      ("failed", string_of_int (Array.length t.failures));
+      ("expected_code", string_of_int (Truth_table.to_code t.expected));
+      ("consensus_code", string_of_int (Truth_table.to_code t.consensus));
+      ("consensus_verified", Json.bool t.consensus_verified);
+      ("verified_count", string_of_int t.verified_count);
+      ("fitness", summary t.fitness);
+      ("flaky_rows", ints t.flaky);
+      ("cases", Json.arr (Array.to_list (Array.map case t.cases)));
+      ( "replicates",
+        Json.arr (Array.to_list (Array.map replicate t.replicates)) );
+      ("failures", Json.arr (Array.to_list (Array.map failure t.failures)));
+    ]

@@ -1,3 +1,5 @@
+module Json = Glc_obs.Json
+
 type severity = Error | Warning | Info
 
 type subject =
@@ -77,15 +79,16 @@ let pp ppf d =
   Format.fprintf ppf "%s %s [%s %s]: %s" (severity_label d.severity) d.code
     (subject_kind d.subject) (subject_id d.subject) d.message
 
-let json_string = Glc_obs.Metrics.json_string
-
 let to_json d =
-  Printf.sprintf
-    "{\"code\":%s,\"severity\":%s,\"subject\":{\"kind\":%s,\"id\":%s},\"message\":%s}"
-    (json_string d.code)
-    (json_string (severity_label d.severity))
-    (json_string (subject_kind d.subject))
-    (json_string (subject_id d.subject))
-    (json_string d.message)
-
-let list_to_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+  Json.obj
+    [
+      ("code", Json.string d.code);
+      ("severity", Json.string (severity_label d.severity));
+      ( "subject",
+        Json.obj
+          [
+            ("kind", Json.string (subject_kind d.subject));
+            ("id", Json.string (subject_id d.subject));
+          ] );
+      ("message", Json.string d.message);
+    ]

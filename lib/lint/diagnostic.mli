@@ -66,5 +66,3 @@ val to_json : t -> string
     [subject] ([{"kind": ..., "id": ...}]) and [message]. Deterministic:
     fields in that order, strings escaped. *)
 
-val list_to_json : t list -> string
-(** A JSON array of {!to_json} objects, in the given order. *)

@@ -7,6 +7,7 @@ module Protocol = Glc_dvasim.Protocol
 module Truth_table = Glc_logic.Truth_table
 module Netlist = Glc_logic.Netlist
 module Metrics = Glc_obs.Metrics
+module Json = Glc_obs.Json
 module Interval = Glc_symbolic.Interval
 module D = Diagnostic
 
@@ -536,12 +537,6 @@ let circuit ?(protocol = Protocol.default) ?(metrics = Metrics.noop)
 
 type file_report = { fr_path : string; fr_diagnostics : D.t list }
 
-let read_text path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse_error path msg =
   D.make ~code:"GLC001" ~severity:D.Error ~subject:(D.File path)
     (Printf.sprintf "cannot read %s: %s" path msg)
@@ -581,7 +576,11 @@ let files ?threshold ?(metrics = Metrics.noop) paths =
             (if Filename.check_suffix path ".sbml.xml" then `Sbml else `Sbol)
       | None -> (
           (* sniff: SBML first, then SBOL *)
-          match Glc_model.Sbml.of_string (try read_text path with Sys_error e -> e) with
+          let text =
+            try In_channel.with_open_bin path In_channel.input_all
+            with Sys_error e -> e
+          in
+          match Glc_model.Sbml.of_string text with
           | Ok _ -> note path path `Sbml
           | Error _ -> note path path `Sbol))
     paths;
@@ -630,15 +629,24 @@ let report_exit_code frs = D.exit_code (all_diagnostics frs)
 
 let report_json frs =
   let file_json fr =
-    Printf.sprintf
-      "{\"file\":%s,\"errors\":%d,\"warnings\":%d,\"diagnostics\":%s}"
-      (Glc_obs.Metrics.json_string fr.fr_path)
-      (D.errors fr.fr_diagnostics)
-      (D.warnings fr.fr_diagnostics)
-      (D.list_to_json fr.fr_diagnostics)
+    Json.obj
+      [
+        ("file", Json.string fr.fr_path);
+        ("errors", string_of_int (D.errors fr.fr_diagnostics));
+        ("warnings", string_of_int (D.warnings fr.fr_diagnostics));
+        ("diagnostics", Json.arr (List.map D.to_json fr.fr_diagnostics));
+      ]
   in
   let all = all_diagnostics frs in
-  Printf.sprintf
-    "{\"files\":[%s],\"summary\":{\"files\":%d,\"errors\":%d,\"warnings\":%d,\"exit\":%d}}"
-    (String.concat "," (List.map file_json frs))
-    (List.length frs) (D.errors all) (D.warnings all) (D.exit_code all)
+  Json.obj
+    [
+      ("files", Json.arr (List.map file_json frs));
+      ( "summary",
+        Json.obj
+          [
+            ("files", string_of_int (List.length frs));
+            ("errors", string_of_int (D.errors all));
+            ("warnings", string_of_int (D.warnings all));
+            ("exit", string_of_int (D.exit_code all));
+          ] );
+    ]

@@ -151,4 +151,4 @@ val report_json : file_report list -> string
     [{"files":[{"file":..,"errors":..,"warnings":..,"diagnostics":
     [..]},..],"summary":{"files":..,"errors":..,"warnings":..,
     "exit":..}}]. Deterministic for a given input list; parses with
-    the project's own JSON reader, [Glc_core.Report.Json] (tested). *)
+    the project's own JSON reader, {!Glc_obs.Json} (tested). *)

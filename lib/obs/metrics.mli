@@ -21,8 +21,8 @@
     - ["timings"] — histograms and spans. Everything measured with the
       wall clock lives here and is expected to differ run to run.
 
-    Keys in every object are sorted, floats are printed
-    shortest-round-trip, so equal registries export equal bytes. *)
+    Keys in every object are sorted and the export is written with
+    {!Json}, so equal registries export equal bytes. *)
 
 type t
 (** A metrics registry. *)
@@ -111,19 +111,6 @@ val span : t -> string -> (unit -> 'a) -> 'a
     The event is recorded even if [f] raises. At most a fixed number of
     spans (4096) are kept; further spans are counted as dropped rather
     than stored, so the buffer cannot grow without bound. *)
-
-val json_string : string -> string
-(** A quoted JSON string literal: the double quote, the backslash and
-    every control character are escaped, every other byte is copied as
-    is. The toolchain's one JSON string escaper — every machine-readable
-    export renders its strings through it, and
-    [Glc_core.Report.Json.parse] reads them back. *)
-
-val json_float : float -> string
-(** The shortest decimal that round-trips, so equal floats always print
-    identical bytes (the ensemble's byte-for-byte determinism rests on
-    it); integers below 1e15 print without a fraction, and non-finite
-    values as [null]. The toolchain's one JSON number printer. *)
 
 val deterministic_json : t -> string
 (** The ["deterministic"] section alone — [{"counters":{...},

@@ -152,10 +152,4 @@ let write_file path doc =
     (fun () -> output_string oc (to_string doc))
 
 let read_file path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string content
+  of_string (In_channel.with_open_bin path In_channel.input_all)

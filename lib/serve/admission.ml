@@ -5,7 +5,7 @@ module Runner = Glc_campaign.Runner
 module Lint = Glc_lint.Lint
 module Diagnostic = Glc_lint.Diagnostic
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 type t = {
   registry : Jobstate.registry;
@@ -74,11 +74,10 @@ let submit_of_json text =
   match Json.parse text with
   | Error m -> Error (Printf.sprintf "request body is not JSON: %s" m)
   | Ok doc -> (
-      match Option.bind (Json.member doc "circuit") Json.to_str with
+      match Json.str_field doc "circuit" with
       | None -> Error "submission lacks a \"circuit\" field"
       | Some sub_circuit ->
-          let num k = Option.bind (Json.member doc k) Json.to_number in
-          let int k = Option.bind (Json.member doc k) Json.to_int in
+          let num = Json.number_field doc and int = Json.int_field doc in
           Ok
             {
               sub_circuit;
@@ -121,7 +120,10 @@ let pending_submissions dir =
       Array.to_list names
       |> List.filter (fun n -> Filename.check_suffix n ".json")
       |> List.filter_map (fun n ->
-             match Store.read_file (Filename.concat dir n) with
+             match
+               In_channel.with_open_bin (Filename.concat dir n)
+                 In_channel.input_all
+             with
              | exception _ -> None
              | text -> Result.to_option (Jobstate.submission_of_json text))
       |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)

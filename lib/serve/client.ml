@@ -1,5 +1,6 @@
 module W = Protocol_wire
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
+module Store = Glc_campaign.Store
 
 type t = { socket : string }
 
@@ -16,17 +17,8 @@ let request t req =
             (Printf.sprintf "cannot connect to %s: %s" t.socket
                (Unix.error_message e))
       | () -> (
-          let payload = W.render_request req in
-          let n = String.length payload in
-          let written = ref 0 in
-          (try
-             while !written < n do
-               written :=
-                 !written
-                 + Unix.write_substring fd payload !written (n - !written)
-             done
-           with Unix.Unix_error (e, _, _) ->
-             failwith (Unix.error_message e));
+          (try Store.write_all fd (W.render_request req)
+           with Unix.Unix_error (e, _, _) -> failwith (Unix.error_message e));
           match W.read_response (W.fd_reader fd) with
           | Ok resp -> Ok resp
           | Error m -> Error (Printf.sprintf "malformed response: %s" m)))
@@ -37,17 +29,19 @@ let get t target =
   request t { W.meth = W.GET; target; headers = []; body = "" }
 
 let submit ?threshold ?fov_ud ?input_high ?replicates ?priority t ~circuit =
-  let field name render v =
-    Option.map (fun x -> Printf.sprintf ",\"%s\":%s" name (render x)) v
-    |> Option.value ~default:""
-  in
+  let number = Option.map Json.float and int = Option.map string_of_int in
   let body =
-    Printf.sprintf "{\"circuit\":%s%s%s%s%s%s}" (Json.string circuit)
-      (field "threshold" Json.float threshold)
-      (field "fov_ud" Json.float fov_ud)
-      (field "input_high" Json.float input_high)
-      (field "replicates" string_of_int replicates)
-      (field "priority" string_of_int priority)
+    Json.obj
+      (("circuit", Json.string circuit)
+      :: List.filter_map
+           (fun (k, v) -> Option.map (fun v -> (k, v)) v)
+           [
+             ("threshold", number threshold);
+             ("fov_ud", number fov_ud);
+             ("input_high", number input_high);
+             ("replicates", int replicates);
+             ("priority", int priority);
+           ])
   in
   request t
     {
@@ -97,7 +91,5 @@ let job_id_of_response resp =
   match Json.parse resp.W.resp_body with
   | Error _ -> None
   | Ok doc -> (
-      let id_of d = Option.bind (Json.member d "id") Json.to_str in
-      match Option.bind (Json.member doc "job") id_of with
-      | Some id -> Some id
-      | None -> id_of doc)
+      let job = Option.value ~default:doc (Json.member doc "job") in
+      Json.str_field job "id")

@@ -1,5 +1,5 @@
 module Grid = Glc_campaign.Grid
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 type phase =
   | Queued
@@ -70,33 +70,36 @@ let spec_for ~seed ~total_time ~hold_time (job : Grid.job) =
 
 (* ---- JSON ---- *)
 
+let submission_fields e =
+  (("id", Json.string e.id) :: Grid.job_fields e.job)
+  @ [ ("priority", string_of_int e.priority); ("seq", string_of_int e.seq) ]
+
 let status_json ~now e =
   let error =
-    match e.phase with
-    | Failed m -> Printf.sprintf ",\"error\":%s" (Json.string m)
-    | _ -> ""
+    match e.phase with Failed m -> [ ("error", Json.string m) ] | _ -> []
   in
-  Printf.sprintf
-    "{\"id\":%s,%s,\"priority\":%d,\"seq\":%d,\"status\":%s%s,\"from_cache\":%s,\"attempts\":%d,\"age_s\":%s}"
-    (Json.string e.id) (Grid.job_fields e.job) e.priority e.seq
-    (Json.string (phase_label e.phase))
-    error
-    (Json.bool e.from_cache)
-    e.attempts
-    (Json.float (Float.max 0. (now -. e.submitted_at)))
+  Json.obj
+    (submission_fields e
+    @ (("status", Json.string (phase_label e.phase)) :: error)
+    @ [
+        ("from_cache", Json.bool e.from_cache);
+        ("attempts", string_of_int e.attempts);
+        ("age_s", Json.float (Float.max 0. (now -. e.submitted_at)));
+      ])
 
-let submission_json e =
-  Printf.sprintf "{\"id\":%s,%s,\"priority\":%d,\"seq\":%d}"
-    (Json.string e.id) (Grid.job_fields e.job) e.priority e.seq
+let submission_json e = Json.obj (submission_fields e)
 
 let submission_of_json text =
   match Json.parse text with
   | Error m -> Error (Printf.sprintf "unparseable submission record: %s" m)
   | Ok doc -> (
-      let str k = Option.bind (Json.member doc k) Json.to_str in
-      let num k = Option.bind (Json.member doc k) Json.to_number in
-      let int k = Option.bind (Json.member doc k) Json.to_int in
-      match (str "circuit", num "threshold", num "fov_ud", int "replicates") with
+      let num = Json.number_field doc and int = Json.int_field doc in
+      match
+        ( Json.str_field doc "circuit",
+          num "threshold",
+          num "fov_ud",
+          int "replicates" )
+      with
       | Some circuit, Some threshold, Some fov_ud, Some replicates -> (
           let input_high =
             match Json.member doc "input_high" with

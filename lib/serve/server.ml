@@ -5,7 +5,7 @@ module Runner = Glc_campaign.Runner
 module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 module Clock = Glc_obs.Clock
 
 type config = {
@@ -63,9 +63,13 @@ let check cfg =
   else Ok cfg
 
 let manifest_json cfg =
-  Printf.sprintf
-    "{\"serve\":1,\"seed\":%d,\"total_time\":%s,\"hold_time\":%s}" cfg.seed
-    (Json.float cfg.total_time) (Json.float cfg.hold_time)
+  Json.obj
+    [
+      ("serve", "1");
+      ("seed", string_of_int cfg.seed);
+      ("total_time", Json.float cfg.total_time);
+      ("hold_time", Json.float cfg.hold_time);
+    ]
 
 (* An existing manifest wins over the flags: the stored results were
    computed under its seed and protocol, and resume-determinism
@@ -80,9 +84,11 @@ let manifest_override cfg text =
             "state directory holds a campaign manifest, not a serve one \
              (use a separate --state directory)"
       | Some _ -> (
-          let num k = Option.bind (Json.member doc k) Json.to_number in
-          let int k = Option.bind (Json.member doc k) Json.to_int in
-          match (int "seed", num "total_time", num "hold_time") with
+          match
+            ( Json.int_field doc "seed",
+              Json.number_field doc "total_time",
+              Json.number_field doc "hold_time" )
+          with
           | Some seed, Some total_time, Some hold_time ->
               Result.map_error
                 (Printf.sprintf "stored serve manifest in %s: %s"
@@ -111,36 +117,36 @@ let create cfg =
   let ( let* ) = Result.bind in
   let* cfg = check cfg in
   let* lock = Store.Lock.acquire ~dir:cfg.state_dir in
+  let in_state f = Store.guard ~dir:cfg.state_dir f in
   let held =
     let* store, manifest =
       Store.open_or_create ~dir:cfg.state_dir (manifest_json cfg)
     in
     let* cfg = manifest_override cfg manifest in
-    let journal = Journal.open_ ~dir:cfg.state_dir in
-    let adm =
-      Admission.create
-        ~spec_for:
-          (Jobstate.spec_for ~seed:cfg.seed ~total_time:cfg.total_time
-             ~hold_time:cfg.hold_time)
-        ~lint:cfg.lint_admission ~capacity:cfg.queue_capacity ~store
-        ~journal ~metrics:cfg.metrics ~state_dir:cfg.state_dir
+    let* journal = in_state (fun () -> Ok (Journal.open_ ~dir:cfg.state_dir)) in
+    let started =
+      in_state (fun () ->
+          let adm =
+            Admission.create
+              ~spec_for:
+                (Jobstate.spec_for ~seed:cfg.seed ~total_time:cfg.total_time
+                   ~hold_time:cfg.hold_time)
+              ~lint:cfg.lint_admission ~capacity:cfg.queue_capacity ~store
+              ~journal ~metrics:cfg.metrics ~state_dir:cfg.state_dir
+          in
+          let* () = Admission.recover adm ~now:(Clock.now ()) in
+          let* listen = bind_socket cfg.socket_path in
+          Ok
+            {
+              s_cfg = cfg;
+              s_ctx = Session.make_ctx adm;
+              s_lock = lock;
+              s_listen = listen;
+              s_interrupt = Atomic.make false;
+            })
     in
-    match
-      let* () = Admission.recover adm ~now:(Clock.now ()) in
-      bind_socket cfg.socket_path
-    with
-    | Error m ->
-        Journal.close journal;
-        Error m
-    | Ok listen ->
-        Ok
-          {
-            s_cfg = cfg;
-            s_ctx = Session.make_ctx adm;
-            s_lock = lock;
-            s_listen = listen;
-            s_interrupt = Atomic.make false;
-          }
+    if Result.is_error started then Journal.close journal;
+    started
   in
   if Result.is_error held then Store.Lock.release lock;
   held
@@ -229,28 +235,18 @@ let worker_loop t ~pool ~cache =
 
 (* ---- connections ---- *)
 
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
-
 let connection t fd =
   let reader = W.fd_reader fd in
   let rec loop () =
     match W.read_request reader with
     | Ok None -> ()
     | Error m ->
-        let resp =
-          W.response 400
-            (Printf.sprintf "{\"error\":%s}" (Json.string m))
-        in
-        write_all fd (W.render_response ~close:true resp)
+        let resp = W.response 400 (Session.error_body m) in
+        Store.write_all fd (W.render_response ~close:true resp)
     | Ok (Some req) ->
         let resp = Session.handle t.s_ctx req in
         let keep = W.keep_alive req && not (Atomic.get t.s_interrupt) in
-        write_all fd (W.render_response ~close:(not keep) resp);
+        Store.write_all fd (W.render_response ~close:(not keep) resp);
         if keep then loop ()
   in
   Fun.protect

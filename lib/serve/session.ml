@@ -2,7 +2,7 @@ module W = Protocol_wire
 module Store = Glc_campaign.Store
 module Diagnostic = Glc_lint.Diagnostic
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 module Clock = Glc_obs.Clock
 
 type ctx = {
@@ -26,11 +26,14 @@ let locked ctx f =
   Mutex.lock ctx.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock ctx.mutex) f
 
-let error_body message = Printf.sprintf "{\"error\":%s}" (Json.string message)
+let error_with message fields =
+  Json.obj (("error", Json.string message) :: fields)
+
+let error_body message = error_with message []
 
 let submit_reply ~now ~dedup entry =
-  Printf.sprintf "{\"dedup\":%s,\"job\":%s}" (Json.bool dedup)
-    (Jobstate.status_json ~now entry)
+  Json.obj
+    [ ("dedup", Json.bool dedup); ("job", Jobstate.status_json ~now entry) ]
 
 (* ---- handlers (called under the ctx mutex) ---- *)
 
@@ -52,26 +55,25 @@ let post_job ctx body =
             W.response 200 (submit_reply ~now ~dedup:true entry)
         | Admission.Rejected_lint ds ->
             W.response 422
-              (Printf.sprintf "{\"error\":\"lint\",\"diagnostics\":%s}"
-                 (Diagnostic.list_to_json ds))
+              (error_with "lint"
+                 [ ("diagnostics", Json.arr (List.map Diagnostic.to_json ds)) ])
         | Admission.Rejected_busy retry_after ->
             W.response 429
               ~headers:[ ("Retry-After", string_of_int retry_after) ]
-              (Printf.sprintf
-                 "{\"error\":\"queue full\",\"retry_after_s\":%d}" retry_after)
+              (error_with "queue full"
+                 [ ("retry_after_s", string_of_int retry_after) ])
         | Admission.Invalid m -> W.response 400 (error_body m))
 
 let list_jobs ctx =
   let now = Clock.now () in
   let entries = Jobstate.entries ctx.adm.Admission.registry in
-  let jobs =
-    entries
-    |> List.map (Jobstate.status_json ~now)
-    |> String.concat ","
-  in
   W.response 200
-    (Printf.sprintf "{\"jobs\":[%s],\"queue_depth\":%d}" jobs
-       (Scheduler.length ctx.adm.Admission.scheduler))
+    (Json.obj
+       [
+         ("jobs", Json.arr (List.map (Jobstate.status_json ~now) entries));
+         ( "queue_depth",
+           string_of_int (Scheduler.length ctx.adm.Admission.scheduler) );
+       ])
 
 let job_status ctx id =
   match Jobstate.find ctx.adm.Admission.registry id with
@@ -97,15 +99,13 @@ let job_result ctx id =
                 (error_body "result record missing from the store"))
       | Jobstate.Failed m ->
           W.response 500
-            (Printf.sprintf "{\"error\":\"job failed\",\"detail\":%s}"
-               (Json.string m))
+            (error_with "job failed" [ ("detail", Json.string m) ])
       | Jobstate.Cancelled ->
           W.response 409 (error_body "job was cancelled")
       | Jobstate.Queued | Jobstate.Running ->
+          let status = Jobstate.phase_label entry.Jobstate.phase in
           W.response 409
-            (Printf.sprintf
-               "{\"error\":\"job not done\",\"status\":%s}"
-               (Json.string (Jobstate.phase_label entry.Jobstate.phase))))
+            (error_with "job not done" [ ("status", Json.string status) ]))
 
 let cancel_job ctx id =
   match Jobstate.find ctx.adm.Admission.registry id with
@@ -138,15 +138,19 @@ let cancel_job ctx id =
 
 let health ctx =
   let reg = ctx.adm.Admission.registry in
+  let count phase = string_of_int (Jobstate.count reg phase) in
   W.response 200
-    (Printf.sprintf
-       "{\"ok\":true,\"uptime_s\":%s,\"queued\":%d,\"running\":%d,\"done\":%d,\"failed\":%d,\"cancelled\":%d}"
-       (Json.float (Float.max 0. (Clock.now () -. ctx.started_at)))
-       (Jobstate.count reg Jobstate.Queued)
-       (Jobstate.count reg Jobstate.Running)
-       (Jobstate.count reg Jobstate.Done)
-       (Jobstate.count reg (Jobstate.Failed ""))
-       (Jobstate.count reg Jobstate.Cancelled))
+    (Json.obj
+       [
+         ("ok", Json.bool true);
+         ( "uptime_s",
+           Json.float (Float.max 0. (Clock.now () -. ctx.started_at)) );
+         ("queued", count Jobstate.Queued);
+         ("running", count Jobstate.Running);
+         ("done", count Jobstate.Done);
+         ("failed", count (Jobstate.Failed ""));
+         ("cancelled", count Jobstate.Cancelled);
+       ])
 
 let metrics_scrape ctx =
   W.response ~content_type:"text/plain; version=0.0.4" 200

@@ -43,6 +43,9 @@ type ctx = {
 val make_ctx : Admission.t -> ctx
 (** A fresh context; [started_at] is now. *)
 
+val error_body : string -> string
+(** [{"error":<message>}], the body of every plain error reply. *)
+
 val handle : ctx -> Protocol_wire.request -> Protocol_wire.response
 (** Routes one request. Counts [serve.requests] and [serve.http_errors]
     (status ≥ 400) and observes wall time in [serve.request_seconds].

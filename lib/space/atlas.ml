@@ -11,7 +11,7 @@ module Events = Glc_ssa.Events
 module Pool = Glc_engine.Pool
 module Truth_table = Glc_logic.Truth_table
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 type config = {
   inputs : int;
@@ -168,36 +168,27 @@ let measure ~protocol circuit =
 let measure_delay ~protocol circuit = fst (measure ~protocol circuit)
 
 let delay_doc ~name ~protocol d =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":";
-  Buffer.add_string b (Json.string (delay_id name));
-  Buffer.add_string b ",\"kind\":\"delay\",\"circuit\":";
-  Buffer.add_string b (Json.string name);
-  Buffer.add_string b ",\"threshold\":";
-  Buffer.add_string b (Json.float protocol.Protocol.threshold);
-  Buffer.add_string b ",\"settle\":";
-  Buffer.add_string b (Json.float protocol.Protocol.hold_time);
-  Buffer.add_string b ",\"timeout\":";
-  Buffer.add_string b (Json.float (2.5 *. protocol.Protocol.hold_time));
-  Buffer.add_string b ",\"transitions\":";
-  Buffer.add_string b (string_of_int d.d_transitions);
-  Buffer.add_string b ",\"measured\":";
-  Buffer.add_string b (string_of_int d.d_measured);
-  Buffer.add_string b ",\"worst\":";
-  (match d.d_worst with
-  | None -> Buffer.add_string b "null"
-  | Some w ->
-      Buffer.add_string b "{\"delay\":";
-      Buffer.add_string b (Json.float w);
-      Buffer.add_string b ",\"from_row\":";
-      Buffer.add_string b (string_of_int d.d_from);
-      Buffer.add_string b ",\"to_row\":";
-      Buffer.add_string b (string_of_int d.d_to);
-      Buffer.add_string b ",\"rising\":";
-      Buffer.add_string b (Json.bool d.d_rising);
-      Buffer.add_string b "}");
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let worst w =
+    Json.obj
+      [
+        ("delay", Json.float w);
+        ("from_row", string_of_int d.d_from);
+        ("to_row", string_of_int d.d_to);
+        ("rising", Json.bool d.d_rising);
+      ]
+  in
+  Json.obj
+    [
+      ("id", Json.string (delay_id name));
+      ("kind", Json.string "delay");
+      ("circuit", Json.string name);
+      ("threshold", Json.float protocol.Protocol.threshold);
+      ("settle", Json.float protocol.Protocol.hold_time);
+      ("timeout", Json.float (2.5 *. protocol.Protocol.hold_time));
+      ("transitions", string_of_int d.d_transitions);
+      ("measured", string_of_int d.d_measured);
+      ("worst", Json.option worst d.d_worst);
+    ]
 
 (* Every field the reader needs must be present and well-typed: a doc
    that parses but lacks them (truncated, hand-edited) is no delay at
@@ -207,9 +198,8 @@ let delay_of_doc doc =
   | Error _ -> None
   | Ok v -> (
       let ( let* ) = Option.bind in
-      let int o name = Option.bind (Json.member o name) Json.to_int in
-      let* transitions = int v "transitions" in
-      let* measured = int v "measured" in
+      let* transitions = Json.int_field v "transitions" in
+      let* measured = Json.int_field v "measured" in
       match Json.member v "worst" with
       | Some Json.Null ->
           Some
@@ -222,10 +212,10 @@ let delay_of_doc doc =
               d_rising = false;
             }
       | Some (Json.Object _ as w) ->
-          let* delay = Option.bind (Json.member w "delay") Json.to_number in
-          let* from_row = int w "from_row" in
-          let* to_row = int w "to_row" in
-          let* rising = Option.bind (Json.member w "rising") Json.to_bool in
+          let* delay = Json.number_field w "delay" in
+          let* from_row = Json.int_field w "from_row" in
+          let* to_row = Json.int_field w "to_row" in
+          let* rising = Json.bool_field w "rising" in
           Some
             {
               d_transitions = transitions;
@@ -457,167 +447,115 @@ let space_json store spec =
     List.map (fun (rep, ms) -> (rep, pareto ms)) classes
   in
   let in_frontier frontier e = List.memq e frontier in
-  let b = Buffer.create (4096 + (256 * planned)) in
-  let add = Buffer.add_string b in
-  let name_list es' =
-    add "[";
-    List.iteri
-      (fun i e ->
-        if i > 0 then add ",";
-        add (Json.string e.f_info.Fn.i_name))
-      es';
-    add "]"
+  let names es' =
+    Json.arr (List.map (fun e -> Json.string e.f_info.Fn.i_name) es')
   in
-  add "{\"space\":{\"version\":1,\"inputs\":";
-  add (string_of_int arity);
-  add ",\"functions\":";
-  add (string_of_int planned);
-  add ",\"full_space\":";
-  add (string_of_int full_space);
-  add ",\"sampled\":";
-  add (Json.bool (planned < full_space));
-  add ",\"seed\":";
-  add (string_of_int spec.Grid.seed);
-  add ",\"threshold\":";
-  add
-    (Json.float
-       (match spec.Grid.grid.Grid.thresholds with
-       | t :: _ -> t
-       | [] -> Protocol.default.Protocol.threshold));
-  add ",\"total_time\":";
-  add (Json.float spec.Grid.total_time);
-  add ",\"hold_time\":";
-  add (Json.float spec.Grid.hold_time);
-  add ",\"replicates\":";
-  add
-    (string_of_int
-       (match spec.Grid.grid.Grid.replicate_counts with
-       | r :: _ -> r
-       | [] -> 16));
-  add ",\"done\":";
-  add (string_of_int (List.length done_));
-  add ",\"verified\":";
-  add (string_of_int (List.length verified));
-  add ",\"certified\":";
-  add (string_of_int (by_provenance "certified"));
-  add ",\"simulated\":";
-  add (string_of_int (by_provenance "simulated"));
-  add ",\"classes\":";
-  add (string_of_int (List.length classes));
-  add "},\"classes\":[";
-  List.iteri
-    (fun i (rep, ms) ->
-      if i > 0 then add ",";
-      let rep_info = Fn.describe ~arity rep in
-      let ms_done = List.filter (fun e -> e.f_line.Store.l_done) ms in
-      let ms_verified = List.filter (fun e -> e.f_line.Store.l_verified) ms_done in
-      let gates = List.map (fun e -> e.f_info.Fn.i_gates) ms in
-      let frontier = List.assoc rep class_frontiers in
-      add "{\"rep\":";
-      add (Json.string rep_info.Fn.i_name);
-      add ",\"orbit\":";
-      add (string_of_int (orbit_size ~arity rep));
-      add ",\"planned\":";
-      add (string_of_int (List.length ms));
-      add ",\"done\":";
-      add (string_of_int (List.length ms_done));
-      add ",\"verified\":";
-      add (string_of_int (List.length ms_verified));
-      add ",\"unate\":";
-      add (Json.bool rep_info.Fn.i_unate);
-      add ",\"canalizing\":";
-      add (Json.bool rep_info.Fn.i_canalizing);
-      add ",\"nested_canalizing\":";
-      add (Json.bool rep_info.Fn.i_nested_canalizing);
-      add ",\"bio\":";
-      add (Json.bool (rep_info.Fn.i_unate || rep_info.Fn.i_canalizing));
-      add ",\"min_gates\":";
-      add (string_of_int (List.fold_left min max_int gates));
-      add ",\"max_gates\":";
-      add (string_of_int (List.fold_left max 0 gates));
-      add ",\"frontier\":";
-      name_list frontier;
-      add "}")
-    classes;
-  add "],\"functions\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then add ",";
-      let info = e.f_info and l = e.f_line in
-      let rep_name = Fn.name_of_code ~arity info.Fn.i_class in
-      add "{\"name\":";
-      add (Json.string info.Fn.i_name);
-      add ",\"code\":";
-      add (string_of_int info.Fn.i_code);
-      add ",\"class\":";
-      add (Json.string rep_name);
-      add ",\"gates\":";
-      add (string_of_int info.Fn.i_gates);
-      add ",\"depth\":";
-      add (string_of_int info.Fn.i_depth);
-      add ",\"unate\":";
-      add (Json.bool info.Fn.i_unate);
-      add ",\"canalizing\":";
-      add (Json.bool info.Fn.i_canalizing);
-      add ",\"nested_canalizing\":";
-      add (Json.bool info.Fn.i_nested_canalizing);
-      add ",\"done\":";
-      add (Json.bool l.Store.l_done);
-      add ",\"verified\":";
-      add (Json.bool l.Store.l_verified);
-      add ",\"provenance\":";
-      add (Json.string l.Store.l_provenance);
-      add ",\"pfobe\":";
-      add (if l.Store.l_done then Json.float l.Store.l_fitness_mean else "null");
-      add ",\"certified_rows\":";
-      add (string_of_int l.Store.l_certified_rows);
-      add ",\"total_rows\":";
-      add (string_of_int l.Store.l_total_rows);
-      add ",\"delay\":";
-      (match e.f_delay with
-      | None -> add "null"
-      | Some d ->
-          add "{\"worst\":";
-          (match d.d_worst with
-          | None -> add "null"
-          | Some w -> add (Json.float w));
-          add ",\"transitions\":";
-          add (string_of_int d.d_transitions);
-          add ",\"measured\":";
-          add (string_of_int d.d_measured);
-          add ",\"from_row\":";
-          add (string_of_int d.d_from);
-          add ",\"to_row\":";
-          add (string_of_int d.d_to);
-          add ",\"rising\":";
-          add (Json.bool d.d_rising);
-          add "}");
-      add ",\"class_frontier\":";
-      add
-        (Json.bool
-           (in_frontier (List.assoc info.Fn.i_class class_frontiers) e));
-      add ",\"global_frontier\":";
-      add (Json.bool (in_frontier global_frontier e));
-      add "}")
-    es;
-  add "],\"frontier\":";
-  name_list global_frontier;
-  add "}";
-  Buffer.contents b
+  let int = string_of_int in
+  let space =
+    Json.obj
+      [
+        ("version", "1");
+        ("inputs", int arity);
+        ("functions", int planned);
+        ("full_space", int full_space);
+        ("sampled", Json.bool (planned < full_space));
+        ("seed", int spec.Grid.seed);
+        ( "threshold",
+          Json.float
+            (match spec.Grid.grid.Grid.thresholds with
+            | t :: _ -> t
+            | [] -> Protocol.default.Protocol.threshold) );
+        ("total_time", Json.float spec.Grid.total_time);
+        ("hold_time", Json.float spec.Grid.hold_time);
+        ( "replicates",
+          int
+            (match spec.Grid.grid.Grid.replicate_counts with
+            | r :: _ -> r
+            | [] -> 16) );
+        ("done", int (List.length done_));
+        ("verified", int (List.length verified));
+        ("certified", int (by_provenance "certified"));
+        ("simulated", int (by_provenance "simulated"));
+        ("classes", int (List.length classes));
+      ]
+  in
+  let class_json (rep, ms) =
+    let rep_info = Fn.describe ~arity rep in
+    let ms_done = List.filter (fun e -> e.f_line.Store.l_done) ms in
+    let ms_verified =
+      List.filter (fun e -> e.f_line.Store.l_verified) ms_done
+    in
+    let gates = List.map (fun e -> e.f_info.Fn.i_gates) ms in
+    Json.obj
+      [
+        ("rep", Json.string rep_info.Fn.i_name);
+        ("orbit", int (orbit_size ~arity rep));
+        ("planned", int (List.length ms));
+        ("done", int (List.length ms_done));
+        ("verified", int (List.length ms_verified));
+        ("unate", Json.bool rep_info.Fn.i_unate);
+        ("canalizing", Json.bool rep_info.Fn.i_canalizing);
+        ("nested_canalizing", Json.bool rep_info.Fn.i_nested_canalizing);
+        ("bio", Json.bool (rep_info.Fn.i_unate || rep_info.Fn.i_canalizing));
+        ("min_gates", int (List.fold_left min max_int gates));
+        ("max_gates", int (List.fold_left max 0 gates));
+        ("frontier", names (List.assoc rep class_frontiers));
+      ]
+  in
+  let delay_json d =
+    Json.obj
+      [
+        ("worst", Json.option Json.float d.d_worst);
+        ("transitions", int d.d_transitions);
+        ("measured", int d.d_measured);
+        ("from_row", int d.d_from);
+        ("to_row", int d.d_to);
+        ("rising", Json.bool d.d_rising);
+      ]
+  in
+  let function_json e =
+    let info = e.f_info and l = e.f_line in
+    Json.obj
+      [
+        ("name", Json.string info.Fn.i_name);
+        ("code", int info.Fn.i_code);
+        ("class", Json.string (Fn.name_of_code ~arity info.Fn.i_class));
+        ("gates", int info.Fn.i_gates);
+        ("depth", int info.Fn.i_depth);
+        ("unate", Json.bool info.Fn.i_unate);
+        ("canalizing", Json.bool info.Fn.i_canalizing);
+        ("nested_canalizing", Json.bool info.Fn.i_nested_canalizing);
+        ("done", Json.bool l.Store.l_done);
+        ("verified", Json.bool l.Store.l_verified);
+        ("provenance", Json.string l.Store.l_provenance);
+        ( "pfobe",
+          if l.Store.l_done then Json.float l.Store.l_fitness_mean
+          else "null" );
+        ("certified_rows", int l.Store.l_certified_rows);
+        ("total_rows", int l.Store.l_total_rows);
+        ("delay", Json.option delay_json e.f_delay);
+        ( "class_frontier",
+          Json.bool
+            (in_frontier (List.assoc info.Fn.i_class class_frontiers) e) );
+        ("global_frontier", Json.bool (in_frontier global_frontier e));
+      ]
+  in
+  Json.obj
+    [
+      ("space", space);
+      ("classes", Json.arr (List.map class_json classes));
+      ("functions", Json.arr (List.map function_json es));
+      ("frontier", names global_frontier);
+    ]
 
 (* {2 Markdown rendering} *)
 
 let markdown json =
   let ( let* ) = Result.bind in
   let* v = Json.parse json in
-  let mem o name = Json.member o name in
-  let str o name = Option.bind (mem o name) Json.to_str in
-  let num o name = Option.bind (mem o name) Json.to_number in
-  let int_ o name = Option.bind (mem o name) Json.to_int in
-  let bool_ o name = Option.bind (mem o name) Json.to_bool in
-  let list o name =
-    Option.value ~default:[] (Option.bind (mem o name) Json.to_list)
-  in
+  let mem = Json.member and str = Json.str_field and num = Json.number_field in
+  let int_ = Json.int_field and bool_ = Json.bool_field in
+  let list o name = Option.value ~default:[] (Json.list_field o name) in
   let req what = function
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "not a SPACE.json document: missing %s" what)

@@ -7,7 +7,7 @@ module Certificate = Glc_symbolic.Certificate
 module Store = Glc_campaign.Store
 module Metrics = Glc_obs.Metrics
 module Rng = Glc_ssa.Rng
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 type config = {
   v_target : int;
@@ -210,20 +210,28 @@ let step cfg gen prev =
 let target_name cfg = Cello.name_of_code ~arity:cfg.v_arity cfg.v_target
 
 let manifest_json cfg =
-  Printf.sprintf
-    "{\"version\":1,\"kind\":\"space-evolve\",\"target\":%d,\"inputs\":%d,\"seed\":%d,\"pop\":%d,\"genes\":%d,\"elite\":%d,\"max_gens\":%d}"
-    cfg.v_target cfg.v_arity cfg.v_seed cfg.v_pop cfg.v_genes cfg.v_elite
-    cfg.v_max_gens
+  let int = string_of_int in
+  Json.obj
+    [
+      ("version", "1");
+      ("kind", Json.string "space-evolve");
+      ("target", int cfg.v_target);
+      ("inputs", int cfg.v_arity);
+      ("seed", int cfg.v_seed);
+      ("pop", int cfg.v_pop);
+      ("genes", int cfg.v_genes);
+      ("elite", int cfg.v_elite);
+      ("max_gens", int cfg.v_max_gens);
+    ]
 
 let config_of_manifest text =
   match Json.parse text with
   | Error m -> Error ("unreadable manifest: " ^ m)
   | Ok v -> (
-      let int name = Option.bind (Json.member v name) Json.to_int in
-      let kind = Option.bind (Json.member v "kind") Json.to_str in
+      let int = Json.int_field v in
       match
-        (kind, int "target", int "inputs", int "seed", int "pop", int "genes",
-         int "elite", int "max_gens")
+        ( Json.str_field v "kind", int "target", int "inputs", int "seed",
+          int "pop", int "genes", int "elite", int "max_gens" )
       with
       | ( Some "space-evolve",
           Some v_target,
@@ -243,28 +251,17 @@ let gen_id g = Printf.sprintf "gen-%06d" g
 let generation_doc cfg gen pop =
   let ranked = rank cfg pop in
   let (bf, bp, bg), benc, _ = List.hd ranked in
-  let b = Buffer.create (64 * cfg.v_pop) in
-  let add = Buffer.add_string b in
-  add "{\"id\":";
-  add (Json.string (gen_id gen));
-  add ",\"kind\":\"generation\",\"generation\":";
-  add (string_of_int gen);
-  add ",\"best\":";
-  add (Json.string benc);
-  add ",\"best_fitness\":";
-  add (Json.float bf);
-  add ",\"best_pfobe\":";
-  add (Json.float bp);
-  add ",\"best_gates\":";
-  add (string_of_int bg);
-  add ",\"population\":[";
-  List.iteri
-    (fun i g ->
-      if i > 0 then add ",";
-      add (Json.string (encode g)))
-    pop;
-  add "]}";
-  Buffer.contents b
+  Json.obj
+    [
+      ("id", Json.string (gen_id gen));
+      ("kind", Json.string "generation");
+      ("generation", string_of_int gen);
+      ("best", Json.string benc);
+      ("best_fitness", Json.float bf);
+      ("best_pfobe", Json.float bp);
+      ("best_gates", string_of_int bg);
+      ("population", Json.arr (List.map (fun g -> Json.string (encode g)) pop));
+    ]
 
 type outcome = {
   o_reached : bool;
@@ -280,23 +277,27 @@ type outcome = {
 type status = Finished of outcome | Interrupted of int
 
 let result_doc cfg o =
-  Printf.sprintf
-    "{\"id\":\"result\",\"kind\":\"result\",\"target\":%s,\"reached\":%s,\"generation\":%d,\"genome\":%s,\"fitness\":%s,\"pfobe\":%s,\"gates\":%d,\"verified\":%s,\"provenance\":%s}"
-    (Json.string (target_name cfg))
-    (Json.bool o.o_reached) o.o_generation
-    (Json.string o.o_genome)
-    (Json.float o.o_fitness) (Json.float o.o_pfobe) o.o_gates
-    (Json.bool o.o_verified)
-    (Json.string o.o_provenance)
+  Json.obj
+    [
+      ("id", Json.string "result");
+      ("kind", Json.string "result");
+      ("target", Json.string (target_name cfg));
+      ("reached", Json.bool o.o_reached);
+      ("generation", string_of_int o.o_generation);
+      ("genome", Json.string o.o_genome);
+      ("fitness", Json.float o.o_fitness);
+      ("pfobe", Json.float o.o_pfobe);
+      ("gates", string_of_int o.o_gates);
+      ("verified", Json.bool o.o_verified);
+      ("provenance", Json.string o.o_provenance);
+    ]
 
 let outcome_of_doc doc =
   match Json.parse doc with
   | Error m -> Error ("unreadable result document: " ^ m)
   | Ok v -> (
-      let int name = Option.bind (Json.member v name) Json.to_int in
-      let num name = Option.bind (Json.member v name) Json.to_number in
-      let bool_ name = Option.bind (Json.member v name) Json.to_bool in
-      let str name = Option.bind (Json.member v name) Json.to_str in
+      let int = Json.int_field v and num = Json.number_field v in
+      let bool_ = Json.bool_field v and str = Json.str_field v in
       match (bool_ "reached", int "generation", str "genome") with
       | Some o_reached, Some o_generation, Some o_genome ->
           Ok
@@ -347,7 +348,7 @@ let load_population store gen =
       match Json.parse doc with
       | Error m -> Error m
       | Ok v -> (
-          match Option.bind (Json.member v "population") Json.to_list with
+          match Json.list_field v "population" with
           | None -> Error "generation document lacks a population"
           | Some encs ->
               let pop =

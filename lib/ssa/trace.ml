@@ -198,14 +198,7 @@ let write_csv path tr =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_csv tr))
 
-let read_csv path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_csv content
+let read_csv path = of_csv (In_channel.with_open_bin path In_channel.input_all)
 
 module Recorder = struct
   type t = {

@@ -2,6 +2,7 @@ module Circuit = Glc_gates.Circuit
 module Protocol = Glc_dvasim.Protocol
 module Truth_table = Glc_logic.Truth_table
 module Metrics = Glc_obs.Metrics
+module Json = Glc_obs.Json
 
 type verdict = Proved_high | Proved_low | Undecided
 
@@ -138,42 +139,48 @@ let verdict_string = function
   | Proved_low -> "proved_low"
   | Undecided -> "undecided"
 
-(* the shared shortest-round-trip printer, with infinities kept as
-   strings rather than collapsed to null — an undecided row's upper
-   bound is typically infinite and that is information *)
-let json_float x =
-  if x = Float.infinity then "\"inf\""
-  else if x = Float.neg_infinity then "\"-inf\""
-  else Glc_obs.Metrics.json_float x
+let agrees r =
+  match r.cr_verdict with
+  | Undecided -> None
+  | Proved_high -> Some r.cr_expected
+  | Proved_low -> Some (not r.cr_expected)
 
-let json_string = Glc_obs.Metrics.json_string
+(* infinities kept as strings rather than collapsed to null — an
+   undecided row's upper bound is typically infinite and that is
+   information *)
+let bound x =
+  if x = Float.infinity then Json.string "inf"
+  else if x = Float.neg_infinity then Json.string "-inf"
+  else Json.float x
 
 let to_json t =
   let row_json r =
-    Printf.sprintf
-      "{\"row\":%d,\"combination\":%s,\"lo\":%s,\"hi\":%s,\"verdict\":%s,\"expected\":%b,\"agrees\":%s,\"iterations\":%d,\"converged\":%b}"
-      r.cr_row
-      (json_string (Truth_table.combination ~arity:t.c_arity r.cr_row))
-      (json_float (Interval.lo r.cr_bounds))
-      (json_float (Interval.hi r.cr_bounds))
-      (json_string (verdict_string r.cr_verdict))
-      r.cr_expected
-      (match r.cr_verdict with
-      | Undecided -> "null"
-      | Proved_high -> string_of_bool r.cr_expected
-      | Proved_low -> string_of_bool (not r.cr_expected))
-      r.cr_iterations r.cr_converged
+    Json.obj
+      [
+        ("row", string_of_int r.cr_row);
+        ( "combination",
+          Json.string (Truth_table.combination ~arity:t.c_arity r.cr_row) );
+        ("lo", bound (Interval.lo r.cr_bounds));
+        ("hi", bound (Interval.hi r.cr_bounds));
+        ("verdict", Json.string (verdict_string r.cr_verdict));
+        ("expected", Json.bool r.cr_expected);
+        ("agrees", Json.option Json.bool (agrees r));
+        ("iterations", string_of_int r.cr_iterations);
+        ("converged", Json.bool r.cr_converged);
+      ]
   in
-  Printf.sprintf
-    "{\"circuit\":%s,\"output\":%s,\"arity\":%d,\"threshold\":%s,\"margin\":%s,\"rows\":[%s],\"proved\":%d,\"undecided\":%d,\"verified\":%s}"
-    (json_string t.c_circuit) (json_string t.c_output) t.c_arity
-    (json_float t.c_threshold) (json_float t.c_margin)
-    (String.concat "," (Array.to_list (Array.map row_json t.c_rows)))
-    (decided t)
-    (rows t - decided t)
-    (match verified t with
-    | Some b -> string_of_bool b
-    | None -> "null")
+  Json.obj
+    [
+      ("circuit", Json.string t.c_circuit);
+      ("output", Json.string t.c_output);
+      ("arity", string_of_int t.c_arity);
+      ("threshold", bound t.c_threshold);
+      ("margin", bound t.c_margin);
+      ("rows", Json.arr (Array.to_list (Array.map row_json t.c_rows)));
+      ("proved", string_of_int (decided t));
+      ("undecided", string_of_int (rows t - decided t));
+      ("verified", Json.option Json.bool (verified t));
+    ]
 
 let pp ppf t =
   Format.fprintf ppf
@@ -187,10 +194,7 @@ let pp ppf t =
         (Truth_table.combination ~arity:t.c_arity r.cr_row)
         (Interval.to_string r.cr_bounds)
         (verdict_string r.cr_verdict) r.cr_expected
-        (match r.cr_verdict with
-        | Undecided -> "-"
-        | Proved_high -> string_of_bool r.cr_expected
-        | Proved_low -> string_of_bool (not r.cr_expected)))
+        (Option.fold ~none:"-" ~some:string_of_bool (agrees r)))
     t.c_rows;
   Format.fprintf ppf "%d/%d row(s) proved%s@]" (decided t) (rows t)
     (match verified t with

@@ -3,7 +3,7 @@
    the runner, and the headline contract — a killed-and-resumed
    campaign produces a byte-identical report. *)
 
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 module Grid = Glc_campaign.Grid
 module Store = Glc_campaign.Store
 module Journal = Glc_campaign.Journal
@@ -36,12 +36,17 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let write_file path content =
   let oc = open_out_bin path in
   output_string oc content;
   close_out oc
 
-(* ---- the JSON reader (Report.Json.parse) ---- *)
+(* ---- the one JSON module (Glc_obs.Json) ---- *)
 
 let test_json_parse_values () =
   let ok s = Result.get_ok (Json.parse s) in
@@ -82,7 +87,7 @@ let test_json_parse_rejects () =
 let test_json_float_roundtrip () =
   (* the determinism contract: parsing a rendering of the one JSON
      number printer and re-rendering it reproduces the bytes *)
-  let render = Glc_obs.Metrics.json_float in
+  let render = Json.float in
   List.iter
     (fun f ->
       let printed = render f in
@@ -99,6 +104,61 @@ let prop_json_string_roundtrip =
   QCheck.Test.make ~name:"string roundtrip" ~count:1000 QCheck.string
     (fun s -> Json.parse (Json.string s) = Ok (Json.String s))
 
+(* A JSON text written with obj/arr, paired with the value the reader
+   must give back: keys and strings are arbitrary bytes (quotes,
+   backslashes, control bytes, non-ASCII), non-finite floats print
+   null, and arrays and objects nest. *)
+let written_and_expected =
+  let open QCheck.Gen in
+  let float =
+    oneof [ QCheck.Gen.float; oneofl [ nan; infinity; neg_infinity; -0. ] ]
+  in
+  let scalar =
+    oneof
+      [
+        map (fun s -> (Json.string s, Json.String s)) QCheck.string.gen;
+        map
+          (fun f ->
+            ( Json.float f,
+              if Float.is_finite f then Json.Number f else Json.Null ))
+          float;
+        map (fun b -> (Json.bool b, Json.Bool b)) bool;
+        map
+          (fun i -> (string_of_int i, Json.Number (float_of_int i)))
+          small_signed_int;
+        return (Json.option Json.float None, Json.Null);
+      ]
+  in
+  let members value =
+    list_size (int_bound 5) (pair QCheck.string.gen value)
+  in
+  let obj ms =
+    ( Json.obj (List.map (fun (k, (text, _)) -> (k, text)) ms),
+      Json.Object (List.map (fun (k, (_, v)) -> (k, v)) ms) )
+  in
+  let arr items =
+    (Json.arr (List.map fst items), Json.Array (List.map snd items))
+  in
+  let value =
+    sized
+      (fix (fun self n ->
+           let nested = self (n / 4) in
+           if n <= 1 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map arr (list_size (int_bound 5) nested));
+                 (1, map obj (members nested));
+               ]))
+  in
+  map obj (members value)
+
+let prop_json_obj_arr_roundtrip =
+  QCheck.Test.make ~name:"obj and arr roundtrip" ~count:500
+    (QCheck.make ~print:fst written_and_expected)
+    (fun (text, expected) -> Json.parse text = Ok expected)
+
 (* ---- grid ---- *)
 
 let two_job_grid () =
@@ -106,6 +166,26 @@ let two_job_grid () =
 
 let quick_spec ?(seed = 11) () =
   Grid.spec ~seed ~total_time:2_000. ~hold_time:1_000. (two_job_grid ())
+
+let test_json_big_ints () =
+  (* job seeds are 62-bit, beyond a float's 2^53: ints are written as
+     string_of_int text, so a stored document keeps every digit *)
+  let spec = quick_spec () in
+  let job = List.hd (Grid.expand spec.Grid.grid) in
+  let seed = Grid.job_seed ~seed:spec.Grid.seed job in
+  checkb "the seed needs more than 53 bits" true (seed > 1 lsl 53);
+  List.iter
+    (fun i ->
+      checks (string_of_int i)
+        ({|{"seed":|} ^ string_of_int i ^ "}")
+        (Json.obj [ ("seed", string_of_int i) ]))
+    [ seed; (1 lsl 53) + 1; max_int; min_int ];
+  let doc =
+    Glc_engine.Pool.with_pool ~jobs:1 (fun pool ->
+        Runner.run_job ~pool ~cache:(Glc_engine.Cache.create ()) spec job)
+  in
+  checkb "the stored document carries every digit" true
+    (contains doc ({|"seed":|} ^ string_of_int seed ^ ","))
 
 let test_grid_expand () =
   let grid =
@@ -231,6 +311,30 @@ let test_store_failed_put_cleans_up () =
         |> List.filter (fun n -> Filename.check_suffix n ".tmp")
       in
       Alcotest.(check (list string)) "no temp file left" [] leftovers)
+
+let test_store_file_paths () =
+  (* a directory path that is a regular file is a typed Error from
+     every entry point that creates the directory, not a Unix_error *)
+  with_dir (fun dir ->
+      Store.mkdir_p dir;
+      let file = Filename.concat dir "F" in
+      write_file file "";
+      checkb "create" true (Result.is_error (Store.create ~dir:file "{}"));
+      checkb "open_or_create" true
+        (Result.is_error (Store.open_or_create ~dir:file "{}"));
+      checkb "lock" true (Result.is_error (Store.Lock.acquire ~dir:file));
+      checkb "below the file" true
+        (Result.is_error (Store.create ~dir:(Filename.concat file "d") "{}"));
+      (* a drain whose journal path is a directory fails the same way,
+         after the lock is taken, and releases the lock *)
+      let campaign = Filename.concat dir "c" in
+      ignore
+        (Result.get_ok
+           (Store.create ~dir:campaign (Grid.spec_to_json (quick_spec ()))));
+      Store.mkdir_p (Filename.concat campaign "journal.jsonl");
+      checkb "journal" true (Result.is_error (Resume.run ~dir:campaign ()));
+      checkb "lock released" false
+        (Sys.file_exists (Store.Lock.path ~dir:campaign)))
 
 (* ---- journal ---- *)
 
@@ -387,11 +491,6 @@ let test_lock_exclusion () =
   with_dir (fun dir ->
       Store.mkdir_p dir;
       let lock = Result.get_ok (Store.Lock.acquire ~dir) in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
       (match Store.Lock.acquire ~dir with
       | Ok _ -> Alcotest.fail "second acquire must fail"
       | Error m ->
@@ -578,6 +677,9 @@ let () =
           Alcotest.test_case "float roundtrip" `Quick
             test_json_float_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_obj_arr_roundtrip;
+          Alcotest.test_case "ints beyond 2^53 keep every digit" `Quick
+            test_json_big_ints;
         ] );
       ( "grid",
         [
@@ -594,6 +696,8 @@ let () =
           Alcotest.test_case "crash safety" `Quick test_store_crash_safety;
           Alcotest.test_case "failed put leaves no temp file" `Quick
             test_store_failed_put_cleans_up;
+          Alcotest.test_case "paths that are files are errors" `Quick
+            test_store_file_paths;
         ] );
       ( "journal",
         [

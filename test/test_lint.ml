@@ -11,7 +11,7 @@ module Netlist = Glc_logic.Netlist
 module Protocol = Glc_dvasim.Protocol
 module Benchmarks = Glc_gates.Benchmarks
 module Circuit = Glc_gates.Circuit
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 module D = Glc_lint.Diagnostic
 module Lint = Glc_lint.Lint
 

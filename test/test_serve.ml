@@ -19,7 +19,7 @@ module Runner = Glc_campaign.Runner
 module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -466,6 +466,22 @@ let test_e2e_bad_settings () =
       checkb "stored hold 0 is an error" true (Result.is_error (create ()));
       checkb "lock released" false (Sys.file_exists (Filename.concat dir "LOCK")))
 
+let test_e2e_state_not_a_directory () =
+  with_state (fun ~dir ~sock ->
+      let create () =
+        Server.create (Server.config ~socket_path:sock ~state_dir:dir ())
+      in
+      let lock = Filename.concat dir "LOCK" in
+      close_out (open_out dir);
+      checkb "a file as the state dir is an error" true
+        (Result.is_error (create ()));
+      Sys.remove dir;
+      (* the lock is taken before the journal fails to open *)
+      Store.mkdir_p (Filename.concat dir "journal.jsonl");
+      checkb "a directory as the journal is an error" true
+        (Result.is_error (create ()));
+      checkb "lock released" false (Sys.file_exists lock))
+
 (* life 1 persists three submissions without running them *)
 let persist_three ~dir ~sock =
   with_server ~start_worker:false ~dir ~sock (fun _server _metrics client ->
@@ -587,5 +603,7 @@ let () =
             test_e2e_smaller_queue;
           Alcotest.test_case "seqs stay distinct across restarts" `Quick
             test_e2e_seq_after_restart;
+          Alcotest.test_case "state paths that are not directories" `Quick
+            test_e2e_state_not_a_directory;
         ] );
     ]

@@ -16,7 +16,7 @@ module Circuit = Glc_gates.Circuit
 module Ode = Glc_ssa.Ode
 module Events = Glc_ssa.Events
 module Trace = Glc_ssa.Trace
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 module Npn = Glc_space.Npn
 module Fn = Glc_space.Fn
 module Atlas = Glc_space.Atlas

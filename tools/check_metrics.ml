@@ -25,16 +25,9 @@
    (serve.jobs_failed matches serve_jobs_failed). Exits nonzero with a
    message on any mismatch. *)
 
-module Json = Glc_core.Report.Json
+module Json = Glc_obs.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("check_metrics: " ^ m); exit 1) fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let member v key =
   match Json.member v key with
@@ -83,7 +76,7 @@ let check_json ?(ensemble = true) path text maxes mins =
   let doc =
     match Json.parse text with
     | Ok doc -> doc
-    | Error m -> fail "does not parse with Report.Json: %s" m
+    | Error m -> fail "does not parse with Glc_obs.Json: %s" m
   in
   let det = member doc "deterministic" in
   let counters = member det "counters" in
@@ -111,12 +104,7 @@ let check_json ?(ensemble = true) path text maxes mins =
         "engine.replicates_ok";
         "pool.tasks";
       ];
-  let lookup key =
-    match Json.member counters key with
-    | None -> None
-    | Some v -> Json.to_int v
-  in
-  check_bounds ~what:"counter" ~lookup maxes mins;
+  check_bounds ~what:"counter" ~lookup:(Json.int_field counters) maxes mins;
   Printf.printf "check_metrics: %s OK\n" path
 
 (* ---- text-exposition mode ---- *)
@@ -195,6 +183,9 @@ let () =
         (path, maxes, mins, text_mode, ensemble)
     | None, _, _, _, _ -> usage ()
   in
-  let text = try read_file path with Sys_error m -> fail "%s" m in
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error m -> fail "%s" m
+  in
   if text_mode then check_text path text maxes mins
   else check_json ~ensemble path text maxes mins

@@ -90,13 +90,6 @@ let generate () =
        kinetic model.\n";
   Buffer.contents buf
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let () =
   let check = Array.exists (( = ) "--check") Sys.argv in
   let args =
@@ -121,13 +114,17 @@ let () =
     match atlas_json with
     | None -> generate ()
     | Some json -> (
-        match Glc_space.Atlas.markdown (read_file json) with
+        match
+          Glc_space.Atlas.markdown
+            (In_channel.with_open_bin json In_channel.input_all)
+        with
         | Ok md -> md
         | Error e -> failwith (Printf.sprintf "%s: %s" json e))
   in
   if check then
     let stale =
-      (not (Sys.file_exists path)) || read_file path <> fresh
+      (not (Sys.file_exists path))
+      || In_channel.with_open_bin path In_channel.input_all <> fresh
     in
     if stale then begin
       Printf.eprintf
