@@ -340,21 +340,14 @@ let ablation_algorithms () =
   in
   Printf.printf "%-22s %-9s %8s %10s %9s\n" "algorithm" "verdict" "fitness"
     "firings" "wall (s)";
-  let stochastic name algorithm =
-    let cfg =
-      Glc_ssa.Sim.config ~seed:42 ~algorithm ~t_end:10_000. ()
-    in
-    let t0 = Sys.time () in
-    let trace, stats = Glc_ssa.Sim.run_with_stats ~events cfg model in
-    let wall = Sys.time () -. t0 in
-    let r, v = analyse trace in
-    Printf.printf "%-22s %-9s %7.2f%% %10d %9.3f\n" name
-      (if v.Verify.verified then "verified" else "WRONG")
-      r.Analyzer.fitness stats.Glc_ssa.Sim.reactions_fired wall
-  in
-  stochastic "direct (Gillespie)" Glc_ssa.Sim.Direct;
-  stochastic "tau-leap eps=0.03"
-    (Glc_ssa.Sim.Tau_leaping { epsilon = 0.03 });
+  let cfg = Glc_ssa.Sim.config ~seed:42 ~t_end:10_000. () in
+  let t0 = Sys.time () in
+  let trace, stats = Glc_ssa.Sim.run_with_stats ~events cfg model in
+  let wall = Sys.time () -. t0 in
+  let r, v = analyse trace in
+  Printf.printf "%-22s %-9s %7.2f%% %10d %9.3f\n" "direct (Gillespie)"
+    (if v.Verify.verified then "verified" else "WRONG")
+    r.Analyzer.fitness stats.Glc_ssa.Sim.reactions_fired wall;
   (* the deterministic (ODE) limit: noise-free traces, perfect fitness *)
   let t0 = Sys.time () in
   let trace =
@@ -366,47 +359,8 @@ let ablation_algorithms () =
     (if v.Verify.verified then "verified" else "WRONG")
     r.Analyzer.fitness "-" wall;
   Printf.printf
-    "\nAll variants recover the same logic; the ODE limit shows the \
-     fitness penalty is pure stochastic noise. At genetic copy numbers \
-     (~100 molecules) tau-leaping falls back to exact stepping — the \
-     leap condition only pays off at high copy numbers:\n\n";
-  (* high-copy-number birth-death process: x* = k/gamma = 10,000 *)
-  let bd =
-    Glc_model.Model.make ~id:"bd"
-      ~species:[ Glc_model.Model.species "X" 0. ]
-      ~parameters:
-        [
-          Glc_model.Model.parameter "k" 1000.;
-          Glc_model.Model.parameter "g" 0.1;
-        ]
-      ~reactions:
-        [
-          Glc_model.Model.reaction ~products:[ ("X", 1) ]
-            ~rate:(Glc_model.Math.var "k") "birth";
-          Glc_model.Model.reaction
-            ~reactants:[ ("X", 1) ]
-            ~rate:Glc_model.Math.(var "g" * var "X")
-            "death";
-        ]
-      ()
-  in
-  Printf.printf "%-22s %10s %9s %12s\n" "birth-death x*=10^4" "firings"
-    "wall (s)" "mean(X) late";
-  List.iter
-    (fun (name, algorithm) ->
-      let cfg = Glc_ssa.Sim.config ~seed:5 ~algorithm ~t_end:500. () in
-      let t0 = Sys.time () in
-      let trace, stats = Glc_ssa.Sim.run_with_stats cfg bd in
-      let wall = Sys.time () -. t0 in
-      let late =
-        Trace.sub trace ~from:250 ~until:(Trace.length trace)
-      in
-      Printf.printf "%-22s %10d %9.3f %12.0f\n" name
-        stats.Glc_ssa.Sim.reactions_fired wall (Trace.mean late "X"))
-    [
-      ("direct (Gillespie)", Glc_ssa.Sim.Direct);
-      ("tau-leap eps=0.03", Glc_ssa.Sim.Tau_leaping { epsilon = 0.03 });
-    ]
+    "\nBoth recover the same logic; the ODE limit shows the fitness \
+     penalty is pure stochastic noise.\n"
 
 let ablation_order () =
   section "Ablation A5 -- input sequencing: counting vs. Gray code";
@@ -791,7 +745,7 @@ let bench_ssa () =
   let t_end = 2_000. in
   let seed = 42 in
   let repeats = 21 in
-  let cfg = Sim.config ~seed ~algorithm:Sim.Direct ~t_end () in
+  let cfg = Sim.config ~seed ~t_end () in
   (* best-of-[repeats] wall time: the trajectory is deterministic for a
      fixed seed, so the minimum is the least-noise estimate *)
   let measure model events =

@@ -152,20 +152,6 @@ let fov_opt =
        (Arg.info [ "fov" ] ~docv:"FRACTION"
           ~doc:"FOV_UD: accepted fraction of output variation (eq. 1)."))
 
-let algorithm_opt =
-  let conv =
-    Arg.enum
-      [
-        ("direct", Glc_ssa.Sim.Direct);
-        ("tau-leap", Glc_ssa.Sim.Tau_leaping { epsilon = 0.03 });
-      ]
-  in
-  Arg.value
-    (Arg.opt conv Glc_ssa.Sim.Direct
-       (Arg.info [ "algorithm"; "a" ] ~docv:"ALGO"
-          ~doc:"SSA variant: $(b,direct) (exact) or $(b,tau-leap) \
-                (approximate)."))
-
 let gray_opt =
   Arg.value
     (Arg.flag
@@ -174,15 +160,13 @@ let gray_opt =
                 input changes per step) instead of counting order."))
 
 let protocol_term =
-  let make threshold total hold seed algorithm gray =
+  let make threshold total hold seed gray =
     Protocol.make ~total_time:total ~hold_time:hold ~threshold ~seed
-      ~algorithm
       ~order:(if gray then Protocol.Gray else Protocol.Counting)
       ()
   in
   Term.(
-    const make $ threshold_opt $ total_opt $ hold_opt $ seed_opt
-    $ algorithm_opt $ gray_opt)
+    const make $ threshold_opt $ total_opt $ hold_opt $ seed_opt $ gray_opt)
 
 (* ---- observability (--metrics) ---- *)
 
@@ -532,23 +516,26 @@ let verify_cmd =
     in
     (* --no-certify: simulate the whole stimulus schedule and extract
        every row stochastically *)
-    let simulated c = Verify.experiment ~params (Experiment.run ~protocol c) in
+    let simulated metrics c =
+      Verify.experiment ~params (Experiment.run ~protocol ~metrics c)
+    in
     if all then begin
       match lint_guard ~no_lint ~protocol (Benchmarks.all ()) with
       | Error code -> Ok code
       | Ok () ->
       let failures = ref 0 in
       if no_certify then
-        List.iter
-          (fun c ->
-            let r, v = simulated c in
-            if not v.Verify.verified then incr failures;
-            Format.printf "%-14s %-8s fitness=%6.2f%%  %s = %a@."
-              c.Circuit.name
-              (if v.Verify.verified then "VERIFIED" else "WRONG")
-              r.Analyzer.fitness c.Circuit.output Glc_logic.Expr.pp
-              r.Analyzer.expr)
-          (Benchmarks.all ())
+        with_metrics metrics_file (fun metrics ->
+            List.iter
+              (fun c ->
+                let r, v = simulated metrics c in
+                if not v.Verify.verified then incr failures;
+                Format.printf "%-14s %-8s fitness=%6.2f%%  %s = %a@."
+                  c.Circuit.name
+                  (if v.Verify.verified then "VERIFIED" else "WRONG")
+                  r.Analyzer.fitness c.Circuit.output Glc_logic.Expr.pp
+                  r.Analyzer.expr)
+              (Benchmarks.all ()))
       else begin
         let certified = ref 0 and total = ref 0 in
         with_metrics metrics_file (fun metrics ->
@@ -590,7 +577,7 @@ let verify_cmd =
           | Error code -> Ok code
           | Ok () ->
           if no_certify then begin
-            let r, v = simulated c in
+            let r, v = with_metrics metrics_file (fun m -> simulated m c) in
             Format.printf "%a@.%a@."
               (Report.pp_result ~output_name:c.Circuit.output)
               r Report.pp_verification v;

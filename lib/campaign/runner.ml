@@ -217,19 +217,22 @@ let run ?(jobs = 0) ?limit ?(on_progress = null_progress)
             journal_append (Journal.Started id);
             let t_job = if live then Glc_obs.Clock.now () else 0. in
             (match
-               Metrics.span metrics ("job:" ^ id) (fun () ->
-                   match certified with
-                   | Some c -> execute ~metrics ~pool ~cache spec job c
-                   | None -> run_job ~metrics ~pool ~cache spec job)
+               let doc =
+                 Metrics.span metrics ("job:" ^ id) (fun () ->
+                     match certified with
+                     | Some c -> execute ~metrics ~pool ~cache spec job c
+                     | None -> run_job ~metrics ~pool ~cache spec job)
+               in
+               store_put ~id doc
              with
-            | doc ->
-                store_put ~id doc;
+            | () ->
                 journal_append (Journal.Done id);
                 Metrics.Counter.incr c_ok;
                 incr succeeded
             | exception e ->
-                (* one bad model degrades the campaign, it does not
-                   kill it: record the error, move on *)
+                (* one bad model, or a result the store cannot write,
+                   degrades the campaign, it does not kill it: record
+                   the error, move on *)
                 journal_append (Journal.Failed (id, Printexc.to_string e));
                 Metrics.Counter.incr c_fail;
                 incr failed);

@@ -161,14 +161,13 @@ let result_path t ~id = Filename.concat (results_dir t) (id ^ ".json")
 let put t ~id json = atomic_write (result_path t ~id) json
 
 let get t ~id =
-  let path = result_path t ~id in
-  if not (Sys.file_exists path) then None
-  else
-    (* a result counts only when it parses: half-written or corrupted
-       files (which the atomic rename should already preclude) are
-       treated as absent, so resume re-runs the job *)
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    match Json.parse text with Ok _ -> Some text | Error _ -> None
+  (* a result counts only when it reads and parses: a missing path, one
+     that cannot be read (a directory squatting on it) and a half-written
+     or corrupted file (which the atomic rename should already preclude)
+     are all treated as absent, so resume re-runs the job *)
+  match In_channel.with_open_bin (result_path t ~id) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> ( match Json.parse text with Ok _ -> Some text | Error _ -> None)
 
 let mem t ~id = Option.is_some (get t ~id)
 

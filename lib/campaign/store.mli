@@ -103,7 +103,8 @@ val put : t -> id:string -> string -> unit
 (** Atomically persists one job document under its id. *)
 
 val get : t -> id:string -> string option
-(** The stored document, or [None] when absent {e or} unparseable. *)
+(** The stored document, or [None] when absent, unreadable (a directory
+    at the result path, say) {e or} unparseable. *)
 
 val mem : t -> id:string -> bool
 

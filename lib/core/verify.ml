@@ -50,10 +50,10 @@ type hybrid = {
   h_report : report;
 }
 
-let certified_first ?(params = Analyzer.default_params) ?margin ?max_iters
+let certified_first ?(params = Analyzer.default_params) ?margin
     ?(metrics = Metrics.noop) ?(protocol = Protocol.default) (c : Circuit.t) =
   let params = { params with Analyzer.threshold = protocol.Protocol.threshold } in
-  let cert = Certificate.certify ~metrics ?margin ?max_iters ~protocol c in
+  let cert = Certificate.certify ~metrics ?margin ~protocol c in
   let arity = Circuit.arity c in
   let n_rows = 1 lsl arity in
   let undecided = Certificate.undecided_rows cert in

@@ -53,13 +53,12 @@ type hybrid = {
 val certified_first :
   ?params:Analyzer.params ->
   ?margin:float ->
-  ?max_iters:int ->
   ?metrics:Glc_obs.Metrics.t ->
   ?protocol:Glc_dvasim.Protocol.t ->
   Glc_gates.Circuit.t ->
   hybrid
 (** Certify, then simulate only what is left. The analyser threshold
-    follows the protocol; [margin] and [max_iters] are passed to
+    follows the protocol; [margin] is passed to
     {!Glc_symbolic.Certificate.certify}. Records the
     [symbolic.fallback_simulations] and [symbolic.fallback_rows]
     counters (next to the certificate's own [symbolic.*] counters) on

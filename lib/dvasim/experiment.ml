@@ -44,7 +44,6 @@ let run_trace_rows ?metrics ~protocol ~inputs ~rows slots model =
   let events = stimulus_rows protocol ~inputs ~rows slots in
   let cfg =
     Sim.config ~dt:protocol.Protocol.dt ~seed:protocol.Protocol.seed
-      ~algorithm:protocol.Protocol.algorithm
       ~t_end:(float_of_int slots *. protocol.Protocol.hold_time)
       ()
   in
@@ -57,7 +56,6 @@ let run_trace ?metrics ~protocol ~inputs model =
   let events = stimulus protocol ~inputs in
   let cfg =
     Sim.config ~dt:protocol.Protocol.dt ~seed:protocol.Protocol.seed
-      ~algorithm:protocol.Protocol.algorithm
       ~t_end:protocol.Protocol.total_time ()
   in
   Sim.run ~events ?metrics cfg model

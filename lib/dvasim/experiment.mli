@@ -44,7 +44,7 @@ val run_trace_rows :
   protocol:Protocol.t -> inputs:string array -> rows:int array -> int ->
   Model.t -> Trace.t
 (** Simulates [slots] hold slots of the row-restricted stimulus
-    ([t_end = slots * hold_time], protocol seed and algorithm).
+    ([t_end = slots * hold_time], protocol seed).
     @raise Invalid_argument if [rows] is empty or [slots <= 0]. *)
 
 val input_schedule : Protocol.t -> Circuit.t -> Events.schedule

@@ -6,21 +6,19 @@ type t = {
   compiled : Compiled.t;
   seed : int;
   dt : float;
-  algorithm : Sim.algorithm;
   mutable state : float array;
   mutable now : float;
   mutable segment : int; (* seeds each run segment differently *)
   mutable log : Trace.t option; (* None until the first run *)
 }
 
-let create ?(seed = 42) ?(dt = 1.) ?(algorithm = Sim.Direct) model =
+let create ?(seed = 42) ?(dt = 1.) model =
   if dt <= 0. then invalid_arg "Lab.create: dt <= 0";
   let compiled = Compiled.compile model in
   {
     compiled;
     seed;
     dt;
-    algorithm;
     state = Array.copy compiled.Compiled.c_initial;
     now = 0.;
     segment = 0;
@@ -45,8 +43,7 @@ let run lab duration =
     Sim.config ~t0:lab.now
       ~t_end:(lab.now +. duration)
       ~dt:lab.dt
-      ~seed:((lab.seed * 1_000_003) + lab.segment)
-      ~algorithm:lab.algorithm ()
+      ~seed:((lab.seed * 1_000_003) + lab.segment) ()
   in
   let trace, stats = Sim.run_compiled cfg compiled in
   lab.segment <- lab.segment + 1;

@@ -18,14 +18,12 @@
 
 module Model := Glc_model.Model
 module Trace := Glc_ssa.Trace
-module Sim := Glc_ssa.Sim
 
 type t
 
-val create : ?seed:int -> ?dt:float -> ?algorithm:Sim.algorithm ->
-  Model.t -> t
+val create : ?seed:int -> ?dt:float -> Model.t -> t
 (** A fresh session at time 0 in the model's initial state.
-    Defaults: [seed = 42], [dt = 1.], direct method.
+    Defaults: [seed = 42], [dt = 1.].
     @raise Invalid_argument if the model fails validation or
     [dt <= 0]. *)
 

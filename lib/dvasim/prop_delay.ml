@@ -44,7 +44,6 @@ let measure ?(protocol = Protocol.default) ?(repeats = 5) ?settle_time
       let cfg =
         Sim.config ~dt:protocol.Protocol.dt
           ~seed:((protocol.Protocol.seed * 7919) + rep)
-          ~algorithm:protocol.Protocol.algorithm
           ~t_end:(settle +. timeout) ()
       in
       let trace = Sim.run ~events cfg model in

@@ -1,5 +1,3 @@
-module Sim = Glc_ssa.Sim
-
 type order = Counting | Gray
 
 type t = {
@@ -10,7 +8,6 @@ type t = {
   input_low : float;
   dt : float;
   seed : int;
-  algorithm : Sim.algorithm;
   order : order;
 }
 
@@ -23,15 +20,13 @@ let default =
     input_low = 0.;
     dt = 1.;
     seed = 42;
-    algorithm = Sim.Direct;
     order = Counting;
   }
 
 let make ?(total_time = default.total_time) ?(hold_time = default.hold_time)
     ?(threshold = default.threshold) ?input_high
     ?(input_low = default.input_low) ?(dt = default.dt)
-    ?(seed = default.seed) ?(algorithm = default.algorithm)
-    ?(order = default.order) () =
+    ?(seed = default.seed) ?(order = default.order) () =
   let input_high =
     match input_high with Some h -> h | None -> threshold
   in
@@ -49,8 +44,7 @@ let make ?(total_time = default.total_time) ?(hold_time = default.hold_time)
     invalid_arg "Protocol.make: non-finite input level";
   if input_low >= input_high then
     invalid_arg "Protocol.make: input_low >= input_high";
-  { total_time; hold_time; threshold; input_high; input_low; dt; seed;
-    algorithm; order }
+  { total_time; hold_time; threshold; input_high; input_low; dt; seed; order }
 
 let with_threshold p threshold =
   if not (threshold > 0. && Float.is_finite threshold) then

@@ -8,8 +8,6 @@
     input {e is} the threshold value, so lowering the threshold to 3 or
     raising it to 40 also weakens or saturates the input drive. *)
 
-module Sim := Glc_ssa.Sim
-
 type order =
   | Counting  (** 000, 001, 010, … — the paper's order *)
   | Gray
@@ -24,14 +22,13 @@ type t = {
   input_low : float;  (** molecules applied for a logic-0 input *)
   dt : float;  (** trace sampling step *)
   seed : int;
-  algorithm : Sim.algorithm;
   order : order;  (** input combination sequencing *)
 }
 
 val default : t
 (** The paper's protocol: [total_time = 10_000.], [hold_time = 1_000.],
     [threshold = 15.], [input_high = threshold], [input_low = 0.],
-    [dt = 1.], [seed = 42], direct method. *)
+    [dt = 1.], [seed = 42], counting order. *)
 
 val make :
   ?total_time:float ->
@@ -41,7 +38,6 @@ val make :
   ?input_low:float ->
   ?dt:float ->
   ?seed:int ->
-  ?algorithm:Sim.algorithm ->
   ?order:order ->
   unit ->
   t

@@ -164,8 +164,7 @@ let run ?pool ?(progress = Progress.null) ?cache
   in
   let events = Experiment.input_schedule protocol circuit in
   let sim_cfg =
-    Sim.config ~dt:protocol.Protocol.dt ~algorithm:protocol.Protocol.algorithm
-      ~t_end:protocol.Protocol.total_time ()
+    Sim.config ~dt:protocol.Protocol.dt ~t_end:protocol.Protocol.total_time ()
   in
   let params =
     { Analyzer.threshold = protocol.Protocol.threshold; fov_ud = cfg.fov_ud }

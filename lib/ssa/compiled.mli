@@ -134,7 +134,7 @@ val apply_events_at :
     scheduled at the head time of [schedule] (negative values clamp to
     zero) and returns that time, the number applied and the rest of the
     schedule; [None] when the schedule is empty. The one event applier
-    of every simulator — direct, tau-leap and the ODE.
+    of both simulators, the direct method and the ODE.
     @raise Invalid_argument on an event for a species [t] does not
     have. *)
 

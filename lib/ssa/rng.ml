@@ -77,73 +77,3 @@ let exponential t ~rate =
 let gaussian t =
   let u1 = float_pos t and u2 = float t in
   Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
-
-(* ln k!: exact (precomputed) below 10, De Moivre/Stirling series above —
-   absolute error < 1e-9 at k = 10 and falling with k. PTRS compares
-   against this inside a log whose acceptance margins are orders of
-   magnitude wider, so the truncation is invisible to the sampler. *)
-let log_factorial =
-  let table = Array.make 10 0. in
-  let () =
-    for k = 2 to 9 do
-      table.(k) <- table.(k - 1) +. Float.log (float_of_int k)
-    done
-  in
-  fun k ->
-    if k < 10 then table.(k)
-    else
-      let x = float_of_int (k + 1) in
-      ((x -. 0.5) *. Float.log x)
-      -. x
-      +. (0.5 *. Float.log (2. *. Float.pi))
-      +. (1. /. (12. *. x))
-      -. (1. /. (360. *. (x *. x *. x)))
-
-(* Hörmann's PTRS transformed-rejection sampler (1993). Unlike the
-   exp-based inversion, nothing here evaluates e^-mean — the acceptance
-   test works entirely in logs — so it neither underflows at large mean
-   (e^-745 is 0. in IEEE double, which made inversion spin forever) nor
-   truncates the distribution the way a rounded normal approximation
-   does. Expected uniforms per draw is < 2.5 for every mean above the
-   cutoff. *)
-let poisson_ptrs t ~mean =
-  let loglam = Float.log mean in
-  let b = 0.931 +. (2.53 *. Float.sqrt mean) in
-  let a = -0.059 +. (0.02483 *. b) in
-  let inv_alpha = 1.1239 +. (1.1328 /. (b -. 3.4)) in
-  let v_r = 0.9277 -. (3.6224 /. (b -. 2.)) in
-  let rec draw () =
-    let u = float t -. 0.5 in
-    let v = float t in
-    let us = 0.5 -. Float.abs u in
-    let kf =
-      Float.floor ((((2. *. a /. us) +. b) *. u) +. mean +. 0.43)
-    in
-    if us >= 0.07 && v <= v_r then int_of_float kf
-    else if kf < 0. || (us < 0.013 && v > us) then draw ()
-    else
-      let k = int_of_float kf in
-      if
-        Float.log (v *. inv_alpha /. ((a /. (us *. us)) +. b))
-        <= (kf *. loglam) -. mean -. log_factorial k
-      then k
-      else draw ()
-  in
-  draw ()
-
-let poisson t ~mean =
-  if not (Float.is_finite mean) || mean < 0. then
-    invalid_arg "Rng.poisson: mean must be finite and non-negative";
-  if mean = 0. then 0
-  else if mean < 10. then begin
-    (* Knuth: multiply uniforms until the product drops below e^-mean.
-       Safe here — e^-10 ≈ 4.5e-5 is far from underflow — and O(mean)
-       uniforms per draw is cheap below the cutoff. *)
-    let limit = Float.exp (-.mean) in
-    let rec go k p =
-      let p = p *. float t in
-      if p <= limit then k else go (k + 1) p
-    in
-    go 0 1.
-  end
-  else poisson_ptrs t ~mean

@@ -60,12 +60,3 @@ val exponential : t -> rate:float -> float
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)
-
-val poisson : t -> mean:float -> int
-(** Poisson-distributed count, exact at every mean: Knuth's product of
-    uniforms below 10, Hörmann's PTRS transformed rejection above. PTRS
-    works entirely in logs, so large tau-leap means ([a·tau] in the
-    hundreds or beyond) neither underflow (the exp-based inversion spins
-    forever once [e^-mean] rounds to 0, near mean ≈ 745) nor suffer the
-    truncation bias of a rounded normal approximation.
-    @raise Invalid_argument if [mean] is negative or not finite. *)

@@ -1,25 +1,19 @@
 module Model = Glc_model.Model
 
-type algorithm =
-  | Direct
-  | Tau_leaping of { epsilon : float }
-
 type config = {
   t0 : float;
   t_end : float;
   dt : float;
   seed : int;
-  algorithm : algorithm;
 }
 
-let config ?(t0 = 0.) ?(dt = 1.) ?(seed = 42) ?(algorithm = Direct) ~t_end ()
-    =
+let config ?(t0 = 0.) ?(dt = 1.) ?(seed = 42) ~t_end () =
   if not (Float.is_finite t0 && Float.is_finite t_end) then
     invalid_arg "Sim.config: non-finite time";
   if t_end < t0 then invalid_arg "Sim.config: t_end < t0";
   if not (dt > 0. && Float.is_finite dt) then
     invalid_arg "Sim.config: dt must be finite and > 0";
-  { t0; t_end; dt; seed; algorithm }
+  { t0; t_end; dt; seed }
 
 type stats = {
   reactions_fired : int;
@@ -72,10 +66,9 @@ let[@inline] select a target =
 type tot = {
   mutable n_evals : int; (* propensity evaluations *)
   mutable n_instrs : int; (* IR instructions those evaluations executed *)
-  mutable n_rej : int; (* tau-leap steps rejected (negative overshoot) *)
 }
 
-let make_tot () = { n_evals = 0; n_instrs = 0; n_rej = 0 }
+let make_tot () = { n_evals = 0; n_instrs = 0 }
 
 (* Gillespie's direct method with sparse propensity updates: the cached
    array [a] is kept authoritative — after a firing only the reactions
@@ -111,7 +104,7 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
   let n0, events = Compiled.catch_up c state ~t0:cfg.t0 events in
   let applied = ref n0 and events = ref events in
   (* Observe only after catch-up so events at t0 are part of the
-     recorded initial state, exactly as under tau-leaping. *)
+     recorded initial state. *)
   let next_grid = ref (Trace.Recorder.advance recorder cfg.t0 state) in
   refresh_all ();
   let t_end = cfg.t_end in
@@ -157,187 +150,19 @@ let run_direct rng (c : Compiled.t) cfg events recorder tot =
   ignore (Trace.Recorder.advance recorder infinity state);
   (state, !fired, !applied)
 
-(* Explicit tau-leaping. The leap length follows Cao, Gillespie & Petzold
-   (2006): bound the expected relative change of every species by
-   [epsilon], estimating the drift and diffusion of each species from the
-   current propensities. Leaps shorter than a few expected SSA steps are
-   not worth their bias, so the loop falls back to exact direct-method
-   steps there. A leap whose Poisson counts would drive any species
-   negative is rejected — tau is halved and the counts redrawn (the
-   step-rejection remedy of Cao, Gillespie & Petzold 2005). The previous
-   behaviour, clamping negatives to zero after committing the leap, was
-   a real correctness bug: the products of the overshooting channel were
-   credited in full while the reactants gave up fewer molecules than
-   were consumed, creating mass out of nothing and corrupting every
-   propensity evaluated downstream. *)
-let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
-  if not (epsilon > 0. && epsilon < 1.) then
-    invalid_arg "Sim: tau-leaping epsilon must be in (0, 1)";
-  let state = Array.copy c.c_initial in
-  let fired = ref 0 in
-  let observe t = Trace.Recorder.observe recorder t state in
-  let n_species = Array.length c.c_names in
-  let n_reactions = Array.length c.c_reactions in
-  let mu = Array.make n_species 0. in
-  let sigma2 = Array.make n_species 0. in
-  let choose_tau a =
-    Array.fill mu 0 n_species 0.;
-    Array.fill sigma2 0 n_species 0.;
-    for j = 0 to n_reactions - 1 do
-      let r = c.c_reactions.(j) in
-      for k = 0 to Array.length r.c_delta_species - 1 do
-        let i = r.c_delta_species.(k) and d = r.c_delta_amount.(k) in
-        mu.(i) <- mu.(i) +. (d *. a.(j));
-        sigma2.(i) <- sigma2.(i) +. (d *. d *. a.(j))
-      done
-    done;
-    let tau = ref infinity in
-    for i = 0 to n_species - 1 do
-      if not c.c_boundary.(i) then begin
-        (* g_i = 2 is a conservative bound for at-most-second-order
-           kinetics *)
-        let bound = Float.max (epsilon *. state.(i) /. 2.) 1. in
-        if mu.(i) <> 0. then tau := Float.min !tau (bound /. Float.abs mu.(i));
-        if sigma2.(i) > 0. then
-          tau := Float.min !tau (bound *. bound /. sigma2.(i))
-      end
-    done;
-    !tau
-  in
-  let n0, events = Compiled.catch_up c state ~t0:cfg.t0 events in
-  let applied = ref n0 in
-  observe cfg.t0;
-  let a = Array.make n_reactions 0. in
-  let regs = Compiled.make_regs c in
-  let refresh_all () =
-    Compiled.propensities_into_in c ~regs state a;
-    tot.n_evals <- tot.n_evals + n_reactions;
-    tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c
-  in
-  (* The cache [a] is kept authoritative across iterations, so only the
-     exact-fallback branch can update it sparsely: a leap fires many
-     reactions at once, and events clamp arbitrary species, so both are
-     followed by a full refresh. *)
-  refresh_all ();
-  (* One attempted leap of length [tau]: draw every channel's Poisson
-     count into [dstate] first, commit only if no species would go
-     negative. Committing returns true; the caller halves tau and
-     redraws on false. *)
-  let dstate = Array.make n_species 0. in
-  let try_leap tau =
-    Array.fill dstate 0 n_species 0.;
-    let k_tot = ref 0 in
-    for j = 0 to n_reactions - 1 do
-      if a.(j) > 0. then begin
-        let k = Rng.poisson rng ~mean:(a.(j) *. tau) in
-        if k > 0 then begin
-          k_tot := !k_tot + k;
-          let r = c.c_reactions.(j) in
-          for m = 0 to Array.length r.c_delta_species - 1 do
-            let i = r.c_delta_species.(m) in
-            dstate.(i) <- dstate.(i) +. (r.c_delta_amount.(m) *. float_of_int k)
-          done
-        end
-      end
-    done;
-    let ok = ref true in
-    for i = 0 to n_species - 1 do
-      if state.(i) +. dstate.(i) < 0. then ok := false
-    done;
-    if !ok then begin
-      for i = 0 to n_species - 1 do
-        state.(i) <- state.(i) +. dstate.(i)
-      done;
-      fired := !fired + !k_tot
-    end;
-    !ok
-  in
-  (* Halving caps out after 32 rejections (a factor of 4e9 — by then the
-     leap means are far below one count and still overdrawing, which a
-     real model cannot sustain); the caller then takes one exact step. *)
-  let max_rejections = 32 in
-  let rec leap tau rejections =
-    if try_leap tau then Some tau
-    else begin
-      tot.n_rej <- tot.n_rej + 1;
-      if rejections < max_rejections then leap (tau /. 2.) (rejections + 1)
-      else None
-    end
-  in
-  let rec loop t events =
-    if t < cfg.t_end then begin
-      let a0 = total a in
-      let t_ev = Events.next_time events in
-      if a0 <= 0. then (if t_ev <= cfg.t_end then jump events)
-      else begin
-        let tau_sel = choose_tau a in
-        if tau_sel < 10. /. a0 then exact_step t events a0 t_ev
-        else begin
-          let t_stop = Float.min cfg.t_end t_ev in
-          match leap (Float.min tau_sel (t_stop -. t)) 0 with
-          | None ->
-              (* pathological: even a vanishing leap overdraws — resolve
-                 the contention one exact firing at a time *)
-              exact_step t events a0 t_ev
-          | Some tau ->
-              let t' = t +. tau in
-              if t' >= t_ev && t_ev <= cfg.t_end then jump events
-              else begin
-                observe t';
-                refresh_all ();
-                loop t' events
-              end
-        end
-      end
-    end
-  and exact_step t events a0 t_ev =
-    (* exact fallback: one direct-method step, updated sparsely *)
-    let tau = Rng.exponential rng ~rate:a0 in
-    let t' = t +. tau in
-    if t' >= t_ev && t_ev <= cfg.t_end then jump events
-    else if t' < cfg.t_end then begin
-      let mu_r = select a (Rng.float rng *. a0) in
-      fire c state mu_r;
-      incr fired;
-      tot.n_evals <-
-        tot.n_evals + Compiled.refresh_affected_in c ~regs state mu_r a;
-      tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu_r;
-      observe t';
-      loop t' events
-    end
-  and jump events =
-    (* the next batch of interventions: apply, record, refresh every
-       propensity (events clamp arbitrary species), go on from there *)
-    match Compiled.apply_events_at c state events with
-    | Some (te, m, rest) ->
-        applied := !applied + m;
-        observe te;
-        refresh_all ();
-        loop te rest
-    | None -> ()
-  in
-  loop cfg.t0 events;
-  (state, !fired, !applied)
-
 module Metrics = Glc_obs.Metrics
-
-let algorithm_label = function
-  | Direct -> "direct"
-  | Tau_leaping _ -> "tau_leaping"
 
 (* One registry interaction per run: the loops above count into [tot];
    this flushes the totals after the fact. *)
-let flush_metrics metrics cfg ~fired ~applied ~samples tot ~t_start =
-  let algo = algorithm_label cfg.algorithm in
+let flush_metrics metrics ~fired ~applied ~samples tot ~t_start =
   let c name = Metrics.counter metrics name in
-  Metrics.Counter.incr (c ("ssa.runs." ^ algo));
+  Metrics.Counter.incr (c "ssa.runs.direct");
   Metrics.Counter.add (c "ssa.reactions_fired") fired;
   Metrics.Counter.add (c "ssa.events_applied") applied;
   Metrics.Counter.add (c "ssa.propensity_evals") tot.n_evals;
-  Metrics.Counter.add (c "ssa.tau_leap_rejections") tot.n_rej;
   Metrics.Counter.add (c "ssa.trace_samples") samples;
   Metrics.Counter.add (c "ssa.ir.instructions") tot.n_instrs;
-  Metrics.observe_since metrics ("ssa.run_seconds." ^ algo) t_start
+  Metrics.observe_since metrics "ssa.run_seconds.direct" t_start
 
 let simulate ?(events = Events.empty) ?(metrics = Metrics.noop) ?columns ~rng
     cfg (c : Compiled.t) =
@@ -348,16 +173,11 @@ let simulate ?(events = Events.empty) ?(metrics = Metrics.noop) ?columns ~rng
       ~t0:cfg.t0 ~t_end:cfg.t_end ~dt:cfg.dt ()
   in
   let tot = make_tot () in
-  let state, fired, applied =
-    match cfg.algorithm with
-    | Direct -> run_direct rng c cfg events recorder tot
-    | Tau_leaping { epsilon } ->
-        run_tau_leap rng c cfg ~epsilon events recorder tot
-  in
+  let state, fired, applied = run_direct rng c cfg events recorder tot in
   let trace = Trace.Recorder.finish recorder in
   if live then
-    flush_metrics metrics cfg ~fired ~applied ~samples:(Trace.length trace)
-      tot ~t_start;
+    flush_metrics metrics ~fired ~applied ~samples:(Trace.length trace) tot
+      ~t_start;
   let final_state =
     Array.to_list (Array.mapi (fun i id -> (id, state.(i))) c.c_names)
   in

@@ -1,42 +1,30 @@
 (** Stochastic simulation of kinetic models.
 
     One exact SSA — Gillespie's direct method (Gillespie 1977, the
-    algorithm cited by the paper) — plus explicit tau-leaping (Gillespie
-    2001 with the step selection of Cao et al. 2006) for an
-    accuracy/speed trade-off on high-copy models. Both interpret each
-    kinetic law as the reaction's propensity function, support timed
-    interventions on species (the virtual-lab input stimuli, applied by
-    {!Compiled.apply_events_at}), and record a uniformly sampled
-    {!Trace.t}. The Gibson–Bruck next-reaction method lives in
-    [test_ssa] as an oracle the direct method is checked against. *)
+    algorithm cited by the paper) with sparse propensity updates: after
+    each firing only the reactions in the fired reaction's compile-time
+    dependency closure are re-evaluated, and trajectories are
+    byte-identical to re-evaluating every propensity at every step for
+    the same seed (the reference direct method in [test_ssa] checks
+    this). It interprets each kinetic law as the reaction's propensity
+    function, supports timed interventions on species (the virtual-lab
+    input stimuli, applied by {!Compiled.apply_events_at}), and records
+    a uniformly sampled {!Trace.t}. The Gibson–Bruck next-reaction
+    method lives in [test_ssa] as an oracle the direct method is checked
+    against. *)
 
 module Model := Glc_model.Model
-
-type algorithm =
-  | Direct
-      (** Gillespie's direct method with sparse propensity updates:
-          after each firing only the reactions in the fired reaction's
-          compile-time dependency closure are re-evaluated. Trajectories
-          are byte-identical to re-evaluating every propensity at every
-          step for the same seed (the reference direct method in
-          [test_ssa] checks this). *)
-  | Tau_leaping of { epsilon : float }
-      (** error-control parameter of the step selection, typically
-          0.01–0.05; steps that would be finer than a few SSA steps fall
-          back to exact direct-method stepping *)
 
 type config = {
   t0 : float;  (** start time *)
   t_end : float;  (** stop time *)
   dt : float;  (** trace sampling step *)
   seed : int;  (** RNG seed; equal seeds reproduce traces exactly *)
-  algorithm : algorithm;
 }
 
 val config :
-  ?t0:float -> ?dt:float -> ?seed:int -> ?algorithm:algorithm ->
-  t_end:float -> unit -> config
-(** Defaults: [t0 = 0.], [dt = 1.], [seed = 42], [algorithm = Direct].
+  ?t0:float -> ?dt:float -> ?seed:int -> t_end:float -> unit -> config
+(** Defaults: [t0 = 0.], [dt = 1.], [seed = 42].
     @raise Invalid_argument if [t_end < t0], [dt <= 0] or a time is
     not finite. *)
 
@@ -55,14 +43,12 @@ val run :
 
     When [metrics] is a live registry (default {!Glc_obs.Metrics.noop}),
     each run flushes per-run totals into it once, after the simulation:
-    counters [ssa.runs.<algo>], [ssa.reactions_fired],
-    [ssa.events_applied], [ssa.propensity_evals],
-    [ssa.tau_leap_rejections], [ssa.trace_samples],
+    counters [ssa.runs.direct], [ssa.reactions_fired],
+    [ssa.events_applied], [ssa.propensity_evals], [ssa.trace_samples],
     [ssa.ir.instructions] (all deterministic for a fixed seed) and the
-    wall-time histogram [ssa.run_seconds.<algo>], where [<algo>] is
-    [direct] or [tau_leaping]. The
-    inner loops accumulate in plain local fields, so instrumentation
-    adds no atomic traffic to the hot path. *)
+    wall-time histogram [ssa.run_seconds.direct]. The inner loops
+    accumulate in plain local fields, so instrumentation adds no atomic
+    traffic to the hot path. *)
 
 val run_with_stats :
   ?events:Events.schedule -> ?metrics:Glc_obs.Metrics.t -> config ->

@@ -36,7 +36,7 @@ let decide ~threshold ~margin iv =
   else Undecided
 
 let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
-    ?max_iters ~threshold ~input_high ~input_low ~inputs ~output ~expected
+    ~threshold ~input_high ~input_low ~inputs ~output ~expected
     (m : Glc_model.Model.t) =
   let arity = Array.length inputs in
   if Truth_table.arity expected <> arity then
@@ -52,7 +52,7 @@ let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
                  (name, Interval.point (if bit then input_high else input_low)))
                inputs)
         in
-        let ss = Steady_state.analyse ?max_iters ~inputs:env m in
+        let ss = Steady_state.analyse ~inputs:env m in
         let bounds = Steady_state.bound ss output in
         {
           cr_row = row;
@@ -90,10 +90,9 @@ let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
     c_rows = rows;
   }
 
-let certify ?metrics ?margin ?max_iters ?(protocol = Protocol.default)
-    (c : Circuit.t) =
+let certify ?metrics ?margin ?(protocol = Protocol.default) (c : Circuit.t) =
   let t =
-    certify_model ?metrics ?margin ?max_iters
+    certify_model ?metrics ?margin
       ~threshold:protocol.Protocol.threshold
       ~input_high:protocol.Protocol.input_high
       ~input_low:protocol.Protocol.input_low ~inputs:c.Circuit.inputs

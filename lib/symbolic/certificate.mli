@@ -55,7 +55,6 @@ val decide : threshold:float -> margin:float -> Interval.t -> verdict
 val certify :
   ?metrics:Glc_obs.Metrics.t ->
   ?margin:float ->
-  ?max_iters:int ->
   ?protocol:Glc_dvasim.Protocol.t ->
   Glc_gates.Circuit.t ->
   t
@@ -68,7 +67,6 @@ val certify :
 val certify_model :
   ?metrics:Glc_obs.Metrics.t ->
   ?margin:float ->
-  ?max_iters:int ->
   threshold:float ->
   input_high:float ->
   input_low:float ->

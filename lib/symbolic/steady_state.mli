@@ -56,7 +56,9 @@ val analyse :
 (** [analyse ~inputs m] bounds the steady states of [m] with each
     boundary species clamped to its interval in [inputs] (defaulting to
     its initial amount — the simulator's boundary semantics).
-    [max_iters] caps the narrowing rounds (default 200). *)
+    [max_iters] caps the narrowing rounds (default 200, the cap every
+    certificate uses; [test_symbolic] lowers it to check that stopping
+    early never widens a bound). *)
 
 val bound : t -> string -> Interval.t
 (** The computed bound for a species ({!Interval.full} for a name the

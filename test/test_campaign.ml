@@ -336,6 +336,31 @@ let test_store_file_paths () =
       checkb "lock released" false
         (Sys.file_exists (Store.Lock.path ~dir:campaign)))
 
+(* A finished two-job campaign whose first result path is then taken
+   by a directory. *)
+let with_squatted_result f =
+  with_dir (fun dir ->
+      let spec = quick_spec () in
+      ignore (Result.get_ok (Store.create ~dir (Grid.spec_to_json spec)));
+      ignore (Result.get_ok (Resume.run ~dir ()));
+      let store, spec = Result.get_ok (Resume.load ~dir) in
+      let id = Grid.job_id (List.hd (Grid.expand spec.Grid.grid)) in
+      let path = Store.result_path store ~id in
+      Sys.remove path;
+      Unix.mkdir path 0o755;
+      f dir store spec id)
+
+let test_store_squatted_result () =
+  (* a result path that cannot be read counts as absent, like one that
+     does not parse *)
+  with_squatted_result (fun _ store spec id ->
+      checkb "get" true (Store.get store ~id = None);
+      checkb "mem" false (Store.mem store ~id);
+      let line =
+        List.find (fun l -> l.Store.l_id = id) (Store.lines store spec)
+      in
+      checkb "line missing" false line.Store.l_done)
+
 (* ---- journal ---- *)
 
 let test_journal_roundtrip () =
@@ -616,6 +641,33 @@ let test_cli_non_finite_numbers () =
       [ "verify"; "0x17"; "--threshold"; "inf" ];
     ]
 
+let test_cli_squatted_result () =
+  (* an incomplete campaign (exit 3), not an uncaught Sys_error (125) *)
+  with_squatted_result (fun dir _ _ _ ->
+      List.iter
+        (fun cmd ->
+          checki cmd 3 (run_glcv [ "campaign"; cmd; "--dir"; dir ]))
+        [ "status"; "report" ])
+
+let test_cli_verify_no_certify_metrics () =
+  with_dir (fun dir ->
+      Store.mkdir_p dir;
+      let file = Filename.concat dir "m.json" in
+      checki "exit" 0
+        (run_glcv
+           [ "verify"; "genetic_NOT"; "--no-certify"; "--metrics"; file ]);
+      checkb "export written" true (Sys.file_exists file);
+      let doc =
+        Result.get_ok
+          (Json.parse (In_channel.with_open_bin file In_channel.input_all))
+      in
+      let runs =
+        Option.bind (Json.member doc "deterministic") (fun d ->
+            Option.bind (Json.member d "counters") (fun c ->
+                Json.int_field c "ssa.runs.direct"))
+      in
+      checki "ssa.runs.direct" 1 (Option.get runs))
+
 let test_cli_sigint_campaign () =
   with_dir (fun dir ->
       (* enough replicate mass that 0.4 s lands mid-drain *)
@@ -698,6 +750,8 @@ let () =
             test_store_failed_put_cleans_up;
           Alcotest.test_case "paths that are files are errors" `Quick
             test_store_file_paths;
+          Alcotest.test_case "a directory result is absent" `Quick
+            test_store_squatted_result;
         ] );
       ( "journal",
         [
@@ -733,5 +787,9 @@ let () =
         [
           Alcotest.test_case "non-finite numbers are usage errors" `Quick
             test_cli_non_finite_numbers;
+          Alcotest.test_case "a directory result exits 3" `Quick
+            test_cli_squatted_result;
+          Alcotest.test_case "verify --no-certify writes --metrics" `Quick
+            test_cli_verify_no_certify_metrics;
         ] );
     ]

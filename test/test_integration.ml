@@ -5,7 +5,6 @@
 
 module Truth_table = Glc_logic.Truth_table
 module Trace = Glc_ssa.Trace
-module Sim = Glc_ssa.Sim
 module Circuit = Glc_gates.Circuit
 module Circuits = Glc_gates.Circuits
 module Cello = Glc_gates.Cello
@@ -53,13 +52,6 @@ let test_seed_robustness () =
       if not verdict.Verify.verified then
         Alcotest.failf "seed %d failed" seed)
     [ 1; 2; 3; 4; 5 ]
-
-let test_tau_leap_verifies () =
-  let protocol =
-    Protocol.make ~algorithm:(Sim.Tau_leaping { epsilon = 0.03 }) ~seed:9 ()
-  in
-  let _, verdict = verify ~protocol (Cello.circuit_0x04 ()) in
-  checkb "tau-leaping verifies too" true verdict.Verify.verified
 
 let test_fig5_low_threshold_breaks_logic () =
   let protocol = Protocol.with_threshold Protocol.default 3. in
@@ -239,7 +231,6 @@ let () =
           Alcotest.test_case "paper protocol on 0x0B" `Slow
             test_paper_protocol_0x0B;
           Alcotest.test_case "seed robustness" `Slow test_seed_robustness;
-          Alcotest.test_case "tau-leap method" `Slow test_tau_leap_verifies;
         ] );
       ( "fig5",
         [

@@ -1,7 +1,7 @@
 (* Tests for glc_ssa: the RNG, trace recording, event schedules, model
    compilation, the direct method against its two exact oracles (the
-   full-recompute direct method and the next-reaction method),
-   tau-leaping and the ODE. *)
+   full-recompute direct method and the next-reaction method) and the
+   ODE. *)
 
 module Rng = Glc_ssa.Rng
 module Trace = Glc_ssa.Trace
@@ -200,100 +200,6 @@ let test_rng_gaussian () =
   checkf 0.02 "zero mean" 0. mean;
   checkf 0.03 "unit variance" 1. var
 
-let test_rng_poisson () =
-  let r = Rng.create 22 in
-  let sample mean n =
-    let sum = ref 0 in
-    for _ = 1 to n do
-      sum := !sum + Rng.poisson r ~mean
-    done;
-    float_of_int !sum /. float_of_int n
-  in
-  (* exact (Knuth) regime *)
-  checkf 0.1 "small mean" 3. (sample 3. 20_000);
-  (* PTRS regime *)
-  checkf 2. "large mean" 200. (sample 200. 5_000);
-  (* a mean where e^-mean underflows to 0. — the old exp-based inversion
-     would loop forever here and the normal approximation truncated *)
-  checkf 100. "huge mean" 50_000. (sample 50_000. 2_000);
-  checki "zero mean" 0 (Rng.poisson r ~mean:0.);
-  let bad =
-    Invalid_argument "Rng.poisson: mean must be finite and non-negative"
-  in
-  Alcotest.check_raises "negative mean" bad (fun () ->
-      ignore (Rng.poisson r ~mean:(-1.)));
-  Alcotest.check_raises "non-finite mean" bad (fun () ->
-      ignore (Rng.poisson r ~mean:Float.infinity))
-
-(* Exact-distribution check in the PTRS regime: bins of ~equal exact
-   probability are built from the Poisson pmf (computed in logs, like
-   the sampler itself), so the test is sensitive to the truncation bias
-   a rounded normal approximation has — mean alone is not. *)
-let prop_rng_poisson_chi_square =
-  QCheck.Test.make ~name:"poisson is exact at large means (chi-square)"
-    ~count:8
-    QCheck.(oneofl [ 12.; 35.; 80.; 250.; 900.; 3000. ])
-    (fun mean ->
-      let log_fact =
-        let tbl = Array.make 10 0. in
-        for k = 2 to 9 do
-          tbl.(k) <- tbl.(k - 1) +. log (float_of_int k)
-        done;
-        fun k ->
-          if k < 10 then tbl.(k)
-          else
-            let x = float_of_int (k + 1) in
-            ((x -. 0.5) *. log x) -. x
-            +. (0.5 *. log (2. *. Float.pi))
-            +. (1. /. (12. *. x))
-      in
-      let pmf k =
-        Float.exp ((float_of_int k *. log mean) -. mean -. log_fact k)
-      in
-      let sigma = sqrt mean in
-      let lo = max 0 (int_of_float (mean -. (6. *. sigma))) in
-      let hi = int_of_float (mean +. (6. *. sigma)) + 1 in
-      (* upper-inclusive bin edges of ~1/12 exact mass each; the final
-         bin is open above, so the ~1e-9 tails land in the end bins *)
-      let edges = ref [] and probs = ref [] in
-      let acc = ref 0. in
-      for k = lo to hi do
-        let p = pmf k in
-        acc := !acc +. p;
-        if !acc >= 1. /. 12. && k < hi then begin
-          edges := k :: !edges;
-          probs := !acc :: !probs;
-          acc := 0.
-        end
-      done;
-      let closed = List.rev !probs in
-      let edges = Array.of_list (List.rev (hi :: !edges)) in
-      let probs =
-        Array.of_list
-          (closed @ [ 1. -. List.fold_left ( +. ) 0. closed ])
-      in
-      let nbins = Array.length edges in
-      let counts = Array.make nbins 0 in
-      let r = Rng.create (int_of_float mean + 7) in
-      let n = 20_000 in
-      for _ = 1 to n do
-        let k = Rng.poisson r ~mean in
-        let rec bin i =
-          if i >= nbins - 1 || k <= edges.(i) then i else bin (i + 1)
-        in
-        let b = bin 0 in
-        counts.(b) <- counts.(b) + 1
-      done;
-      let chi2 = ref 0. in
-      Array.iteri
-        (fun i c ->
-          let e = float_of_int n *. probs.(i) in
-          let d = float_of_int c -. e in
-          chi2 := !chi2 +. (d *. d /. e))
-        counts;
-      (* df <= 11: P(chi2 > 60) < 1e-8 per case, deterministic seeds *)
-      !chi2 < 60.)
-
 (* The reference generator: xoshiro256++ seeded through splitmix64
    with the four words in a record of [int64] fields, and the derived
    draws written against it, as [Rng] was before its state moved into
@@ -358,53 +264,6 @@ module Rng_reference = struct
   let gaussian t =
     let u1 = float_pos t and u2 = float t in
     Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
-
-  let log_factorial k =
-    if k < 10 then begin
-      let acc = ref 0. in
-      for j = 2 to k do
-        acc := !acc +. Float.log (float_of_int j)
-      done;
-      !acc
-    end
-    else
-      let x = float_of_int (k + 1) in
-      ((x -. 0.5) *. Float.log x)
-      -. x
-      +. (0.5 *. Float.log (2. *. Float.pi))
-      +. (1. /. (12. *. x))
-      -. (1. /. (360. *. (x *. x *. x)))
-
-  let rec poisson_ptrs t ~mean =
-    let b = 0.931 +. (2.53 *. Float.sqrt mean) in
-    let a = -0.059 +. (0.02483 *. b) in
-    let inv_alpha = 1.1239 +. (1.1328 /. (b -. 3.4)) in
-    let v_r = 0.9277 -. (3.6224 /. (b -. 2.)) in
-    let u = float t -. 0.5 in
-    let v = float t in
-    let us = 0.5 -. Float.abs u in
-    let kf = Float.floor ((((2. *. a /. us) +. b) *. u) +. mean +. 0.43) in
-    if us >= 0.07 && v <= v_r then int_of_float kf
-    else if kf < 0. || (us < 0.013 && v > us) then poisson_ptrs t ~mean
-    else
-      let k = int_of_float kf in
-      if
-        Float.log (v *. inv_alpha /. ((a /. (us *. us)) +. b))
-        <= (kf *. Float.log mean) -. mean -. log_factorial k
-      then k
-      else poisson_ptrs t ~mean
-
-  let poisson t ~mean =
-    if mean = 0. then 0
-    else if mean < 10. then begin
-      let limit = Float.exp (-.mean) in
-      let rec go k p =
-        let p = p *. float t in
-        if p <= limit then k else go (k + 1) p
-      in
-      go 0 1.
-    end
-    else poisson_ptrs t ~mean
 end
 
 let test_rng_pinned_seed_42 () =
@@ -437,9 +296,6 @@ let prop_rng_matches_reference =
              (Rng.exponential r ~rate:2.5)
              (Rng_reference.exponential e ~rate:2.5)
         && same_float (Rng.gaussian r) (Rng_reference.gaussian e)
-        && List.for_all
-             (fun mean -> Rng.poisson r ~mean = Rng_reference.poisson e ~mean)
-             [ 0.; 0.7; 9.5; 10.; 250.; 5e4 ]
       in
       let rounds r e = List.for_all (fun _ -> round r e) (List.init 20 Fun.id) in
       let r = Rng.create seed and e = Rng_reference.create seed in
@@ -894,11 +750,10 @@ module Next_reaction_oracle = struct
     Trace.Recorder.finish recorder
 end
 
-(* The algorithms the all-algorithm checks run, each as
-   [events -> config -> model -> trace]: the production simulator under
-   a given algorithm, and the next-reaction oracle. *)
-let with_algorithm algorithm events cfg m =
-  Sim.run ~events { cfg with Sim.algorithm } m
+(* The simulators the all-algorithm checks run, each as
+   [events -> config -> model -> trace]: the production direct method
+   and the next-reaction oracle. *)
+let direct events cfg m = Sim.run ~events cfg m
 
 let next_reaction events cfg m = Next_reaction_oracle.run ~events cfg m
 
@@ -937,7 +792,7 @@ let test_sim_methods_agree () =
     Trace.mean (Trace.sub tr ~from:500 ~until:(Trace.length tr)) "X"
   in
   checkf 6. "direct vs next-reaction"
-    (mean (with_algorithm Sim.Direct) 1)
+    (mean direct 1)
     (mean next_reaction 2)
 
 let test_sim_events_applied () =
@@ -1000,9 +855,8 @@ let test_sim_boundary_reactant_all_algorithms () =
       done;
       checkb (name ^ ": product accumulates") true (final tr "P" > 0.))
     [
-      ("direct", with_algorithm Sim.Direct);
+      ("direct", direct);
       ("next-reaction", next_reaction);
-      ("tau-leap", with_algorithm (Sim.Tau_leaping { epsilon = 0.03 }));
     ];
   let tr = Glc_ssa.Ode.run (Glc_ssa.Ode.config ~t_end:50. ()) m in
   checkf 1e-9 "ode: input held at its set level" 30. (final tr "I");
@@ -1063,91 +917,6 @@ let test_oracles_deterministic () =
       ("direct", fun cfg m -> Direct_oracle.run cfg m);
       ("next-reaction", fun cfg m -> Next_reaction_oracle.run cfg m);
     ]
-
-let test_sim_tau_leap_mean () =
-  (* high-copy birth-death: the approximation must keep the mean *)
-  let m = birth_death ~k:1000. ~gamma:0.1 in
-  let cfg =
-    Sim.config ~seed:3
-      ~algorithm:(Sim.Tau_leaping { epsilon = 0.03 })
-      ~t_end:500. ()
-  in
-  let tr = Sim.run cfg m in
-  let late = Trace.sub tr ~from:250 ~until:(Trace.length tr) in
-  checkf 300. "stationary mean" 10_000. (Trace.mean late "X")
-
-let test_sim_tau_leap_determinism_and_events () =
-  let m = birth_death ~k:1000. ~gamma:0.1 in
-  let events = Events.of_list [ Events.set 100. "X" 0. ] in
-  let cfg =
-    Sim.config ~seed:8
-      ~algorithm:(Sim.Tau_leaping { epsilon = 0.03 })
-      ~t_end:200. ()
-  in
-  let a = Sim.run ~events cfg m and b = Sim.run ~events cfg m in
-  checkb "deterministic" true (Trace.to_csv a = Trace.to_csv b);
-  checkf 0. "event visible" 0. (Trace.value a "X" 100);
-  checkb "recovers" true (final a "X" > 5_000.)
-
-let test_sim_tau_leap_bad_epsilon () =
-  let m = birth_death ~k:1. ~gamma:1. in
-  let cfg =
-    Sim.config ~algorithm:(Sim.Tau_leaping { epsilon = 2. }) ~t_end:5. ()
-  in
-  match Sim.run cfg m with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let test_sim_tau_leap_step_rejection () =
-  (* Regression for the negative-population bug. X recycles through Z
-     (X -> Z fast, Z -> X slow), so X hovers near zero where a Poisson
-     draw of k >= X + 1 conversions regularly overshoots the population;
-     a high-propensity birth-death background B keeps a0 large enough
-     that the step-selection never falls back to exact SSA stepping at
-     small X. Before step rejection, the overshoot was silently clamped
-     to zero — Z received k molecules while X gave up fewer, creating
-     mass out of nothing — so X + Z drifted above its invariant. The
-     sum is a pair of small integers stored in doubles, hence exact, and
-     the clamp inflates it within a handful of leaps on any seed. *)
-  let m =
-    Model.make ~id:"recycle"
-      ~species:
-        [
-          Model.species "X" 1.;
-          Model.species "Z" 29.;
-          Model.species "B" 1000.;
-        ]
-      ~reactions:
-        [
-          Model.reaction
-            ~reactants:[ ("X", 1) ]
-            ~products:[ ("Z", 1) ]
-            ~rate:Math.(num 1. * var "X")
-            "xz";
-          Model.reaction
-            ~reactants:[ ("Z", 1) ]
-            ~products:[ ("X", 1) ]
-            ~rate:Math.(num 0.02 * var "Z")
-            "zx";
-          Model.reaction ~products:[ ("B", 1) ] ~rate:(Math.num 2000.) "bb";
-          Model.reaction
-            ~reactants:[ ("B", 1) ]
-            ~rate:Math.(num 2. * var "B")
-            "bd";
-        ]
-      ()
-  in
-  let cfg =
-    Sim.config ~seed:5
-      ~algorithm:(Sim.Tau_leaping { epsilon = 0.5 })
-      ~t_end:400. ()
-  in
-  let tr = Sim.run cfg m in
-  for k = 0 to Trace.length tr - 1 do
-    let x = Trace.value tr "X" k and z = Trace.value tr "Z" k in
-    checkb "populations nonnegative" true (x >= 0. && z >= 0.);
-    checkf 0. "X + Z conserved exactly" 30. (x +. z)
-  done
 
 (* ---- population ---- *)
 
@@ -1429,9 +1198,8 @@ let test_sim_event_at_t0_in_first_sample () =
         (name ^ ": t0 event visible in the first sample")
         25. (Trace.value tr "I" 0))
     [
-      ("direct", with_algorithm Sim.Direct);
+      ("direct", direct);
       ("next-reaction", next_reaction);
-      ("tau-leap", with_algorithm (Sim.Tau_leaping { epsilon = 0.03 }));
     ]
 
 (* The sparse direct method's invariant: cached propensities equal fresh
@@ -1479,8 +1247,7 @@ let prop_sparse_direct_equivalence =
         (Trace.to_csv (Direct_oracle.run cfg m)))
 
 let prop_nonnegative_populations =
-  (* blanket invariant behind the tau-leap step-rejection fix: no
-     algorithm may ever record a negative copy number *)
+  (* no simulator may ever record a negative copy number *)
   QCheck.Test.make ~name:"populations stay nonnegative, all algorithms"
     ~count:40 QCheck.small_int (fun seed ->
       let m = random_mass_action_model seed in
@@ -1497,11 +1264,7 @@ let prop_nonnegative_populations =
               done)
             (Trace.names tr);
           !ok)
-        [
-          with_algorithm Sim.Direct;
-          next_reaction;
-          with_algorithm (Sim.Tau_leaping { epsilon = 0.05 });
-        ])
+        [ direct; next_reaction ])
 
 let test_sparse_equivalence_circuits () =
   (* Same check on the paper's Table-1 circuits under the virtual lab's
@@ -1902,7 +1665,6 @@ let () =
           Alcotest.test_case "first draws of seed 42 are pinned" `Quick
             test_rng_pinned_seed_42;
           Alcotest.test_case "gaussian" `Quick test_rng_gaussian;
-          Alcotest.test_case "poisson" `Quick test_rng_poisson;
         ]
         @ qc
             [
@@ -1910,7 +1672,6 @@ let () =
               prop_rng_split_no_collisions;
               prop_rng_int_range;
               prop_rng_int_uniform;
-              prop_rng_poisson_chi_square;
               prop_rng_matches_reference;
             ] );
       ( "trace",
@@ -1984,13 +1745,6 @@ let () =
             test_sim_next_reaction_with_events;
           Alcotest.test_case "pure birth via next-reaction" `Quick
             test_sim_pure_birth_next_reaction;
-          Alcotest.test_case "tau-leap mean" `Quick test_sim_tau_leap_mean;
-          Alcotest.test_case "tau-leap determinism and events" `Quick
-            test_sim_tau_leap_determinism_and_events;
-          Alcotest.test_case "tau-leap bad epsilon" `Quick
-            test_sim_tau_leap_bad_epsilon;
-          Alcotest.test_case "tau-leap step rejection" `Slow
-            test_sim_tau_leap_step_rejection;
           Alcotest.test_case "select skips zero propensity" `Quick
             test_select_skips_zero_propensity;
           Alcotest.test_case "event at t0 in first sample" `Quick
