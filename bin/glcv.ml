@@ -10,11 +10,13 @@
    ensemble, campaign report) or lint found warnings; 2 lint found
    errors (the `lint` command, and the pre-flight guard on
    verify/ensemble/campaign run unless --no-lint); 3 a campaign is
-   incomplete; 123 any error reported on stderr (a runtime failure such
-   as an unknown circuit, or a command-line mistake — cmdliner's eval'
-   maps both to the same code); 125 an unexpected internal error. Codes
-   1, 2 and 3 are deliberate and documented per command so scripts and
-   CI can branch on the result. *)
+   incomplete; 124 a value that fails its option's parser, whose
+   converter holds every range check; 123 everything else reported on
+   stderr (an unknown option or command, a missing or surplus argument,
+   a setting the run itself rejects, a runtime failure); 125 an
+   unexpected internal error. [error_exits] words this for every
+   command's EXIT STATUS, and [~term_err] below sends every error that
+   is not a converter failure to 123. *)
 
 open Cmdliner
 
@@ -41,11 +43,30 @@ let interrupted_exit =
           and metrics were flushed, and a final status line was \
           printed. Resume-capable commands pick up where they left off."
 
+(* The error half of every EXIT STATUS: cmdliner's defaults say 124 for
+   "command line parsing errors", unknown options included. *)
+let error_exits =
+  [
+    Cmd.Exit.info Cmd.Exit.some_error
+      ~doc:"on an unknown option or command, a missing or surplus \
+            argument, or any other failure reported on standard error, \
+            including a setting the run itself rejects.";
+    Cmd.Exit.info Cmd.Exit.cli_error
+      ~doc:"when a value fails its option's parser: not a number, not \
+            finite, a time, threshold or trial count that is not \
+            positive, a negative spread or margin, a FOV_UD outside \
+            (0, 1], or an unknown $(i,CIRCUIT).";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"on an unexpected internal error (a bug).";
+  ]
+
+let std_exits = Cmd.Exit.info Cmd.Exit.ok ~doc:"on success." :: error_exits
+
 let verdict_exits =
   Cmd.Exit.info exit_not_verified
     ~doc:"the circuit (or at least one campaign job) did $(b,not) verify \
           against its intended logic — the run itself succeeded."
-  :: lint_guard_exit :: interrupted_exit :: Cmd.Exit.defaults
+  :: lint_guard_exit :: interrupted_exit :: std_exits
 
 let campaign_exits =
   Cmd.Exit.info exit_incomplete
@@ -57,7 +78,7 @@ let lint_exits =
   Cmd.Exit.info 0 ~doc:"no diagnostics beyond informational notes."
   :: Cmd.Exit.info 1 ~doc:"lint found warnings but no errors."
   :: Cmd.Exit.info 2 ~doc:"lint found errors."
-  :: Cmd.Exit.defaults
+  :: error_exits
 
 module Circuit = Glc_gates.Circuit
 module Benchmarks = Glc_gates.Benchmarks
@@ -84,60 +105,72 @@ let find_circuit name =
 
 (* ---- common options ---- *)
 
-(* Every float option parses through here. cmdliner's [Arg.float]
-   accepts [inf] and [nan], which slip past sign checks: an infinite
-   --total never ends a run, an infinite --threshold still yields a
-   verdict. A non-finite value is a usage error instead. *)
-let finite_float =
+(* Every numeric option whose range the library checks parses through
+   here, so a bad value is a usage error (124) before anything runs.
+   cmdliner's [Arg.float] accepts [inf] and [nan], which slip past sign
+   checks: an infinite --total never ends a run, an infinite
+   --threshold still yields a verdict. *)
+let where base what ok =
   let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok x when Float.is_finite x -> Ok x
-    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    match Arg.conv_parser base s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
     | Error _ as e -> e
   in
-  Arg.conv ~docv:(Arg.conv_docv Arg.float)
-    (parse, Arg.conv_printer Arg.float)
+  Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
+
+let finite_float = where Arg.float "a finite number" Float.is_finite
+
+(* the ranges [Protocol.make], [Analyzer.run] and the yield accept *)
+let positive_float =
+  where Arg.float "a finite number > 0" (fun x -> x > 0. && x < infinity)
+
+let non_negative_float =
+  where Arg.float "a finite number >= 0" (fun x -> x >= 0. && x < infinity)
+
+let positive_int = where Arg.int "an integer > 0" (fun n -> n > 0)
+let fraction = where Arg.float "a number in (0, 1]" (fun x -> x > 0. && x <= 1.)
+
+(* A CIRCUIT resolves in its converter, so an unknown name is a usage
+   error (124) in every command, whether or not the command uses it. *)
+let circuit_conv =
+  Arg.conv
+    (find_circuit, fun ppf c -> Format.pp_print_string ppf c.Circuit.name)
+
+(* a circuit with the name it was given, which grids and the daemon
+   store *)
+let named_circuit =
+  Arg.conv
+    ( (fun s -> Result.map (fun c -> (s, c)) (find_circuit s)),
+      fun ppf (s, _) -> Format.pp_print_string ppf s )
+
+let circuit_pos doc =
+  Arg.pos 0 (Arg.some circuit_conv) None (Arg.info [] ~docv:"CIRCUIT" ~doc)
 
 let circuit_arg =
-  let parse s = find_circuit s in
-  let print ppf c = Format.pp_print_string ppf c.Circuit.name in
   Arg.required
-    (Arg.pos 0
-       (Arg.some (Arg.conv (parse, print)))
-       None
-       (Arg.info [] ~docv:"CIRCUIT"
-          ~doc:"Benchmark circuit name (see $(b,glcv list)) or a \
-                truth-table code such as 0x1C."))
+    (circuit_pos
+       "Benchmark circuit name (see $(b,glcv list)) or a truth-table code \
+        such as 0x1C.")
 
-(* An optional CIRCUIT for commands that also take --all or --expr: an
-   unknown name is reported only when the command uses it. *)
-let circuit_opt doc =
-  let parse s = Ok (find_circuit s) in
-  let print ppf = function
-    | Ok c -> Format.pp_print_string ppf c.Circuit.name
-    | Error _ -> Format.pp_print_string ppf "?"
-  in
-  Arg.value
-    (Arg.pos 0
-       (Arg.some (Arg.conv (parse, print)))
-       None
-       (Arg.info [] ~docv:"CIRCUIT" ~doc))
+(* An optional CIRCUIT, for commands that also take --all or --expr. *)
+let circuit_opt doc = Arg.value (circuit_pos doc)
 
 let threshold_opt =
   Arg.value
-    (Arg.opt finite_float Protocol.default.Protocol.threshold
+    (Arg.opt positive_float Protocol.default.Protocol.threshold
        (Arg.info [ "threshold"; "t" ] ~docv:"MOLECULES"
           ~doc:"Logic threshold; a logic-1 input is clamped to this \
                 amount (the paper's setup)."))
 
 let total_opt =
   Arg.value
-    (Arg.opt finite_float Protocol.default.Protocol.total_time
+    (Arg.opt positive_float Protocol.default.Protocol.total_time
        (Arg.info [ "total" ] ~docv:"TIME" ~doc:"Total simulation time."))
 
 let hold_opt =
   Arg.value
-    (Arg.opt finite_float Protocol.default.Protocol.hold_time
+    (Arg.opt positive_float Protocol.default.Protocol.hold_time
        (Arg.info [ "hold" ] ~docv:"TIME"
           ~doc:"Hold time per input combination (propagation delay)."))
 
@@ -148,7 +181,7 @@ let seed_opt =
 
 let fov_opt =
   Arg.value
-    (Arg.opt finite_float Analyzer.default_params.Analyzer.fov_ud
+    (Arg.opt fraction Analyzer.default_params.Analyzer.fov_ud
        (Arg.info [ "fov" ] ~docv:"FRACTION"
           ~doc:"FOV_UD: accepted fraction of output variation (eq. 1)."))
 
@@ -329,7 +362,8 @@ let list_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "list" ~doc:"List the 15 benchmark circuits of the paper.")
+    (Cmd.info "list" ~exits:std_exits
+       ~doc:"List the 15 benchmark circuits of the paper.")
     Term.(const run $ const ())
 
 (* ---- synth ---- *)
@@ -380,8 +414,7 @@ let synth_cmd =
     let* c =
       match (expr, circuit) with
       | Some s, None -> circuit_of_expression s
-      | None, Some (Ok c) -> Ok c
-      | None, Some (Error e) -> Error e
+      | None, Some c -> Ok c
       | None, None -> Error (`Msg "give a circuit, a code, or --expr")
       | Some _, Some _ -> Error (`Msg "give either a circuit or --expr")
     in
@@ -429,7 +462,7 @@ let synth_cmd =
             ~doc:"Also write the regulatory network as a Graphviz file."))
   in
   Cmd.v
-    (Cmd.info "synth"
+    (Cmd.info "synth" ~exits:std_exits
        ~doc:"Synthesise a circuit (from the benchmark set, a truth-table \
              code, or a Boolean expression) and print its structural \
              document.")
@@ -469,7 +502,7 @@ let simulate_cmd =
             ~doc:"Write the full simulation log to a CSV file."))
   in
   Cmd.v
-    (Cmd.info "simulate"
+    (Cmd.info "simulate" ~exits:std_exits
        ~doc:"Run a circuit through the virtual laboratory.")
     Term.(
       term_result
@@ -490,7 +523,7 @@ let analyze_cmd =
     Ok 0
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits:std_exits
        ~doc:"Extract the Boolean logic of a circuit from simulation \
              (Algorithm 1 of the paper).")
     Term.(term_result (const run $ protocol_term $ fov_opt $ circuit_arg))
@@ -499,7 +532,7 @@ let analyze_cmd =
 
 let margin_opt =
   Arg.value
-    (Arg.opt finite_float Certificate.default_margin
+    (Arg.opt non_negative_float Certificate.default_margin
        (Arg.info [ "margin" ] ~docv:"SIGMAS"
           ~doc:"Noise margin of the symbolic analyser, in Poisson \
                 standard deviations: a steady-state bound must clear \
@@ -571,8 +604,7 @@ let verify_cmd =
     else
       match circuit with
       | None -> Error (`Msg "give a circuit name or --all")
-      | Some (Error e) -> Error e
-      | Some (Ok c) -> (
+      | Some c -> (
           match lint_guard ~no_lint ~protocol [ c ] with
           | Error code -> Ok code
           | Ok () ->
@@ -650,7 +682,7 @@ let certify_exits =
     ~doc:"undecided row(s) remain: their steady-state bounds straddle \
           the logic threshold, so only simulation ($(b,glcv verify)) \
           can settle them."
-  :: Cmd.Exit.defaults
+  :: std_exits
 
 let certify_cmd =
   let run protocol margin json all metrics_file circuit =
@@ -686,8 +718,7 @@ let certify_cmd =
         else
           match circuit with
           | None -> Error (`Msg "give a circuit name or --all")
-          | Some (Error e) -> Error e
-          | Some (Ok c) ->
+          | Some c ->
               let ct = certify c in
               if json then print_string (Certificate.to_json ct ^ "\n")
               else Format.printf "%a@." Certificate.pp ct;
@@ -806,7 +837,7 @@ let threshold_cmd =
     Ok 0
   in
   Cmd.v
-    (Cmd.info "threshold"
+    (Cmd.info "threshold" ~exits:std_exits
        ~doc:"Estimate the output logic threshold (D-VASim's threshold \
              analysis).")
     Term.(term_result (const run $ protocol_term $ circuit_arg))
@@ -823,7 +854,7 @@ let delay_cmd =
         Error (`Msg "no measurable output transition for this circuit")
   in
   Cmd.v
-    (Cmd.info "delay"
+    (Cmd.info "delay" ~exits:std_exits
        ~doc:"Measure the worst-case propagation delay (D-VASim's timing \
              analysis).")
     Term.(term_result (const run $ protocol_term $ circuit_arg))
@@ -849,7 +880,7 @@ let export_cmd =
          (Arg.info [ "dir" ] ~docv:"DIR" ~doc:"Output directory."))
   in
   Cmd.v
-    (Cmd.info "export"
+    (Cmd.info "export" ~exits:std_exits
        ~doc:"Write SBML and SBOL files for all benchmark circuits.")
     Term.(term_result (const run $ dir_opt))
 
@@ -869,7 +900,7 @@ let vcd_cmd =
          (Arg.info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output VCD file."))
   in
   Cmd.v
-    (Cmd.info "vcd"
+    (Cmd.info "vcd" ~exits:std_exits
        ~doc:"Dump the digitised waveforms of an experiment as a VCD file \
              for EDA waveform viewers.")
     Term.(term_result (const run $ protocol_term $ out_opt $ circuit_arg))
@@ -906,45 +937,45 @@ let probe_cmd =
     Ok 0
   in
   Cmd.v
-    (Cmd.info "probe"
+    (Cmd.info "probe" ~exits:std_exits
        ~doc:"Extract the logic of every internal species from one \
              experiment (intermediate-component analysis).")
     Term.(term_result (const run $ protocol_term $ circuit_arg))
 
-(* ---- sweep ---- *)
+(* ---- sweep / robustness ---- *)
+
+module Robustness = Glc_core.Robustness
+
+(* the threshold-window table: sweep adds the extracted logic *)
+let print_window ~expr points =
+  Format.printf "%9s %-9s %8s %10s%s@." "threshold" "verdict" "fitness"
+    "total-var"
+    (if expr then "  extracted" else "");
+  List.iter
+    (fun (p : Robustness.window_point) ->
+      Format.printf "%9g %-9s %7.2f%% %10d%t@." p.w_threshold
+        (if p.w_verified then "verified" else "WRONG")
+        p.w_fitness p.w_variations (fun ppf ->
+          if expr then Format.fprintf ppf "  %a" Glc_logic.Expr.pp p.w_expr))
+    points
 
 let sweep_cmd =
   let run total hold seed thresholds circuit =
-    Format.printf "%9s %-9s %8s %10s  %s@." "threshold" "verdict" "fitness"
-      "total-var" "extracted";
-    List.iter
-      (fun threshold ->
-        let protocol =
-          Protocol.make ~total_time:total ~hold_time:hold ~seed ~threshold
-            ()
-        in
-        let r, v = Verify.experiment (Experiment.run ~protocol circuit) in
-        let total_var =
-          Array.fold_left
-            (fun acc c -> acc + c.Analyzer.variations)
-            0 r.Analyzer.cases
-        in
-        Format.printf "%9g %-9s %7.2f%% %10d  %a@." threshold
-          (if v.Verify.verified then "verified" else "WRONG")
-          r.Analyzer.fitness total_var Glc_logic.Expr.pp r.Analyzer.expr)
-      thresholds;
+    let protocol = Protocol.make ~total_time:total ~hold_time:hold ~seed () in
+    print_window ~expr:true
+      (Robustness.threshold_window ~protocol ~thresholds circuit);
     Ok 0
   in
   let thresholds_opt =
     Arg.value
       (Arg.opt
-         (Arg.list finite_float)
-         Glc_core.Robustness.default_sweep
+         (Arg.list positive_float)
+         Robustness.default_sweep
          (Arg.info [ "thresholds" ] ~docv:"T1,T2,..."
             ~doc:"Threshold values to sweep (the Fig. 5 study)."))
   in
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info "sweep" ~exits:std_exits
        ~doc:"Analyse a circuit across threshold values (the paper's \
              Fig. 5 robustness study).")
     Term.(
@@ -952,49 +983,33 @@ let sweep_cmd =
         (const run $ total_opt $ hold_opt $ seed_opt $ thresholds_opt
         $ circuit_arg))
 
-(* ---- robustness ---- *)
-
 let robustness_cmd =
   let run protocol trials spread circuit =
-    let points =
-      Glc_core.Robustness.threshold_window ~protocol circuit
-    in
-    Format.printf "%9s %-9s %8s %10s@." "threshold" "verdict" "fitness"
-      "total-var";
-    List.iter
-      (fun p ->
-        Format.printf "%9g %-9s %7.2f%% %10d@."
-          p.Glc_core.Robustness.w_threshold
-          (if p.Glc_core.Robustness.w_verified then "verified" else "WRONG")
-          p.Glc_core.Robustness.w_fitness
-          p.Glc_core.Robustness.w_variations)
-      points;
-    (match Glc_core.Robustness.operating_range points with
+    let points = Robustness.threshold_window ~protocol circuit in
+    print_window ~expr:false points;
+    (match Robustness.operating_range points with
     | Some (lo, hi) ->
         Format.printf "@.operating window: %g .. %g molecules@." lo hi
     | None -> Format.printf "@.no verified operating point@.");
-    let y =
-      Glc_core.Robustness.parametric_yield ~protocol ~trials ~spread
-        circuit
-    in
+    let y = Robustness.parametric_yield ~protocol ~trials ~spread circuit in
     Format.printf "parametric yield (spread %.0f%%): %a@." (spread *. 100.)
-      Glc_core.Robustness.pp_yield y;
+      Robustness.pp_yield y;
     Ok 0
   in
   let trials_opt =
     Arg.value
-      (Arg.opt Arg.int 20
+      (Arg.opt positive_int 20
          (Arg.info [ "trials" ] ~docv:"N"
             ~doc:"Monte-Carlo trials for the parametric yield."))
   in
   let spread_opt =
     Arg.value
-      (Arg.opt finite_float 0.2
+      (Arg.opt non_negative_float 0.2
          (Arg.info [ "spread" ] ~docv:"SIGMA"
             ~doc:"Log-normal spread of the part parameters."))
   in
   Cmd.v
-    (Cmd.info "robustness"
+    (Cmd.info "robustness" ~exits:std_exits
        ~doc:"Threshold operating window and Monte-Carlo parametric yield \
              of a circuit.")
     Term.(
@@ -1077,7 +1092,7 @@ module Campaign = struct
               (match input_highs with
               | [] -> [ None ]
               | hs -> List.map Option.some hs)
-            ~replicate_counts:replicates circuits
+            ~replicate_counts:replicates (List.map fst circuits)
         in
         Grid.spec ~seed ~total_time:total ~hold_time:hold grid
       with
@@ -1086,25 +1101,16 @@ module Campaign = struct
           (* pre-flight: lint every (circuit, threshold) cell of the
              grid before anything is persisted or simulated *)
           let guard =
-            if no_lint then Ok ()
-            else
-              let cs =
-                List.filter_map
-                  (fun name -> Result.to_option (find_circuit name))
-                  circuits
-              in
-              List.fold_left
-                (fun acc threshold ->
-                  match acc with
-                  | Error _ -> acc
-                  | Ok () -> (
-                      match
-                        Protocol.make ~total_time:total ~hold_time:hold
-                          ~seed ~threshold ()
-                      with
-                      | exception Invalid_argument _ -> Ok ()
-                      | protocol -> lint_guard ~no_lint ~protocol cs))
-                (Ok ()) thresholds
+            List.fold_left
+              (fun acc threshold ->
+                match acc with
+                | Error _ -> acc
+                | Ok () ->
+                    lint_guard ~no_lint (List.map snd circuits)
+                      ~protocol:
+                        (Protocol.make ~total_time:total ~hold_time:hold ~seed
+                           ~threshold ()))
+              (Ok ()) thresholds
           in
           match guard with
           | Error code -> Ok code
@@ -1115,21 +1121,21 @@ module Campaign = struct
     in
     let circuits_opt =
       Arg.required
-        (Arg.opt (Arg.some (Arg.list Arg.string)) None
+        (Arg.opt (Arg.some (Arg.list named_circuit)) None
            (Arg.info [ "circuits"; "c" ] ~docv:"NAME,..."
               ~doc:"Circuits to sweep: benchmark names (see \
                     $(b,glcv list)) or 0xNN truth-table codes."))
     in
     let thresholds_opt =
       Arg.value
-        (Arg.opt (Arg.list finite_float)
+        (Arg.opt (Arg.list positive_float)
            [ Protocol.default.Protocol.threshold ]
            (Arg.info [ "thresholds" ] ~docv:"T,..."
               ~doc:"Logic-threshold axis of the grid."))
     in
     let fovs_opt =
       Arg.value
-        (Arg.opt (Arg.list finite_float) [ 0.25 ]
+        (Arg.opt (Arg.list fraction) [ 0.25 ]
            (Arg.info [ "fovs" ] ~docv:"F,..."
               ~doc:"FOV_UD axis of the grid (eq. 1)."))
     in
@@ -1653,7 +1659,7 @@ module Serve = struct
     :: Cmd.Exit.info exit_not_verified
          ~doc:"the job ran and its consensus logic does $(b,not) match \
                the intent."
-    :: Cmd.Exit.defaults
+    :: std_exits
 
   let socket_opt =
     Arg.required
@@ -1661,9 +1667,8 @@ module Serve = struct
          (Arg.info [ "socket"; "s" ] ~docv:"PATH"
             ~doc:"Unix socket the daemon listens on."))
 
-  let opt_float names docv doc =
-    Arg.value
-      (Arg.opt (Arg.some finite_float) None (Arg.info names ~docv ~doc))
+  let opt_float ?(conv = finite_float) names docv doc =
+    Arg.value (Arg.opt (Arg.some conv) None (Arg.info names ~docv ~doc))
 
   let opt_int names docv doc =
     Arg.value
@@ -1744,7 +1749,7 @@ module Serve = struct
                     it to the hardware."))
     in
     Cmd.v
-      (Cmd.info "serve"
+      (Cmd.info "serve" ~exits:std_exits
          ~doc:"Run the verification daemon: HTTP/1.1 + JSON over a unix \
                socket ($(b,POST /v1/jobs), $(b,GET /v1/jobs/ID/result), \
                $(b,GET /metrics), ...). Submissions are lint-checked at \
@@ -1764,7 +1769,7 @@ module Serve = struct
       let client = Client.connect ~socket in
       match
         Client.submit ?threshold ?fov_ud:fov ?input_high ?replicates
-          ?priority client ~circuit
+          ?priority client ~circuit:(fst circuit)
       with
       | Error m -> Error (`Msg m)
       | Ok resp -> (
@@ -1797,10 +1802,10 @@ module Serve = struct
     in
     let circuit_opt =
       Arg.required
-        (Arg.pos 0 (Arg.some Arg.string) None
+        (Arg.pos 0 (Arg.some named_circuit) None
            (Arg.info [] ~docv:"CIRCUIT"
-              ~doc:"Circuit name or 0xNN truth-table code; resolved by \
-                    the daemon."))
+              ~doc:"Circuit name or 0xNN truth-table code; checked here \
+                    and resolved again by the daemon."))
     in
     Cmd.v
       (Cmd.info "submit" ~exits:serve_exits
@@ -1814,8 +1819,9 @@ module Serve = struct
       Term.(
         term_result
           (const run $ socket_opt $ circuit_opt
-          $ opt_float [ "threshold"; "t" ] "MOLECULES" "Logic threshold."
-          $ opt_float [ "fov" ] "FRACTION" "FOV_UD (eq. 1)."
+          $ opt_float ~conv:positive_float [ "threshold"; "t" ] "MOLECULES"
+              "Logic threshold."
+          $ opt_float ~conv:fraction [ "fov" ] "FRACTION" "FOV_UD (eq. 1)."
           $ opt_float [ "input-high" ] "MOLECULES"
               "Logic-1 input amount (default: the threshold)."
           $ opt_int [ "replicates"; "n" ] "N" "SSA replicates."
@@ -1850,7 +1856,7 @@ module Serve = struct
               ~doc:"Job id; omit to list every job the daemon knows."))
     in
     Cmd.v
-      (Cmd.info "status"
+      (Cmd.info "status" ~exits:std_exits
          ~doc:"Query a job's lifecycle state (or list all jobs) from a \
                running daemon.")
       Term.(term_result (const run $ socket_opt $ id_opt))
@@ -1896,7 +1902,7 @@ module Serve = struct
               ~doc:"Write the scrape to FILE instead of stdout."))
     in
     Cmd.v
-      (Cmd.info "scrape"
+      (Cmd.info "scrape" ~exits:std_exits
          ~doc:"Fetch the daemon's $(b,/metrics) endpoint: counters, \
                gauges and histograms in the text exposition format \
                Prometheus-style scrapers parse.")
@@ -1905,7 +1911,7 @@ end
 
 let main =
   Cmd.group
-    (Cmd.info "glcv" ~version:"1.0.0"
+    (Cmd.info "glcv" ~version:"1.0.0" ~exits:std_exits
        ~doc:"Logic analysis and verification of n-input genetic logic \
              circuits (Baig & Madsen, DATE 2017).")
     [
@@ -1917,7 +1923,6 @@ let main =
       Serve.result_cmd; Serve.scrape_cmd;
     ]
 
-(* term_err: all evaluation errors — runtime failures (unknown circuit,
-   unreadable campaign dir, ...) and usage mistakes alike — exit with
-   some_error (123), matching the manpages' EXIT STATUS section. *)
+(* term_err: every error but a converter failure (124) exits 123, the
+   split [error_exits] documents on every manpage *)
 let () = exit (Cmd.eval' ~term_err:Cmd.Exit.some_error main)

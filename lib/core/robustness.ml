@@ -9,6 +9,7 @@ type window_point = {
   w_verified : bool;
   w_fitness : float;
   w_variations : int;
+  w_expr : Glc_logic.Expr.t;
 }
 
 let default_sweep = [ 3.; 8.; 15.; 25.; 40.; 60.; 80.; 90. ]
@@ -28,6 +29,7 @@ let threshold_window ?(protocol = Protocol.default)
           Array.fold_left
             (fun acc c -> acc + c.Analyzer.variations)
             0 r.Analyzer.cases;
+        w_expr = r.Analyzer.expr;
       })
     thresholds
 

@@ -20,6 +20,7 @@ type window_point = {
   w_verified : bool;
   w_fitness : float;
   w_variations : int;  (** total output variations over all combinations *)
+  w_expr : Glc_logic.Expr.t;  (** the extracted logic *)
 }
 
 val default_sweep : float list

@@ -1,101 +1,56 @@
-module Trace = Glc_ssa.Trace
-module Events = Glc_ssa.Events
-module Sim = Glc_ssa.Sim
 module Circuit = Glc_gates.Circuit
-module Truth_table = Glc_logic.Truth_table
 
 type measurement = {
-  from_row : int;
-  to_row : int;
-  rising : bool;
+  transition : Transition.t;
   delays : float list;
   mean_delay : float;
   max_delay : float;
 }
 
-let measure ?(protocol = Protocol.default) ?(repeats = 5) ?settle_time
-    ?timeout ~from_row ~to_row circuit =
-  let expected = circuit.Circuit.expected in
-  let out_from = Truth_table.output expected from_row in
-  let out_to = Truth_table.output expected to_row in
-  if out_from = out_to then None
-  else begin
-    let settle =
-      match settle_time with
-      | Some s -> s
-      | None -> 2. *. protocol.Protocol.hold_time
-    in
-    let timeout =
-      match timeout with
-      | Some t -> t
-      | None -> 5. *. protocol.Protocol.hold_time
-    in
-    let rising = out_to in
-    let model = Circuit.model circuit in
-    let threshold = protocol.Protocol.threshold in
-    let delays = ref [] in
-    for rep = 0 to repeats - 1 do
-      let inputs = circuit.Circuit.inputs in
-      let events =
-        Events.of_list
-          (Experiment.clamp protocol ~inputs ~at:0. from_row
-          @ Experiment.clamp protocol ~inputs ~at:settle to_row)
+(* the SSA's stationary distribution is not the ODE's fixed point, so
+   every repetition settles on the from-row itself *)
+let measure ?(protocol = Protocol.default) ?(repeats = 5) ~from_row ~to_row
+    circuit =
+  match Transition.make circuit.Circuit.expected ~from_row ~to_row with
+  | None -> None
+  | Some tr -> (
+      let hold = protocol.Protocol.hold_time in
+      let model = Circuit.model circuit in
+      let delays =
+        List.filter_map
+          (fun rep ->
+            let seed = (protocol.Protocol.seed * 7919) + rep in
+            fst
+              (Transition.first_crossing ~protocol ~settle:(2. *. hold)
+                 ~timeout:(5. *. hold) circuit
+                 (Transition.Ssa (model, seed))
+                 tr))
+          (List.init repeats Fun.id)
       in
-      let cfg =
-        Sim.config ~dt:protocol.Protocol.dt
-          ~seed:((protocol.Protocol.seed * 7919) + rep)
-          ~t_end:(settle +. timeout) ()
-      in
-      let trace = Sim.run ~events cfg model in
-      let out = Trace.column trace circuit.Circuit.output in
-      let n = Array.length out in
-      let rec find k =
-        if k >= n then None
-        else begin
-          let t = Trace.time trace k in
-          if t < settle then find (k + 1)
-          else begin
-            let crossed =
-              if rising then out.(k) >= threshold else out.(k) < threshold
-            in
-            if crossed then Some (t -. settle) else find (k + 1)
-          end
-        end
-      in
-      match find 0 with
-      | Some d -> delays := d :: !delays
-      | None -> ()
-    done;
-    match !delays with
-    | [] -> None
-    | ds ->
-        let mean =
-          List.fold_left ( +. ) 0. ds /. float_of_int (List.length ds)
-        in
-        Some
-          {
-            from_row;
-            to_row;
-            rising;
-            delays = List.rev ds;
-            mean_delay = mean;
-            max_delay = List.fold_left Float.max neg_infinity ds;
-          }
-  end
+      match delays with
+      | [] -> None
+      | ds ->
+          (* summed last repetition first: the order sets the mean's last bit *)
+          let mean =
+            List.fold_left ( +. ) 0. (List.rev ds)
+            /. float_of_int (List.length ds)
+          in
+          Some
+            {
+              transition = tr;
+              delays = ds;
+              mean_delay = mean;
+              max_delay = List.fold_left Float.max neg_infinity ds;
+            })
 
 let worst_case ?protocol ?repeats circuit =
-  let nc = 1 lsl Circuit.arity circuit in
-  let best = ref None in
-  for r = 0 to nc - 1 do
-    let from_row = r and to_row = (r + 1) mod nc in
-    match measure ?protocol ?repeats ~from_row ~to_row circuit with
-    | None -> ()
-    | Some m -> (
-        match !best with
-        | Some b when b.mean_delay >= m.mean_delay -> ()
-        | Some _ | None -> best := Some m)
-  done;
-  !best
+  Transition.worst
+    (fun m -> m.mean_delay)
+    (List.filter_map
+       (fun (tr : Transition.t) ->
+         measure ?protocol ?repeats ~from_row:tr.from_row ~to_row:tr.to_row
+           circuit)
+       (Transition.adjacent circuit.Circuit.expected))
 
 let matrix ?protocol ?repeats circuit =
   let nc = 1 lsl Circuit.arity circuit in
@@ -120,9 +75,9 @@ let recommended_hold ?protocol ?repeats ?(safety = 5.) circuit =
       in
       Some (Float.ceil (safety *. worst /. 50.) *. 50.)
 
-let pp ppf m =
+let pp ppf { transition = tr; delays; mean_delay; max_delay } =
   Format.fprintf ppf
-    "%d -> %d (%s): mean %.0f t.u., max %.0f t.u. over %d runs" m.from_row
-    m.to_row
-    (if m.rising then "rising" else "falling")
-    m.mean_delay m.max_delay (List.length m.delays)
+    "%d -> %d (%s): mean %.0f t.u., max %.0f t.u. over %d runs" tr.from_row
+    tr.to_row
+    (if tr.rising then "rising" else "falling")
+    mean_delay max_delay (List.length delays)

@@ -4,12 +4,11 @@ module Runner = Glc_campaign.Runner
 module Resume = Glc_campaign.Resume
 module Circuit = Glc_gates.Circuit
 module Protocol = Glc_dvasim.Protocol
-module Experiment = Glc_dvasim.Experiment
-module Ode = Glc_ssa.Ode
+module Transition = Glc_dvasim.Transition
 module Compiled = Glc_ssa.Compiled
-module Events = Glc_ssa.Events
-module Pool = Glc_engine.Pool
-module Truth_table = Glc_logic.Truth_table
+module Steady_state = Glc_symbolic.Steady_state
+module Certificate = Glc_symbolic.Certificate
+module Interval = Glc_symbolic.Interval
 module Metrics = Glc_obs.Metrics
 module Json = Glc_obs.Json
 
@@ -82,99 +81,66 @@ let prepare ~dir spec =
 type delay = {
   d_transitions : int;
   d_measured : int;
-  d_worst : float option;
-  d_from : int;
-  d_to : int;
-  d_rising : bool;
+  d_worst : (float * Transition.t) option;
 }
 
 let delay_id name = "delay-" ^ name
 
-(* One function's delay, with the RK4 steps it cost. The model compiles
-   once; each transition integrates only until its output crosses. *)
-let measure ~protocol circuit =
-  let arity = Circuit.arity circuit in
-  let nc = 1 lsl arity in
-  let expected = circuit.Circuit.expected in
-  let threshold = protocol.Protocol.threshold in
-  let settle = protocol.Protocol.hold_time in
-  let timeout = 2.5 *. protocol.Protocol.hold_time in
-  let inputs = circuit.Circuit.inputs in
-  let events ~from_row ~to_row =
-    Events.of_list
-      (Experiment.clamp protocol ~inputs ~at:0. from_row
-      @ Experiment.clamp protocol ~inputs ~at:settle to_row)
-  in
-  let c = Compiled.compile (Circuit.model circuit) in
-  let out = Compiled.species_index c circuit.Circuit.output in
-  (* the deterministic limit at a coarse unit step: accurate to the
-     trace-sampling resolution the stochastic analyser itself uses, and
-     cheap enough to scan all 256 functions in seconds *)
-  let cfg = Ode.config ~dt:1.0 ~step:1.0 ~t_end:(settle +. timeout) () in
-  let transitions =
-    List.filter_map
-      (fun r ->
-        let r' = (r + 1) mod nc in
-        let a = Truth_table.output expected r
-        and b = Truth_table.output expected r' in
-        if a = b then None else Some (r, r', b))
-      (List.init nc Fun.id)
-  in
-  let worst = ref None and measured = ref 0 and steps = ref 0 in
-  List.iter
-    (fun (from_row, to_row, rising) ->
-      let crossed =
-        if rising then fun s -> s.(out) >= threshold
-        else fun s -> s.(out) < threshold
-      in
-      let u =
-        Ode.run_until ~events:(events ~from_row ~to_row) ~from:settle cfg c
-          crossed
-      in
-      steps := !steps + u.Ode.u_steps;
-      match u.Ode.u_time with
-      | None -> ()
-      | Some t ->
-          let d = t -. settle in
-          incr measured;
-          let better =
-            match !worst with None -> true | Some (w, _, _, _) -> d > w
-          in
-          if better then worst := Some (d, from_row, to_row, rising))
-    transitions;
-  let d =
-    match !worst with
-    | Some (w, f, t, r) ->
-        {
-          d_transitions = List.length transitions;
-          d_measured = !measured;
-          d_worst = Some w;
-          d_from = f;
-          d_to = t;
-          d_rising = r;
-        }
-    | None ->
-        {
-          d_transitions = List.length transitions;
-          d_measured = 0;
-          d_worst = None;
-          d_from = 0;
-          d_to = 0;
-          d_rising = false;
-        }
-  in
-  (d, !steps)
+(* The delay experiment's horizon: the from-row is held for one hold
+   when it is not seeded, and the output followed for 2.5 holds after
+   the switch. *)
+let settle (p : Protocol.t) = p.hold_time
+let timeout (p : Protocol.t) = 2.5 *. p.hold_time
 
-let measure_delay ~protocol circuit = fst (measure ~protocol circuit)
+(* The from-row's steady state, as a start state for the ODE: only when
+   the interval analysis pins every species to a finite point (boundary
+   species always are: rails or initial amounts). Otherwise the
+   transition settles on the from-row first. *)
+let steady_start ~(protocol : Protocol.t) (circuit : Circuit.t) model c row =
+  let inputs =
+    Certificate.rails ~input_high:protocol.input_high
+      ~input_low:protocol.input_low ~inputs:circuit.inputs row
+  in
+  let ss = Steady_state.analyse ~inputs model in
+  let bounds = Array.map (Steady_state.bound ss) c.Compiled.c_names in
+  if Array.for_all (fun b -> Interval.is_point b && Interval.is_finite b) bounds
+  then Some (Array.map Interval.lo bounds)
+  else None
+
+let measure ~protocol circuit =
+  let model = Circuit.model circuit in
+  let c = Compiled.compile model in
+  let transitions = Transition.adjacent circuit.Circuit.expected in
+  let steps = ref 0 in
+  let measured =
+    List.filter_map
+      (fun (tr : Transition.t) ->
+        let start = steady_start ~protocol circuit model c tr.from_row in
+        let d, n =
+          Transition.first_crossing ~protocol ~settle:(settle protocol)
+            ~timeout:(timeout protocol) circuit
+            (Transition.Ode (c, start))
+            tr
+        in
+        steps := !steps + n;
+        Option.map (fun d -> (d, tr)) d)
+      transitions
+  in
+  ( {
+      d_transitions = List.length transitions;
+      d_measured = List.length measured;
+      d_worst = Transition.worst fst measured;
+    },
+    !steps )
 
 let delay_doc ~name ~protocol d =
-  let worst w =
+  let worst (w, (tr : Transition.t)) =
     Json.obj
       [
         ("delay", Json.float w);
-        ("from_row", string_of_int d.d_from);
-        ("to_row", string_of_int d.d_to);
-        ("rising", Json.bool d.d_rising);
+        ("from_row", string_of_int tr.from_row);
+        ("to_row", string_of_int tr.to_row);
+        ("rising", Json.bool tr.rising);
       ]
   in
   Json.obj
@@ -183,8 +149,8 @@ let delay_doc ~name ~protocol d =
       ("kind", Json.string "delay");
       ("circuit", Json.string name);
       ("threshold", Json.float protocol.Protocol.threshold);
-      ("settle", Json.float protocol.Protocol.hold_time);
-      ("timeout", Json.float (2.5 *. protocol.Protocol.hold_time));
+      ("settle", Json.float (settle protocol));
+      ("timeout", Json.float (timeout protocol));
       ("transitions", string_of_int d.d_transitions);
       ("measured", string_of_int d.d_measured);
       ("worst", Json.option worst d.d_worst);
@@ -200,31 +166,18 @@ let delay_of_doc doc =
       let ( let* ) = Option.bind in
       let* transitions = Json.int_field v "transitions" in
       let* measured = Json.int_field v "measured" in
+      let d =
+        { d_transitions = transitions; d_measured = measured; d_worst = None }
+      in
       match Json.member v "worst" with
-      | Some Json.Null ->
-          Some
-            {
-              d_transitions = transitions;
-              d_measured = measured;
-              d_worst = None;
-              d_from = 0;
-              d_to = 0;
-              d_rising = false;
-            }
+      | Some Json.Null -> Some d
       | Some (Json.Object _ as w) ->
           let* delay = Json.number_field w "delay" in
           let* from_row = Json.int_field w "from_row" in
           let* to_row = Json.int_field w "to_row" in
           let* rising = Json.bool_field w "rising" in
-          Some
-            {
-              d_transitions = transitions;
-              d_measured = measured;
-              d_worst = Some delay;
-              d_from = from_row;
-              d_to = to_row;
-              d_rising = rising;
-            }
+          let tr = { Transition.from_row; to_row; rising } in
+          Some { d with d_worst = Some (delay, tr) }
       | _ -> None)
 
 let stored_delay store name =
@@ -259,62 +212,31 @@ type summary = {
   a_delays_total : int;
 }
 
-(* Functions per pool round. A round's delays are stored on the calling
-   domain, in spec order, before [should_stop] is polled again. The size
-   is fixed rather than scaled by the worker count, so an interrupted
-   pass stops at the same function whatever [jobs] is. *)
-let delay_round = 16
-
-let rec split_at n = function
-  | x :: rest when n > 0 ->
-      let round, rest = split_at (n - 1) rest in
-      (x :: round, rest)
-  | rest -> ([], rest)
-
-let measure_delays ?(jobs = 0) ?(metrics = Metrics.noop)
-    ?(should_stop = fun () -> false) store spec =
+(* on the calling domain, in spec order: each doc is stored as it is
+   measured, and a stop takes effect before the next function *)
+let measure_delays ?(metrics = Metrics.noop) ?(should_stop = fun () -> false)
+    store spec =
   let c_measured = Metrics.counter metrics "space.delays_measured" in
   let c_steps = Metrics.counter metrics "space.ode_steps" in
   let h_seconds = Metrics.histogram metrics "space.delay_seconds" in
-  let pending =
-    List.filter
-      (fun (name, job) ->
-        Store.mem store ~id:(Grid.job_id job) && stored_delay store name = None)
-      (circuit_jobs spec)
-  in
-  (* a worker resolves, measures and times one function; only the
-     calling domain touches the store and the metrics *)
-  let measure_one _ (name, job) =
-    match Runner.resolve name with
-    | Error _ -> None
-    | Ok circuit ->
-        let protocol = Runner.job_protocol spec job in
-        let t0 = Glc_obs.Clock.now () in
-        let d, steps = measure ~protocol circuit in
-        Some (protocol, d, steps, Glc_obs.Clock.now () -. t0)
-  in
-  let store_one (name, _) = function
-    | Ok None -> ()
-    | Ok (Some (protocol, d, steps, seconds)) ->
-        Metrics.Histogram.observe h_seconds seconds;
-        Metrics.Counter.incr c_measured;
-        Metrics.Counter.add c_steps steps;
-        Store.put store ~id:(delay_id name) (delay_doc ~name ~protocol d)
-    | Error e ->
-        failwith (Printf.sprintf "Atlas: delay of %s: %s" name e.Pool.message)
-  in
-  if pending <> [] then
-    let jobs = if jobs = 0 then Pool.default_jobs () else jobs in
-    Pool.with_pool ~jobs (fun pool ->
-        let rec rounds pending =
-          if pending <> [] && not (should_stop ()) then begin
-            let round, rest = split_at delay_round pending in
-            List.iter2 store_one round
-              (Array.to_list (Pool.map pool measure_one (Array.of_list round)));
-            rounds rest
-          end
-        in
-        rounds pending)
+  List.iter
+    (fun (name, job) ->
+      if
+        (not (should_stop ()))
+        && Store.mem store ~id:(Grid.job_id job)
+        && stored_delay store name = None
+      then
+        match Runner.resolve name with
+        | Error _ -> ()
+        | Ok circuit ->
+            let protocol = Runner.job_protocol spec job in
+            let t0 = Glc_obs.Clock.now () in
+            let d, steps = measure ~protocol circuit in
+            Metrics.Histogram.observe h_seconds (Glc_obs.Clock.now () -. t0);
+            Metrics.Counter.incr c_measured;
+            Metrics.Counter.add c_steps steps;
+            Store.put store ~id:(delay_id name) (delay_doc ~name ~protocol d))
+    (circuit_jobs spec)
 
 let run ?jobs ?limit ?on_progress ?metrics ?should_stop
     ?(certified_only = false) ~dir spec =
@@ -339,7 +261,7 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop
   let* () =
     Metrics.span m "space:delays" (fun () ->
         Store.Lock.with_lock ~dir (fun () ->
-            measure_delays ?jobs ~metrics:m ?should_stop store spec))
+            measure_delays ~metrics:m ?should_stop store spec))
   in
   let lines = Store.lines store spec in
   let done_ = List.filter (fun l -> l.Store.l_done) lines in
@@ -385,7 +307,7 @@ let entries store spec =
 let delay_value e =
   match e.f_delay with
   | Some d when d.d_transitions = 0 -> Some 0.
-  | Some { d_worst = Some w; _ } -> Some w
+  | Some { d_worst = Some (w, _); _ } -> Some w
   | _ -> None
 
 let pareto entries =
@@ -503,14 +425,20 @@ let space_json store spec =
       ]
   in
   let delay_json d =
+    (* no worst transition: SPACE.json's 0/0/false placeholders *)
+    let from_row, to_row, rising =
+      match d.d_worst with
+      | Some (_, tr) -> (tr.Transition.from_row, tr.to_row, tr.rising)
+      | None -> (0, 0, false)
+    in
     Json.obj
       [
-        ("worst", Json.option Json.float d.d_worst);
+        ("worst", Json.option Json.float (Option.map fst d.d_worst));
         ("transitions", int d.d_transitions);
         ("measured", int d.d_measured);
-        ("from_row", int d.d_from);
-        ("to_row", int d.d_to);
-        ("rising", Json.bool d.d_rising);
+        ("from_row", int from_row);
+        ("to_row", int to_row);
+        ("rising", Json.bool rising);
       ]
   in
   let function_json e =

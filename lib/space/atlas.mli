@@ -56,29 +56,29 @@ val prepare : dir:string -> Grid.spec -> (Store.t * Grid.spec * bool, string) re
 
 (** {2 Propagation delay}
 
-    Worst-case delay on the deterministic (ODE) limit: for every
-    adjacent input-combination transition [r -> r+1 mod 2^n] whose
-    expected outputs differ, the inputs are held at [r] for one
-    hold-time, switched, and the output followed to its first
-    threshold crossing. Delay docs are stored as [delay-<name>] in the
-    atlas store, individually resumable; a doc that parses but lacks a
-    field counts as absent, so a resumed run measures it again. *)
+    Worst-case delay on the deterministic (ODE) limit over the
+    {!Glc_dvasim.Transition.adjacent} transitions, each followed for
+    up to 2.5 hold-times after the switch. A transition starts at the
+    switch from the from-row's steady state when the interval analysis
+    ({!Glc_symbolic.Steady_state}) pins every species to a finite
+    point, and holds the from-row for one hold-time first otherwise.
+    Delay docs are stored as [delay-<name>] in the atlas store,
+    individually resumable; a doc that parses but lacks a field counts
+    as absent, so a resumed run measures it again. *)
 
 type delay = {
   d_transitions : int;  (** output-changing transitions *)
   d_measured : int;  (** of which crossed within the timeout *)
-  d_worst : float option;  (** max measured delay, t.u.; [None] if none *)
-  d_from : int;  (** the worst transition's source combination *)
-  d_to : int;
-  d_rising : bool;  (** the worst transition's direction *)
+  d_worst : (float * Glc_dvasim.Transition.t) option;
+      (** the largest measured delay, t.u., and its transition (the
+          first on a tie); [None] if none crossed *)
 }
 
-val measure_delay :
-  protocol:Glc_dvasim.Protocol.t -> Glc_gates.Circuit.t -> delay
-(** Pure measurement (no store). Deterministic. The model compiles once
-    and each transition integrates only up to its crossing
-    ({!Glc_ssa.Ode.run_until}); the result is the one a scan of the
-    full settle + timeout trace would give. *)
+val measure :
+  protocol:Glc_dvasim.Protocol.t -> Glc_gates.Circuit.t -> delay * int
+(** One function's delay, and the RK4 steps it cost. Pure (no store)
+    and deterministic: each transition integrates only up to its
+    crossing. *)
 
 val delay_id : string -> string
 (** [delay-<circuit name>]. *)
@@ -112,19 +112,15 @@ val run :
 (** {!prepare}, drain the pending functions through
     {!Glc_campaign.Resume.run} (certified-only when [certified_only]:
     each function is certified once, and only those it settles are
-    drained), then measure the delay of every completed
-    function that lacks one. [jobs] (default: one worker per core) sizes
-    the worker pool of both the drain and the delay pass; the delay
-    pass hands the pool rounds of 16 functions and stores each round's
-    docs in spec order, so the stored bytes do not depend on [jobs].
-    Records [space.functions_synthesised], [space.functions_verified],
-    [space.delays_measured] and [space.ode_steps] (RK4 steps, a
-    deterministic cost counter) counters and the [space.delay_seconds]
-    histogram (one observation per function, timed on the worker that
-    measured it — its sum is worker-seconds and can exceed the pass's
-    wall time) on [metrics]. [should_stop] is polled between jobs and,
-    in the delay pass, once per round: a stop takes effect after the
-    current round is stored. *)
+    drained) on a worker pool of [jobs] domains (default: one per
+    core), then measure, on the calling domain and in spec order, the
+    delay of every completed function that lacks one, storing each doc
+    as it is measured. Records [space.functions_synthesised],
+    [space.functions_verified], [space.delays_measured] and
+    [space.ode_steps] (RK4 steps, a deterministic cost counter)
+    counters and the [space.delay_seconds] histogram (one observation
+    per measured function) on [metrics]. [should_stop] is polled
+    between jobs and before each function of the delay pass. *)
 
 (** {2 Reporting} *)
 

@@ -1,7 +1,7 @@
 (** Enumeration and synthesis of the Boolean function space.
 
     One stop for "give me function [0xNN] as a thing I can simulate":
-    names, minimal NOT/NOR netlists, assembled gate-library circuits
+    names, NOT/NOR netlists, assembled gate-library circuits
     and the static facts the atlas reports about each function
     (NPN class, gate count, depth, bio-class flags).
 
@@ -15,7 +15,7 @@ type info = {
   i_arity : int;
   i_name : string;  (** {!Glc_gates.Cello.name_of_code} *)
   i_class : int;  (** NPN representative, {!Npn.canonical} *)
-  i_gates : int;  (** NOT/NOR gates in the minimal netlist *)
+  i_gates : int;  (** NOT/NOR gates in the {!netlist} *)
   i_depth : int;  (** longest input→output gate path *)
   i_unate : bool;
   i_canalizing : bool;
@@ -26,8 +26,10 @@ val name_of_code : arity:int -> int -> string
 (** Alias of {!Glc_gates.Cello.name_of_code}. *)
 
 val netlist : arity:int -> int -> Glc_logic.Netlist.t
-(** Minimal NOT/NOR netlist of the function over
-    {!Glc_gates.Assembly.netlist_inputs}. *)
+(** The NOT/NOR netlist over {!Glc_gates.Assembly.netlist_inputs}: up
+    to 3 inputs, extracted from a least-tree-cost search over NOT and
+    NOR2 with sharing added on extraction, so not always the fewest
+    gates; above 3 inputs, a mapped sum of products. *)
 
 val describe : arity:int -> int -> info
 (** Synthesises the netlist and classifies the function. *)

@@ -139,9 +139,9 @@ let run ?events cfg model = run_compiled ?events cfg (Compiled.compile model)
 
 type until = { u_time : float option; u_steps : int }
 
-let run_until ?(events = Events.empty) ~from cfg (c : Compiled.t) holds =
+let run_until ?(events = Events.empty) ?init ~from cfg c holds =
   let w = workspace c in
-  let state = Array.copy c.Compiled.c_initial in
+  let state = Array.copy (Option.value init ~default:c.Compiled.c_initial) in
   (* the trace grid of [run_compiled], and its fill rule: a grid point
      holds the state of the last change at or before it, so every point
      strictly before the next change's time holds the current state *)

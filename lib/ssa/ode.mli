@@ -54,14 +54,16 @@ type until = {
 }
 
 val run_until :
-  ?events:Events.schedule -> from:float -> config -> Compiled.t ->
-  (float array -> bool) -> until
-(** [run_until ?events ~from cfg c holds] integrates as {!run_compiled}
-    does but records no trace, and stops at the first sample of the
-    trace grid ([t0 + k * dt]) at or after [from] whose held state
-    satisfies [holds] — the sample {!run_compiled}'s trace
+  ?events:Events.schedule -> ?init:float array -> from:float -> config ->
+  Compiled.t -> (float array -> bool) -> until
+(** [run_until ?events ?init ~from cfg c holds] integrates as
+    {!run_compiled} does but records no trace, and stops at the first
+    sample of the trace grid ([t0 + k * dt]) at or after [from] whose
+    held state satisfies [holds] — the sample {!run_compiled}'s trace
     would show there, so events due at a sample's time are applied
     before it is checked. The result is exactly what scanning the
     {!run_compiled} trace would find; integration just ends at the
-    answer instead of at [t_end]. [holds] receives the state vector
-    (indexed like [c_names]) and must not modify it. *)
+    answer instead of at [t_end]. [init], one amount per species
+    (indexed like [c_names]), replaces the model's initial amounts as
+    the state at [t0]; events due by [t0] still apply to it. [holds]
+    receives the state vector and must not modify it. *)

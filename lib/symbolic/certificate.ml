@@ -35,6 +35,15 @@ let decide ~threshold ~margin iv =
   then Proved_low
   else Undecided
 
+let rails ~input_high ~input_low ~inputs row =
+  let arity = Array.length inputs in
+  Array.to_list
+    (Array.mapi
+       (fun j name ->
+         let bit = Truth_table.input_value ~arity row j in
+         (name, Interval.point (if bit then input_high else input_low)))
+       inputs)
+
 let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
     ~threshold ~input_high ~input_low ~inputs ~output ~expected
     (m : Glc_model.Model.t) =
@@ -44,15 +53,11 @@ let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
   let n_rows = 1 lsl arity in
   let rows =
     Array.init n_rows (fun row ->
-        let env =
-          Array.to_list
-            (Array.mapi
-               (fun j name ->
-                 let bit = Truth_table.input_value ~arity row j in
-                 (name, Interval.point (if bit then input_high else input_low)))
-               inputs)
+        let ss =
+          Steady_state.analyse
+            ~inputs:(rails ~input_high ~input_low ~inputs row)
+            m
         in
-        let ss = Steady_state.analyse ~inputs:env m in
         let bounds = Steady_state.bound ss output in
         {
           cr_row = row;

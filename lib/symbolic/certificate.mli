@@ -52,6 +52,12 @@ val decide : threshold:float -> margin:float -> Interval.t -> verdict
     [lo - margin * sqrt (max lo 1) > threshold], [Proved_low] iff
     [hi + margin * sqrt (max hi 1) < threshold] (finite bounds only). *)
 
+val rails :
+  input_high:float -> input_low:float -> inputs:string array -> int ->
+  (string * Interval.t) list
+(** Each input species pinned to its rail level in [row]: the [?inputs]
+    environment of {!Steady_state.analyse} for one truth-table row. *)
+
 val certify :
   ?metrics:Glc_obs.Metrics.t ->
   ?margin:float ->

@@ -582,12 +582,14 @@ let test_runner_should_stop () =
 
 let glcv_exe = Filename.concat (Sys.getcwd ()) "../bin/glcv.exe"
 
-let spawn_glcv args =
+(* stdout and stderr go to [out], /dev/null by default *)
+let spawn_glcv ?out args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let out = Option.value out ~default:devnull in
   let pid =
     Unix.create_process glcv_exe
       (Array.of_list (glcv_exe :: args))
-      devnull devnull devnull
+      devnull out out
   in
   Unix.close devnull;
   pid
@@ -699,6 +701,213 @@ let test_cli_sigint_campaign () =
            that is a pass for the exit-code contract, not a failure *)
         checki "finished before the signal" 0 code)
 
+(* ---- one exit-code contract, over every command ---- *)
+
+(* glcv's exit code, with its stdout and stderr *)
+let run_glcv_output args =
+  let file = Filename.temp_file "glcv" ".out" in
+  let out = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid = spawn_glcv ~out args in
+  Unix.close out;
+  let code = exit_code (Unix.waitpid [] pid) in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (code, text)
+
+(* what every --help says of 123 and 124, whitespace collapsed *)
+let exit_rule =
+  [
+    "123 on an unknown option or command, a missing or surplus argument";
+    "124 when a value fails its option's parser";
+  ]
+
+let words s =
+  String.concat " "
+    (List.filter (( <> ) "")
+       (String.split_on_char ' '
+          (String.map (function '\n' | '\t' -> ' ' | c -> c) s)))
+
+(* One row per command: its words, then argument lists that must exit
+   124 (a bad value; an unknown CIRCUIT), and one cheap invocation that
+   must exit 0. The same invocation with an unknown option appended must
+   exit 123. Rows run in order: later rows read the directories earlier
+   ones made. *)
+let exit_table dir =
+  let d name = Filename.concat dir name in
+  let model = "../models/genetic_NOT.sbml.xml" in
+  let quick = [ "--total"; "2000"; "--hold"; "1000" ] in
+  let c = [ "--dir"; d "c" ] and s = [ "--dir"; d "s" ] in
+  [
+    ([ "list" ], [], [ "list" ]);
+    ( [ "lint" ],
+      [ [ "lint"; "--threshold"; "inf"; model ] ],
+      [ "lint"; model ] );
+    ([ "synth" ], [ [ "synth"; "0xZZ" ] ], [ "synth"; "genetic_NOT" ]);
+    ( [ "simulate" ],
+      [ [ "simulate"; "genetic_NOT"; "--hold"; "0" ]; [ "simulate"; "0xZZ" ] ],
+      [ "simulate"; "genetic_NOT"; "--total"; "200"; "--hold"; "100" ] );
+    ( [ "analyze" ],
+      [ [ "analyze"; "genetic_NOT"; "-t"; "0" ]; [ "analyze"; "0xZZ" ] ],
+      "analyze" :: "genetic_NOT" :: quick );
+    ( [ "verify" ],
+      [
+        [ "verify"; "genetic_NOT"; "--total=-1" ];
+        [ "verify"; "genetic_NOT"; "--fov"; "5" ]; [ "verify"; "0xZZ" ];
+        [ "verify"; "--all"; "0xZZ" ];
+      ],
+      [ "verify"; "genetic_NOT" ] );
+    ( [ "certify" ],
+      [
+        [ "certify"; "genetic_NOT"; "-t"; "0" ];
+        [ "certify"; "genetic_NOT"; "--margin=-1" ];
+        [ "certify"; "0xZZ" ];
+      ],
+      [ "certify"; "genetic_NOT" ] );
+    ( [ "ensemble" ],
+      [
+        [ "ensemble"; "genetic_NOT"; "--hold=0"; "-n"; "2" ];
+        [ "ensemble"; "0xZZ" ];
+      ],
+      [ "ensemble"; "genetic_NOT"; "-n"; "2"; "--jobs"; "1" ] @ quick );
+    ( [ "threshold" ],
+      [
+        [ "threshold"; "genetic_NOT"; "--hold"; "0" ]; [ "threshold"; "0xZZ" ];
+      ],
+      "threshold" :: "genetic_NOT" :: quick );
+    ( [ "delay" ],
+      [ [ "delay"; "genetic_NOT"; "-t"; "0" ]; [ "delay"; "0xZZ" ] ],
+      [ "delay"; "genetic_NOT" ] );
+    ([ "export" ], [], [ "export"; "--dir"; d "models" ]);
+    ( [ "vcd" ],
+      [ [ "vcd"; "genetic_NOT"; "-t"; "0" ]; [ "vcd"; "0xZZ" ] ],
+      [ "vcd"; "genetic_NOT"; "-o"; d "x.vcd" ] @ quick );
+    ( [ "probe" ],
+      [ [ "probe"; "genetic_NOT"; "-t"; "0" ]; [ "probe"; "0xZZ" ] ],
+      "probe" :: "genetic_NOT" :: quick );
+    ( [ "sweep" ],
+      [
+        [ "sweep"; "genetic_NOT"; "--thresholds"; "15,0" ]; [ "sweep"; "0xZZ" ];
+      ],
+      [ "sweep"; "genetic_NOT"; "--thresholds"; "15" ] @ quick );
+    ( [ "robustness" ],
+      [
+        [ "robustness"; "genetic_NOT"; "--trials"; "0" ];
+        [ "robustness"; "genetic_NOT"; "--spread=-1" ];
+        [ "robustness"; "0xZZ" ];
+      ],
+      [ "robustness"; "genetic_NOT"; "--trials"; "1" ] @ quick );
+    ( [ "campaign"; "run" ],
+      [
+        [ "campaign"; "run"; "--hold"; "0"; "-c"; "genetic_NOT" ] @ c;
+        [ "campaign"; "run"; "-c"; "0xZZ" ] @ c;
+      ],
+      [ "campaign"; "run"; "-c"; "genetic_NOT"; "--replicates"; "2" ]
+      @ c @ quick );
+    ( [ "campaign"; "resume" ],
+      [ [ "campaign"; "resume"; "--jobs"; "x" ] @ c ],
+      [ "campaign"; "resume" ] @ c );
+    ([ "campaign"; "status" ], [], [ "campaign"; "status" ] @ c);
+    ([ "campaign"; "report" ], [], [ "campaign"; "report" ] @ c);
+    ( [ "space"; "run" ],
+      [ [ "space"; "run"; "--hold"; "0" ] @ s ],
+      [
+        "space"; "run"; "--inputs"; "2"; "--sample"; "2"; "--replicates"; "2";
+        "--total"; "4000"; "--hold"; "1000"; "--jobs"; "1";
+      ]
+      @ s );
+    ([ "space"; "status" ], [], [ "space"; "status" ] @ s);
+    ([ "space"; "report" ], [], [ "space"; "report" ] @ s);
+    ( [ "space"; "evolve" ],
+      [ [ "space"; "evolve"; "0x80"; "--pop"; "x"; "--dir"; d "e" ] ],
+      [ "space"; "evolve"; "0x80"; "--dir"; d "e" ] );
+  ]
+
+let check_exit what expected args =
+  let code, text = run_glcv_output args in
+  if code <> expected then
+    Alcotest.failf "%s: `glcv %s` exited %d, not %d:\n%s" what
+      (String.concat " " args) code expected text
+
+let check_help cmd =
+  let code, text = run_glcv_output (cmd @ [ "--help=plain" ]) in
+  checki (String.concat " " cmd ^ " --help") 0 code;
+  List.iter
+    (fun rule ->
+      if not (contains (words text) rule) then
+        Alcotest.failf "`glcv %s --help` does not say %S"
+          (String.concat " " cmd) rule)
+    exit_rule
+
+(* the client commands need a daemon: one is started on a short
+   protocol, driven, and stopped with SIGTERM, which must exit 0 *)
+let check_daemon_exits dir =
+  let sock = Filename.concat dir "s.sock" in
+  let at = [ "--socket"; sock ] in
+  let serve = [ "serve"; "--state"; Filename.concat dir "st" ] @ at in
+  let quick = [ "--total"; "5000"; "--hold"; "1000" ] in
+  List.iter check_help
+    [ [ "serve" ]; [ "submit" ]; [ "status" ]; [ "result" ]; [ "scrape" ] ];
+  List.iter
+    (fun args -> check_exit "unknown option" 123 (args @ [ "--bogus" ]))
+    [
+      serve; [ "submit"; "genetic_NOT" ] @ at; [ "status" ] @ at;
+      [ "result"; "x" ] @ at; [ "scrape" ] @ at;
+    ];
+  List.iter
+    (check_exit "bad value" 124)
+    [
+      serve @ [ "--hold"; "0" ]; [ "submit"; "genetic_NOT"; "-t"; "0" ] @ at;
+      [ "submit"; "0xZZ" ] @ at; [ "result"; "x"; "--timeout"; "inf" ] @ at;
+    ];
+  let pid = spawn_glcv (serve @ quick) in
+  let stopped = ref false in
+  let stop () =
+    if not !stopped then begin
+      stopped := true;
+      Unix.kill pid Sys.sigterm;
+      exit_code (Unix.waitpid [] pid)
+    end
+    else 0
+  in
+  Fun.protect ~finally:(fun () -> ignore (stop ())) (fun () ->
+      let rec wait_up n =
+        if fst (run_glcv_output ([ "status" ] @ at)) <> 0 then
+          if n = 0 then Alcotest.fail "the daemon did not come up"
+          else begin
+            ignore (Unix.select [] [] [] 0.05);
+            wait_up (n - 1)
+          end
+      in
+      wait_up 100;
+      let code, ack =
+        run_glcv_output ([ "submit"; "genetic_NOT"; "--wait" ] @ at)
+      in
+      checki "submit --wait" 0 code;
+      let key = "\"id\":\"" in
+      let rec find i =
+        if String.sub ack i (String.length key) = key then i + String.length key
+        else find (i + 1)
+      in
+      let start = find 0 in
+      let id = String.sub ack start (String.index_from ack start '"' - start) in
+      List.iter (check_exit "success" 0)
+        [ [ "result"; id ] @ at; [ "status" ] @ at; [ "scrape" ] @ at ];
+      checki "serve after SIGTERM" 0 (stop ()))
+
+let test_cli_exit_codes () =
+  with_dir (fun dir ->
+      Store.mkdir_p dir;
+      check_help [];
+      check_exit "unknown command" 123 [ "bogus" ];
+      List.iter
+        (fun (cmd, bad, ok) ->
+          check_help cmd;
+          check_exit "unknown option" 123 (ok @ [ "--bogus" ]);
+          List.iter (check_exit "bad value" 124) bad;
+          check_exit "success" 0 ok)
+        (exit_table dir);
+      check_daemon_exits dir)
+
 let test_report_counts_missing () =
   with_dir (fun dir ->
       let spec = quick_spec () in
@@ -791,5 +1000,7 @@ let () =
             test_cli_squatted_result;
           Alcotest.test_case "verify --no-certify writes --metrics" `Quick
             test_cli_verify_no_certify_metrics;
+          Alcotest.test_case "one exit-code contract" `Quick
+            test_cli_exit_codes;
         ] );
     ]

@@ -633,6 +633,7 @@ let wpoint ?(verified = true) w_threshold =
     w_verified = verified;
     w_fitness = 100.;
     w_variations = 0;
+    w_expr = Glc_logic.Expr.False;
   }
 
 let range = Alcotest.(option (pair (float 0.) (float 0.)))

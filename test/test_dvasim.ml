@@ -180,7 +180,7 @@ let test_prop_delay_measure () =
   with
   | None -> Alcotest.fail "expected a measurement"
   | Some m ->
-      checkb "falling" true (not m.Prop_delay.rising);
+      checkb "falling" true (not m.Prop_delay.transition.rising);
       checki "three repetitions" 3 (List.length m.Prop_delay.delays);
       checkb "positive delay" true (m.Prop_delay.mean_delay > 0.);
       checkb "max >= mean" true

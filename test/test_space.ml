@@ -13,6 +13,7 @@ module Grid = Glc_campaign.Grid
 module Runner = Glc_campaign.Runner
 module Resume = Glc_campaign.Resume
 module Circuit = Glc_gates.Circuit
+module Transition = Glc_dvasim.Transition
 module Ode = Glc_ssa.Ode
 module Events = Glc_ssa.Events
 module Trace = Glc_ssa.Trace
@@ -202,30 +203,31 @@ let test_code_names () =
 let light_protocol =
   Protocol.make ~total_time:2000. ~hold_time:250. ~threshold:15. ~seed:1 ()
 
+let delay ~protocol c = fst (Atlas.measure ~protocol c)
+
 let test_measure_delay () =
   (* constants never switch: no transitions, no delay *)
-  let d = Atlas.measure_delay ~protocol:light_protocol (Cello.of_code 0x00) in
+  let d = delay ~protocol:light_protocol (Cello.of_code 0x00) in
   checki "constant has no transitions" 0 d.Atlas.d_transitions;
   checkb "constant has no worst delay" true (d.Atlas.d_worst = None);
   (* a real function switches, and every switch crosses the threshold
      on the ODE limit well inside the timeout *)
-  let d = Atlas.measure_delay ~protocol:light_protocol (Cello.of_code 0x1C) in
+  let d = delay ~protocol:light_protocol (Cello.of_code 0x1C) in
   checkb "transitions found" true (d.Atlas.d_transitions > 0);
   checki "all transitions crossed" d.Atlas.d_transitions d.Atlas.d_measured;
   (match d.Atlas.d_worst with
   | None -> Alcotest.fail "expected a worst delay"
-  | Some w -> checkb "positive delay" true (w > 0.));
+  | Some (w, _) -> checkb "positive delay" true (w > 0.));
   (* determinism: the measurement is ODE-only *)
-  let d' =
-    Atlas.measure_delay ~protocol:light_protocol (Cello.of_code 0x1C)
-  in
+  let d' = delay ~protocol:light_protocol (Cello.of_code 0x1C) in
   checkb "deterministic" true (d = d')
 
 (* The delay measurement as it was first written: every transition
-   integrates the full settle + timeout horizon through Ode.run and the
-   recorded trace is scanned for the first crossing at or after the
-   switch. Kept as the reference the early-exit measurement must equal
-   field for field. *)
+   settles on its from-row from the initial state, integrates the full
+   settle + timeout horizon through Ode.run, and the recorded trace is
+   scanned for the first crossing at or after the switch. Kept as the
+   reference the seeded, early-exit measurement must equal field for
+   field. *)
 let reference_delay ~protocol circuit =
   let arity = Circuit.arity circuit in
   let nc = 1 lsl arity in
@@ -281,14 +283,15 @@ let reference_delay ~protocol circuit =
           in
           if better then worst := Some (d, from_row, to_row, rising))
     transitions;
-  let n = List.length transitions in
-  match !worst with
-  | Some (w, f, t, r) ->
-      { Atlas.d_transitions = n; d_measured = !measured; d_worst = Some w;
-        d_from = f; d_to = t; d_rising = r }
-  | None ->
-      { Atlas.d_transitions = n; d_measured = 0; d_worst = None; d_from = 0;
-        d_to = 0; d_rising = false }
+  {
+    Atlas.d_transitions = List.length transitions;
+    d_measured = !measured;
+    d_worst =
+      Option.map
+        (fun (w, from_row, to_row, rising) ->
+          (w, { Transition.from_row; to_row; rising }))
+        !worst;
+  }
 
 (* the paper protocol of the committed atlas *)
 let paper_protocol =
@@ -300,31 +303,49 @@ let paper_protocol =
 let delay_probe_codes =
   List.sort_uniq compare (0x69 :: List.map fst (Npn.classes ~arity:3))
 
-let bits = function
-  | None -> None
-  | Some w -> Some (Int64.bits_of_float w)
+let bits (d : Atlas.delay) =
+  Option.map (fun (w, tr) -> (Int64.bits_of_float w, tr)) d.Atlas.d_worst
 
 let check_delay what (a : Atlas.delay) (b : Atlas.delay) =
   checki (what ^ ": transitions") a.Atlas.d_transitions b.Atlas.d_transitions;
   checki (what ^ ": measured") a.Atlas.d_measured b.Atlas.d_measured;
-  checkb (what ^ ": worst, bit for bit") true
-    (bits a.Atlas.d_worst = bits b.Atlas.d_worst);
-  checki (what ^ ": from") a.Atlas.d_from b.Atlas.d_from;
-  checki (what ^ ": to") a.Atlas.d_to b.Atlas.d_to;
-  checkb (what ^ ": rising") a.Atlas.d_rising b.Atlas.d_rising
+  checkb (what ^ ": worst transition, delay bit for bit") true (bits a = bits b)
+
+(* the path a transition takes when its from-row's steady state is not
+   a point: no start state, so it settles on the from-row first *)
+let settled_delay ~protocol circuit =
+  let c = Glc_ssa.Compiled.compile (Circuit.model circuit) in
+  let hold = protocol.Protocol.hold_time in
+  let transitions = Transition.adjacent circuit.Circuit.expected in
+  let measured =
+    List.filter_map
+      (fun tr ->
+        Transition.first_crossing ~protocol ~settle:hold ~timeout:(2.5 *. hold)
+          circuit (Transition.Ode (c, None)) tr
+        |> fst
+        |> Option.map (fun d -> (d, tr)))
+      transitions
+  in
+  {
+    Atlas.d_transitions = List.length transitions;
+    d_measured = List.length measured;
+    d_worst = Transition.worst fst measured;
+  }
 
 let test_delay_matches_reference () =
   List.iter
     (fun code ->
       let c = Cello.of_code code in
-      check_delay
-        (Printf.sprintf "0x%02X" code)
-        (reference_delay ~protocol:paper_protocol c)
-        (Atlas.measure_delay ~protocol:paper_protocol c))
+      let what = Printf.sprintf "0x%02X" code in
+      let reference = reference_delay ~protocol:paper_protocol c in
+      check_delay what reference (delay ~protocol:paper_protocol c);
+      check_delay (what ^ " settled") reference
+        (settled_delay ~protocol:paper_protocol c))
     delay_probe_codes
 
 (* the committed SPACE.json was measured by the full-horizon reference;
-   the early-exit measurement must reproduce its delay records *)
+   the seeded, early-exit measurement must reproduce every one of its
+   256 delay records *)
 let test_delay_matches_committed_atlas () =
   let path =
     if Sys.file_exists "SPACE.json" then "SPACE.json" else "../SPACE.json"
@@ -345,20 +366,27 @@ let test_delay_matches_committed_atlas () =
       in
       let d = Option.get (Json.member f "delay") in
       let int k = Option.get (Option.bind (Json.member d k) Json.to_int) in
+      let transition =
+        {
+          Transition.from_row = int "from_row";
+          to_row = int "to_row";
+          rising =
+            Option.get (Option.bind (Json.member d "rising") Json.to_bool);
+        }
+      in
       let committed =
         {
           Atlas.d_transitions = int "transitions";
           d_measured = int "measured";
-          d_worst = Option.bind (Json.member d "worst") Json.to_number;
-          d_from = int "from_row";
-          d_to = int "to_row";
-          d_rising =
-            Option.get (Option.bind (Json.member d "rising") Json.to_bool);
+          d_worst =
+            Option.map
+              (fun w -> (w, transition))
+              (Option.bind (Json.member d "worst") Json.to_number);
         }
       in
       check_delay name committed
-        (Atlas.measure_delay ~protocol:paper_protocol (Cello.of_code code)))
-    delay_probe_codes
+        (delay ~protocol:paper_protocol (Cello.of_code code)))
+    (Fn.all_codes ~arity:3)
 
 (* ---- the atlas: kill + resume = byte-identical SPACE.json ---- *)
 
@@ -458,9 +486,7 @@ let delay_docs dir =
     (Store.completed store)
 
 let test_delay_pass_deterministic () =
-  (* enough functions for several pool rounds, so the interrupted run
-     stops with rounds still to go *)
-  let spec = Atlas.plan { light_config with Atlas.sample = Some 40 } in
+  let spec = Atlas.plan { light_config with Atlas.sample = Some 16 } in
   with_dirs2 (fun dir_1 dir_2 ->
       with_dir (fun dir_stop ->
           let run ?should_stop ~jobs dir =
@@ -469,9 +495,9 @@ let test_delay_pass_deterministic () =
           in
           let s1 = run ~jobs:1 dir_1 in
           ignore (run ~jobs:2 dir_2);
-          checkb "several rounds of delays" true (s1.Atlas.a_delays > 16);
-          (* trips once the first round of delay docs is stored: the
-             campaign drain before it never sees a delay doc *)
+          checkb "delays to interrupt" true (s1.Atlas.a_delays > 1);
+          (* trips once the first delay doc is stored: the campaign
+             drain before it never sees a delay doc *)
           let store, _, _ = Result.get_ok (Atlas.prepare ~dir:dir_stop spec) in
           let results = Filename.dirname (Store.result_path store ~id:"x") in
           let should_stop () =
