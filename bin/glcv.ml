@@ -1264,14 +1264,12 @@ end
    stochastic ensembles only for the rows the interval analysis leaves
    undecided — measure worst-case propagation delays on the ODE limit,
    and render Pareto frontiers (PFoBE × delay × gate cost) per NPN
-   class; plus a deterministic, journaled GA that evolves NOT/NOR
-   netlists toward a target function. *)
+   class. *)
 
 module Space = struct
   module Store = Glc_campaign.Store
   module Resume = Glc_campaign.Resume
   module Atlas = Glc_space.Atlas
-  module Evolve = Glc_space.Evolve
 
   let dir_opt =
     Arg.required
@@ -1511,119 +1509,6 @@ module Space = struct
       Term.(
         term_result (const run $ dir_opt $ json_opt $ out_opt $ atlas_opt))
 
-  let evolve_cmd =
-    let run dir target inputs seed pop genes elite gens metrics_file =
-      let code =
-        match Cello.code_of_name target with
-        | Some (arity, code) -> Ok (arity, code)
-        | None -> (
-            match int_of_string_opt target with
-            | Some c when c >= 0 && c < 1 lsl (1 lsl inputs) ->
-                Ok (inputs, c)
-            | _ ->
-                Error
-                  (`Msg
-                    (Printf.sprintf
-                       "unknown target %S (expected a truth-table code \
-                        such as 0x1C)"
-                       target)))
-      in
-      match code with
-      | Error _ as e -> e
-      | Ok (arity, code) ->
-          install_interrupt_handlers ();
-          let cfg =
-            {
-              Evolve.v_target = code;
-              v_arity = arity;
-              v_seed = seed;
-              v_pop = pop;
-              v_genes = genes;
-              v_elite = elite;
-              v_max_gens = gens;
-            }
-          in
-          let tty = Unix.isatty Unix.stderr in
-          let on_progress g fit pfobe =
-            if tty && g mod 50 = 0 then
-              Printf.eprintf "\rgen %6d  fitness %7.3f  pfobe %5.1f%!"
-                g fit pfobe
-          in
-          with_metrics metrics_file (fun metrics ->
-              match
-                Evolve.run ~metrics ~should_stop:interrupt_requested
-                  ~on_progress ~dir cfg
-              with
-              | Error m -> Error (`Msg m)
-              | Ok (Evolve.Interrupted g) ->
-                  if tty then prerr_newline ();
-                  Format.printf
-                    "evolution interrupted before generation %d; \
-                     journal flushed — re-run the same command to \
-                     resume@."
-                    g;
-                  Ok exit_interrupted
-              | Ok (Evolve.Finished o) ->
-                  if tty then prerr_newline ();
-                  Format.printf
-                    "target %s %s at generation %d: %d gate(s), pfobe \
-                     %.1f, certificate %s@.genome %s@."
-                    (Cello.name_of_code ~arity code)
-                    (if o.Evolve.o_reached then "reached"
-                     else "NOT reached")
-                    o.Evolve.o_generation o.Evolve.o_gates
-                    o.Evolve.o_pfobe o.Evolve.o_provenance
-                    o.Evolve.o_genome;
-                  Ok (if o.Evolve.o_reached then 0 else exit_not_verified))
-    in
-    let target_arg =
-      Arg.required
-        (Arg.pos 0 (Arg.some Arg.string) None
-           (Arg.info [] ~docv:"TARGET"
-              ~doc:"Target truth-table code, e.g. $(b,0x1C); bare \
-                    decimal is read at the $(b,--inputs) arity."))
-    in
-    let pop_opt =
-      Arg.value
-        (Arg.opt Arg.int 64
-           (Arg.info [ "pop" ] ~docv:"N" ~doc:"Population size."))
-    in
-    let genes_opt =
-      Arg.value
-        (Arg.opt Arg.int 48
-           (Arg.info [ "genes" ] ~docv:"N"
-              ~doc:"Genome gene slots (upper bound on gate count). \
-                    Surplus slots are inactive genetic material — \
-                    neutral drift through them is what crosses fitness \
-                    plateaus, so more is usually better than a larger \
-                    population."))
-    in
-    let elite_opt =
-      Arg.value
-        (Arg.opt Arg.int 4
-           (Arg.info [ "elite" ] ~docv:"N"
-              ~doc:"Genomes copied unchanged each generation."))
-    in
-    let gens_opt =
-      Arg.value
-        (Arg.opt Arg.int 2000
-           (Arg.info [ "gens" ] ~docv:"N"
-              ~doc:"Give up after N generations (exit 1)."))
-    in
-    Cmd.v
-      (Cmd.info "evolve" ~exits:campaign_exits
-         ~doc:"Evolve a NOT/NOR netlist toward TARGET with a \
-               deterministic seeded GA: fitness is the PFoBE proxy \
-               plus inverse gate cost, every generation is journaled \
-               to the store under $(b,--dir) before the next begins, \
-               and a killed run resumes byte-identically. The winning \
-               circuit is assembled and symbolically certified. Exits \
-               0 when the target is reached, 1 otherwise.")
-      Term.(
-        term_result
-          (const run $ dir_opt $ target_arg $ inputs_opt $ seed_opt
-          $ pop_opt $ genes_opt $ elite_opt $ gens_opt $ metrics_opt))
-
   let group =
     Cmd.group
       (Cmd.info "space" ~exits:campaign_exits
@@ -1631,9 +1516,8 @@ module Space = struct
                function of an n-input space (certified-first, with \
                propagation delays), $(b,status) and $(b,report) render \
                progress and the SPACE.json/ATLAS.md Pareto-frontier \
-               report, $(b,evolve) grows a circuit toward a target \
-               function with a deterministic, resumable GA.")
-      [ run_cmd; status_cmd; report_cmd; evolve_cmd ]
+               report.")
+      [ run_cmd; status_cmd; report_cmd ]
 end
 
 (* ---- serve / submit / status / result / scrape ---- *)

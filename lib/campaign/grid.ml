@@ -46,7 +46,11 @@ let make ?(thresholds = [ Protocol.default.Protocol.threshold ])
   axis "circuits" (fun n c -> if c = "" then invalid_arg
       (Printf.sprintf "Grid.make: empty string in %s" n)) circuits;
   axis "thresholds" positive thresholds;
-  axis "fov_uds" positive fov_uds;
+  axis "fov_uds"
+    (fun n f ->
+      if not (f > 0. && f <= 1.) then
+        invalid_arg (Printf.sprintf "Grid.make: %s not in (0, 1]" n))
+    fov_uds;
   axis "input_highs"
     (fun n -> function Some x -> positive n x | None -> ())
     input_highs;

@@ -48,9 +48,9 @@ val make :
 (** Axis defaults: the paper's protocol — threshold 15, FOV_UD 0.25,
     input-high = threshold, 16 replicates.
     @raise Invalid_argument on an empty or duplicate-carrying axis, a
-    non-positive or non-finite threshold/FOV/input level, or a
-    replicate count < 1
-    (duplicates would expand to jobs with colliding ids). *)
+    non-positive or non-finite threshold or input level, a FOV_UD
+    outside (0, 1] (the analyser's range, eq. (1)), or a replicate
+    count < 1 (duplicates would expand to jobs with colliding ids). *)
 
 val spec :
   ?seed:int -> ?total_time:float -> ?hold_time:float -> t -> spec

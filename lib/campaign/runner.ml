@@ -118,7 +118,9 @@ let certify ?metrics spec (job : Grid.job) =
 (* symbolic fast path: a certificate that settles every row makes the
    ensemble redundant — the job costs no simulation at all. Otherwise
    the certificate still rides along in the document as provenance for
-   how much of the table was already settled. *)
+   how much of the table was already settled. An ensemble in which no
+   replicate completed is no evidence: the job fails, nothing is
+   stored, and a resume retries it. *)
 let execute ?metrics ~pool ~cache spec (job : Grid.job) (circuit, cert) =
   let seed = Grid.job_seed ~seed:spec.Grid.seed job in
   if Certificate.fully_decided cert then certified_document ~seed job cert
@@ -128,7 +130,11 @@ let execute ?metrics ~pool ~cache spec (job : Grid.job) (circuit, cert) =
         ~protocol:(job_protocol spec job) ~fov_ud:job.Grid.j_fov_ud ()
     in
     let t = Ensemble.run ~pool ~cache ?metrics cfg circuit in
-    job_document ~certificate:cert ~seed job t
+    if Array.length t.Ensemble.replicates = 0 then
+      (* the config asks for at least one replicate, so one failed *)
+      failwith
+        ("all replicates failed: " ^ t.Ensemble.failures.(0).Ensemble.fail_error)
+    else job_document ~certificate:cert ~seed job t
 
 let run_job ?metrics ~pool ~cache (spec : Grid.spec) (job : Grid.job) =
   match certify ?metrics spec job with

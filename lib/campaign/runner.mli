@@ -89,8 +89,8 @@ val run_job :
     {!job_document} accordingly). This is the single execution path
     shared by campaign drains and the serve daemon, which is what makes
     a job's stored bytes identical however it was scheduled.
-    @raise Failure on an unresolvable circuit (and whatever the
-    ensemble itself raises). *)
+    @raise Failure on an unresolvable circuit, or when no replicate of
+    the ensemble completes (and whatever the ensemble itself raises). *)
 
 val run :
   ?jobs:int ->

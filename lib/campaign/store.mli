@@ -91,9 +91,9 @@ val open_or_create : dir:string -> string -> (t * string, string) result
 (** [open_or_create ~dir manifest_json] is {!load} when [dir] already
     holds a manifest, and {!create} with [manifest_json] otherwise; in
     both cases it returns the manifest text now on disk. The one place
-    that decides whether a directory is already a store — the atlas,
-    the evolver and the serve daemon all open their directory here and
-    check the returned manifest against their own plan. *)
+    that decides whether a directory is already a store — the atlas
+    and the serve daemon both open their directory here and check the
+    returned manifest against their own plan. *)
 
 val dir : t -> string
 

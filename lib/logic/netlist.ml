@@ -242,14 +242,45 @@ let of_small ~inputs tt =
   let output = emit target in
   make ~inputs ~output ~gates:(Builder.finish st)
 
+(* Does the table read input [i]: does flipping it change some row? *)
+let reads tt i =
+  let rec go r =
+    r < Truth_table.rows tt
+    && (Truth_table.output tt r <> Truth_table.output tt (r lxor (1 lsl i))
+       || go (r + 1))
+  in
+  go 0
+
+(* Above 3 inputs, a function that reads at most 3 of them is projected
+   onto those inputs (in index order, the others held at 0: bit j of a
+   projected row is input read.(j)), synthesised by the small search,
+   and rebuilt over the full input list. *)
 let of_truth_table ~inputs tt =
-  if Truth_table.arity tt <> Array.length inputs then
+  let arity = Truth_table.arity tt in
+  if arity <> Array.length inputs then
     invalid_arg "Netlist.of_truth_table: arity mismatch";
   match Truth_table.is_constant tt with
   | Some b -> make ~inputs ~output:"const" ~gates:[ ("const", Const b) ]
-  | None ->
-      if Truth_table.arity tt <= 3 then of_small ~inputs tt
-      else of_sop ~inputs tt
+  | None when arity <= 3 -> of_small ~inputs tt
+  | None -> (
+      match List.filter (reads tt) (List.init arity Fun.id) with
+      | read when List.length read <= 3 ->
+          let read = Array.of_list read in
+          let row r =
+            let full = ref 0 in
+            Array.iteri
+              (fun j i -> full := !full lor (((r lsr j) land 1) lsl i))
+              read;
+            !full
+          in
+          let nl =
+            of_small
+              ~inputs:(Array.map (Array.get inputs) read)
+              (Truth_table.create ~arity:(Array.length read) (fun r ->
+                   Truth_table.output tt (row r)))
+          in
+          make ~inputs ~output:nl.output ~gates:nl.gates
+      | _ -> of_sop ~inputs tt)
 
 let to_verilog ?(name = "circuit") t =
   let buf = Buffer.create 512 in

@@ -3,10 +3,8 @@
     Cello (Nielsen et al., Science 2016) builds genetic circuits out of
     NOT and 2-input NOR gates only, because those are the logic functions
     a single repressor-based genetic gate can realise. This module models
-    such netlists and synthesises them from truth tables via
-    {!Qm} minimisation followed by technology mapping (AND/OR/NOT of the
-    sum-of-products decomposed into NOT/NOR pairs with structural
-    sharing). *)
+    such netlists and synthesises them from truth tables
+    ({!of_truth_table}). *)
 
 type net = string
 (** Nets are named: input names, or synthesised internal names [n1], … *)
@@ -31,7 +29,15 @@ val make : inputs:string array -> output:net -> gates:(net * gate) list -> t
     @raise Invalid_argument otherwise. *)
 
 val of_truth_table : inputs:string array -> Truth_table.t -> t
-(** Synthesise a NOT/NOR netlist computing the given table. *)
+(** Synthesise a NOT/NOR netlist computing the given table. A constant
+    table is one [Const] gate. A table of at most 3 inputs is extracted
+    from a least-tree-cost search over NOT and NOR2, with structural
+    sharing added on extraction, so not always the fewest gates. Above
+    3 inputs, a table that reads at most 3 of its inputs gets the same
+    search over just the inputs it reads, and its gates reference only
+    those; any other table is a {!Qm}-minimised sum of products mapped
+    onto NOT/NOR pairs with structural sharing.
+    @raise Invalid_argument if [inputs] and the table differ in arity. *)
 
 val eval : t -> bool array -> bool
 (** [eval t ins] computes the output for the given input values.

@@ -26,10 +26,12 @@ val name_of_code : arity:int -> int -> string
 (** Alias of {!Glc_gates.Cello.name_of_code}. *)
 
 val netlist : arity:int -> int -> Glc_logic.Netlist.t
-(** The NOT/NOR netlist over {!Glc_gates.Assembly.netlist_inputs}: up
-    to 3 inputs, extracted from a least-tree-cost search over NOT and
-    NOR2 with sharing added on extraction, so not always the fewest
-    gates; above 3 inputs, a mapped sum of products. *)
+(** The NOT/NOR netlist over {!Glc_gates.Assembly.netlist_inputs}
+    ({!Glc_logic.Netlist.of_truth_table}): up to 3 inputs, extracted
+    from a least-tree-cost search over NOT and NOR2 with sharing added
+    on extraction, so not always the fewest gates; above 3 inputs, the
+    same search over the inputs the function reads when it reads at
+    most 3 of them, a mapped sum of products otherwise. *)
 
 val describe : arity:int -> int -> info
 (** Synthesises the netlist and classifies the function. *)

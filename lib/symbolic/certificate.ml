@@ -26,7 +26,14 @@ type t = {
 
 let default_margin = 4.0
 
+(* a negative margin would prove rows on the wrong side of the
+   threshold *)
+let check_margin fn margin =
+  if not (margin >= 0. && Float.is_finite margin) then
+    invalid_arg (fn ^ ": margin must be finite and >= 0")
+
 let decide ~threshold ~margin iv =
+  check_margin "Certificate.decide" margin;
   let lo = Interval.lo iv and hi = Interval.hi iv in
   if Float.is_finite lo && lo -. (margin *. sqrt (Float.max lo 1.)) > threshold
   then Proved_high
@@ -47,6 +54,7 @@ let rails ~input_high ~input_low ~inputs row =
 let certify_model ?(metrics = Metrics.noop) ?(margin = default_margin)
     ~threshold ~input_high ~input_low ~inputs ~output ~expected
     (m : Glc_model.Model.t) =
+  check_margin "Certificate.certify_model" margin;
   let arity = Array.length inputs in
   if Truth_table.arity expected <> arity then
     invalid_arg "Certificate.certify_model: expected table arity mismatch";

@@ -50,7 +50,8 @@ val default_margin : float
 val decide : threshold:float -> margin:float -> Interval.t -> verdict
 (** The decision rule alone: [Proved_high] iff
     [lo - margin * sqrt (max lo 1) > threshold], [Proved_low] iff
-    [hi + margin * sqrt (max hi 1) < threshold] (finite bounds only). *)
+    [hi + margin * sqrt (max hi 1) < threshold] (finite bounds only).
+    @raise Invalid_argument if [margin] is negative or not finite. *)
 
 val rails :
   input_high:float -> input_low:float -> inputs:string array -> int ->
@@ -68,7 +69,8 @@ val certify :
     rail levels; default {!Glc_dvasim.Protocol.default}). Records the
     [symbolic.certificates], [symbolic.rows_proved],
     [symbolic.rows_undecided] and [symbolic.fixpoint_iterations]
-    counters on [metrics]. *)
+    counters on [metrics].
+    @raise Invalid_argument if [margin] is negative or not finite. *)
 
 val certify_model :
   ?metrics:Glc_obs.Metrics.t ->
@@ -84,7 +86,8 @@ val certify_model :
 (** The engine behind {!certify}, usable on a bare kinetic model — the
     entry point the QCheck differential property drives with random
     monotone models. [inputs.(0)] is I1, the most significant bit of
-    the combination index, as everywhere else in the code base. *)
+    the combination index, as everywhere else in the code base.
+    @raise Invalid_argument if [margin] is negative or not finite. *)
 
 val rows : t -> int
 val decided : t -> int

@@ -240,6 +240,20 @@ let test_grid_validation () =
   checkb "infinite threshold" true
     (raises (fun () -> Grid.make ~thresholds:[ infinity ] [ "c" ]));
   checkb "NaN FOV" true (raises (fun () -> Grid.make ~fov_uds:[ nan ] [ "c" ]));
+  checkb "FOV above 1" true
+    (raises (fun () -> Grid.make ~fov_uds:[ 5. ] [ "c" ]));
+  checkb "FOV 1 accepted" false
+    (raises (fun () -> Grid.make ~fov_uds:[ 1. ] [ "c" ]));
+  (* a stored manifest holding such a value does not load *)
+  let manifest fov =
+    Printf.sprintf
+      {|{"version":1,"seed":1,"total_time":10,"hold_time":1,"grid":{"circuits":["c"],"thresholds":[15],"fov_uds":[%s],"input_highs":[null],"replicate_counts":[2]}}|}
+      fov
+  in
+  checkb "manifest with FOV 0.5 loads" true
+    (Result.is_ok (Grid.spec_of_json (manifest "0.5")));
+  checkb "manifest with FOV 5 rejected" true
+    (Result.is_error (Grid.spec_of_json (manifest "5")));
   checkb "infinite input level" true
     (raises (fun () -> Grid.make ~input_highs:[ Some infinity ] [ "c" ]));
   checkb "infinite time" true
@@ -449,6 +463,41 @@ let test_runner_captures_failures () =
       let st = Result.get_ok (Resume.status ~dir) in
       checki "status: failed job pending again" 1
         (List.length st.Resume.s_pending))
+
+(* An ensemble in which no replicate completes is no result. The job is
+   built directly, past Grid.make's FOV check: genetic_NAND keeps one
+   row undecided, so it simulates, and the analyser rejects FOV_UD 5 in
+   every replicate. *)
+let test_runner_no_replicate_completes () =
+  with_dir (fun dir ->
+      let spec =
+        Grid.spec ~seed:11 ~total_time:4_000. ~hold_time:1_000.
+          (Grid.make ~replicate_counts:[ 2 ] [ "genetic_NAND" ])
+      in
+      let job =
+        {
+          Grid.j_circuit = "genetic_NAND";
+          j_threshold = 15.;
+          j_fov_ud = 5.;
+          j_input_high = None;
+          j_replicates = 2;
+        }
+      in
+      let store =
+        Result.get_ok (Store.create ~dir (Grid.spec_to_json spec))
+      in
+      let journal = Journal.open_ ~dir in
+      let summary = Runner.run ~store ~journal spec [ (job, None) ] in
+      Journal.close journal;
+      checki "the job failed" 1 summary.Runner.failed;
+      checki "nothing stored" 0 (List.length (Store.completed store));
+      checkb "failure journaled with its error" true
+        (List.exists
+           (function
+             | Journal.Failed (id, e) ->
+                 id = Grid.job_id job && contains e "all replicates failed"
+             | _ -> false)
+           (Journal.read ~dir)))
 
 (* ---- the headline contract: kill + resume == uninterrupted ---- *)
 
@@ -817,9 +866,6 @@ let exit_table dir =
       @ s );
     ([ "space"; "status" ], [], [ "space"; "status" ] @ s);
     ([ "space"; "report" ], [], [ "space"; "report" ] @ s);
-    ( [ "space"; "evolve" ],
-      [ [ "space"; "evolve"; "0x80"; "--pop"; "x"; "--dir"; d "e" ] ],
-      [ "space"; "evolve"; "0x80"; "--dir"; d "e" ] );
   ]
 
 let check_exit what expected args =
@@ -899,6 +945,8 @@ let test_cli_exit_codes () =
       Store.mkdir_p dir;
       check_help [];
       check_exit "unknown command" 123 [ "bogus" ];
+      check_exit "unknown command" 123
+        [ "space"; "evolve"; "0x80"; "--dir"; Filename.concat dir "e" ];
       List.iter
         (fun (cmd, bad, ok) ->
           check_help cmd;
@@ -980,6 +1028,8 @@ let () =
         [
           Alcotest.test_case "failure capture" `Quick
             test_runner_captures_failures;
+          Alcotest.test_case "no replicate completes" `Quick
+            test_runner_no_replicate_completes;
           Alcotest.test_case "graceful stop between jobs" `Slow
             test_runner_should_stop;
         ] );

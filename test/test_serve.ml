@@ -364,6 +364,25 @@ let test_e2e_invalid_and_routes () =
           | Ok resp -> checki "unknown route is 404" 404 resp.W.status
           | Error m -> Alcotest.fail m))
 
+(* a FOV_UD outside (0, 1] is no job: the analyser would reject every
+   replicate, so admission answers 400 and nothing is stored *)
+let test_e2e_fov_out_of_range () =
+  with_state (fun ~dir ~sock ->
+      with_server ~dir ~sock (fun _server _metrics client ->
+          List.iter
+            (fun circuit ->
+              match Client.submit ~fov_ud:5. ~replicates:2 client ~circuit with
+              | Ok resp ->
+                  checki (circuit ^ " at fov_ud 5 is 400") 400 resp.W.status
+              | Error m -> Alcotest.fail m)
+            [ "0x17"; "genetic_NAND" ];
+          let entries sub =
+            let d = Filename.concat dir sub in
+            if Sys.file_exists d then Array.length (Sys.readdir d) else 0
+          in
+          checki "no submission persisted" 0 (entries "submitted");
+          checki "no result stored" 0 (entries "results")))
+
 let test_e2e_cancel () =
   with_state (fun ~dir ~sock ->
       (* no worker: the job stays queued, so cancel is deterministic *)
@@ -590,6 +609,8 @@ let () =
           Alcotest.test_case "lint rejection" `Quick test_e2e_lint_reject;
           Alcotest.test_case "invalid input and routes" `Quick
             test_e2e_invalid_and_routes;
+          Alcotest.test_case "fov_ud outside (0, 1] is 400" `Quick
+            test_e2e_fov_out_of_range;
           Alcotest.test_case "cancel a queued job" `Quick test_e2e_cancel;
           Alcotest.test_case "restart resumes byte-identically" `Slow
             test_e2e_restart_resume_identical;

@@ -1,8 +1,8 @@
 (* Tests for glc_space: NPN classification (the 14-class pin for n = 3,
    orbit sizes, bio-class counts), netlist synthesis as a roundtrip
-   over the whole 256-function space, the atlas (delay measurement,
-   kill + resume = byte-identical SPACE.json) and the GA (seeded
-   determinism, interrupt + resume = byte-identical journal). *)
+   over the whole 256-function space and over every 4-input function
+   that reads at most 3 inputs, and the atlas (delay measurement,
+   kill + resume = byte-identical SPACE.json). *)
 
 module Truth_table = Glc_logic.Truth_table
 module Netlist = Glc_logic.Netlist
@@ -21,7 +21,6 @@ module Json = Glc_obs.Json
 module Npn = Glc_space.Npn
 module Fn = Glc_space.Fn
 module Atlas = Glc_space.Atlas
-module Evolve = Glc_space.Evolve
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -158,6 +157,60 @@ let test_synthesis_roundtrip_4in =
       Truth_table.to_code
         (Netlist.to_truth_table (Fn.netlist ~arity:4 code))
       = code)
+
+(* Above 3 inputs, a function that reads at most 3 of them is
+   synthesised over just those inputs: every such 4-input function gets
+   the netlist of its projection onto the inputs it reads. *)
+let test_synthesis_support_4in () =
+  let inputs = Glc_gates.Assembly.netlist_inputs 4 in
+  let reads tt i =
+    List.exists
+      (fun r ->
+        Truth_table.output tt r <> Truth_table.output tt (r lxor (1 lsl i)))
+      (List.init 16 Fun.id)
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun code ->
+      let tt = Truth_table.of_code ~arity:4 code in
+      let read = List.filter (reads tt) [ 0; 1; 2; 3 ] in
+      if List.length read <= 3 && Truth_table.is_constant tt = None then begin
+        incr checked;
+        let nl = Fn.netlist ~arity:4 code in
+        if Truth_table.to_code (Netlist.to_truth_table nl) <> code then
+          Alcotest.failf "0x%04X: the netlist does not evaluate to it" code;
+        let read_nets = List.map (Array.get inputs) read in
+        List.iter
+          (fun net ->
+            if Array.mem net inputs && not (List.mem net read_nets) then
+              Alcotest.failf "0x%04X: a gate reads unread input %s" code net)
+          (nl.Netlist.output
+          :: List.concat_map
+               (function
+                 | _, Netlist.Not a -> [ a ]
+                 | _, Netlist.Nor (a, b) -> [ a; b ]
+                 | _, Netlist.Const _ -> [])
+               (Netlist.logic_gates nl));
+        let projected =
+          Truth_table.create ~arity:(List.length read) (fun r ->
+              Truth_table.output tt
+                (List.fold_left ( lor ) 0
+                   (List.mapi (fun j i -> ((r lsr j) land 1) lsl i) read)))
+        in
+        let small =
+          Fn.netlist ~arity:(List.length read) (Truth_table.to_code projected)
+        in
+        if Netlist.gate_count nl <> Netlist.gate_count small then
+          Alcotest.failf "0x%04X: %d gates, %d at its support's arity" code
+            (Netlist.gate_count nl) (Netlist.gate_count small)
+      end)
+    (Fn.all_codes ~arity:4);
+  checki "non-constant 4-input functions reading at most 3 inputs" 940
+    !checked;
+  checki "0x3C3C, XOR of two inputs" 5
+    (Netlist.gate_count (Fn.netlist ~arity:4 0x3C3C));
+  checki "0x9696, parity of three inputs" 12
+    (Netlist.gate_count (Fn.netlist ~arity:4 0x9696))
 
 let test_describe () =
   let i = Fn.describe ~arity:3 0x80 in
@@ -572,96 +625,6 @@ let test_malformed_delay_doc () =
       in
       checks "byte-identical SPACE.json" (json dir_ref) (json dir))
 
-(* ---- the GA: determinism and resume ---- *)
-
-let ga_config =
-  {
-    Evolve.v_target = 0x96;
-    (* hard on purpose: the run exhausts its budget, exercising every
-       generation *)
-    v_arity = 3;
-    v_seed = 7;
-    v_pop = 16;
-    v_genes = 16;
-    v_elite = 2;
-    v_max_gens = 4;
-  }
-
-let gen_docs dir =
-  let store, _ = Result.get_ok (Store.load ~dir) in
-  List.filter_map
-    (fun id ->
-      if String.length id >= 4 && String.sub id 0 4 = "gen-" then
-        Some (id, Option.get (Store.get store ~id))
-      else None)
-    (List.sort compare (Store.completed store))
-
-let test_ga_deterministic () =
-  with_dirs2 (fun dir_a dir_b ->
-      let run dir = Result.get_ok (Evolve.run ~dir ga_config) in
-      (match (run dir_a, run dir_b) with
-      | Evolve.Finished a, Evolve.Finished b ->
-          checkb "budget exhausted, not reached" false a.Evolve.o_reached;
-          checkb "same outcome" true (a = b)
-      | _ -> Alcotest.fail "expected two finished runs");
-      let da = gen_docs dir_a and db = gen_docs dir_b in
-      (* generation 0 (the seeded initial population) plus each evolved
-         generation *)
-      checki "journalled generations"
-        (ga_config.Evolve.v_max_gens + 1)
-        (List.length da);
-      checkb "byte-identical generation journal" true (da = db))
-
-let test_ga_resume_identical () =
-  with_dirs2 (fun dir_a dir_b ->
-      ignore (Result.get_ok (Evolve.run ~dir:dir_a ga_config));
-      (* stop after two generations, then resume *)
-      let calls = ref 0 in
-      let stop () =
-        incr calls;
-        !calls > 2
-      in
-      (match Result.get_ok (Evolve.run ~should_stop:stop ~dir:dir_b ga_config) with
-      | Evolve.Interrupted _ -> ()
-      | Evolve.Finished _ -> Alcotest.fail "expected an interrupt");
-      (match Result.get_ok (Evolve.run ~dir:dir_b ga_config) with
-      | Evolve.Finished _ -> ()
-      | Evolve.Interrupted _ -> Alcotest.fail "expected completion");
-      checkb "kill + resume journal is byte-identical" true
-        (gen_docs dir_a = gen_docs dir_b))
-
-let test_ga_reaches_easy_target () =
-  with_dir (fun dir ->
-      let cfg = Evolve.default_config ~arity:3 ~target:0x80 in
-      match Result.get_ok (Evolve.run ~dir cfg) with
-      | Evolve.Interrupted _ -> Alcotest.fail "unexpected interrupt"
-      | Evolve.Finished o ->
-          checkb "reached" true o.Evolve.o_reached;
-          Alcotest.check (Alcotest.float 0.) "pfobe 100" 100.
-            o.Evolve.o_pfobe;
-          checkb "gates counted" true (o.Evolve.o_gates > 0);
-          checks "winner certifies" "certified" o.Evolve.o_provenance;
-          checkb "genome decodes" true
-            (Evolve.decode_genome o.Evolve.o_genome <> None);
-          (* a second call returns the stored outcome without evolving *)
-          let store, _ = Result.get_ok (Store.load ~dir) in
-          let n_docs = List.length (Store.completed store) in
-          (match Result.get_ok (Evolve.run ~dir cfg) with
-          | Evolve.Finished o' -> checkb "idempotent" true (o = o')
-          | Evolve.Interrupted _ -> Alcotest.fail "unexpected interrupt");
-          let store, _ = Result.get_ok (Store.load ~dir) in
-          checki "no new documents" n_docs
-            (List.length (Store.completed store)))
-
-let test_ga_config_mismatch () =
-  with_dir (fun dir ->
-      ignore (Result.get_ok (Evolve.run ~dir ga_config));
-      match
-        Evolve.run ~dir { ga_config with Evolve.v_seed = 8 }
-      with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "expected a config-mismatch error")
-
 let qc = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -680,6 +643,8 @@ let () =
           Alcotest.test_case "roundtrip over the 256" `Quick
             test_synthesis_roundtrip_256;
           Alcotest.test_case "gate pin" `Quick test_synthesis_gate_pin;
+          Alcotest.test_case "4-input, at most 3 read" `Quick
+            test_synthesis_support_4in;
           Alcotest.test_case "describe" `Quick test_describe;
           Alcotest.test_case "sample codes" `Quick test_sample_codes;
           Alcotest.test_case "code names" `Quick test_code_names;
@@ -701,15 +666,5 @@ let () =
             test_atlas_resume_identical;
           Alcotest.test_case "certified only" `Quick
             test_atlas_certified_only;
-        ] );
-      ( "evolve",
-        [
-          Alcotest.test_case "deterministic" `Quick test_ga_deterministic;
-          Alcotest.test_case "kill + resume identical" `Quick
-            test_ga_resume_identical;
-          Alcotest.test_case "reaches an easy target" `Slow
-            test_ga_reaches_easy_target;
-          Alcotest.test_case "config mismatch" `Quick
-            test_ga_config_mismatch;
         ] );
     ]

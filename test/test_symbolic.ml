@@ -463,6 +463,25 @@ let test_certificate_json_deterministic () =
      in
      contains j1 "\"undecided\":1" && contains j1 "\"proved\":3")
 
+(* a negative margin would prove rows on the wrong side of the
+   threshold, and nan proves nothing: both are rejected up front *)
+let test_margin_validation () =
+  let c = Option.get (Benchmarks.find "genetic_NOT") in
+  List.iter
+    (fun margin ->
+      let raises f =
+        match f () with exception Invalid_argument _ -> true | _ -> false
+      in
+      let what = Printf.sprintf "margin %g" margin in
+      checkb (what ^ ": certify raises") true
+        (raises (fun () -> Certificate.certify ~margin c));
+      checkb (what ^ ": decide raises") true
+        (raises (fun () ->
+             Certificate.decide ~threshold:15. ~margin (Interval.point 90.))))
+    [ -1.; nan ];
+  checkb "margin 0 certifies" true
+    (Certificate.fully_decided (Certificate.certify ~margin:0. c))
+
 (* ---- the hybrid verifier ---- *)
 
 let test_certified_first_hybrid_nand () =
@@ -540,6 +559,8 @@ let () =
             test_fully_certified_not;
           Alcotest.test_case "JSON deterministic" `Quick
             test_certificate_json_deterministic;
+          Alcotest.test_case "margin validation" `Quick
+            test_margin_validation;
         ]
         @ qc [ qcheck_random_circuits_sound ] );
       ( "hybrid verify",
