@@ -544,57 +544,58 @@ let verify_cmd =
     let params =
       { Analyzer.threshold = protocol.Protocol.threshold; fov_ud = fov }
     in
-    let hybrid metrics c =
-      Verify.certified_first ~params ~margin ~metrics ~protocol c
-    in
-    (* --no-certify: simulate the whole stimulus schedule and extract
-       every row stochastically *)
-    let simulated metrics c =
-      Verify.experiment ~params (Experiment.run ~protocol ~metrics c)
+    (* the certificate (unless --no-certify), the Algorithm 1 result
+       (when the circuit was simulated) and the verdict *)
+    let verify metrics c =
+      if no_certify then
+        let r, v =
+          Verify.experiment ~params (Experiment.run ~protocol ~metrics c)
+        in
+        (None, Some r, v)
+      else
+        let o = Verify.certified_first ~params ~margin ~metrics ~protocol c in
+        (Some o.Verify.certificate, o.Verify.result, o.Verify.report)
     in
     if all then begin
       match lint_guard ~no_lint ~protocol (Benchmarks.all ()) with
       | Error code -> Ok code
       | Ok () ->
-      let failures = ref 0 in
-      if no_certify then
-        with_metrics metrics_file (fun metrics ->
-            List.iter
-              (fun c ->
-                let r, v = simulated metrics c in
-                if not v.Verify.verified then incr failures;
-                Format.printf "%-14s %-8s fitness=%6.2f%%  %s = %a@."
-                  c.Circuit.name
-                  (if v.Verify.verified then "VERIFIED" else "WRONG")
-                  r.Analyzer.fitness c.Circuit.output Glc_logic.Expr.pp
-                  r.Analyzer.expr)
-              (Benchmarks.all ()))
-      else begin
-        let certified = ref 0 and total = ref 0 in
-        with_metrics metrics_file (fun metrics ->
-            List.iter
-              (fun c ->
-                let h = hybrid metrics c in
-                let v = h.Verify.h_report in
-                let cert = h.Verify.h_certificate in
-                if not v.Verify.verified then incr failures;
-                certified := !certified + Certificate.decided cert;
-                total := !total + Certificate.rows cert;
-                Format.printf
-                  "%-14s %-8s cert=%d/%d fitness=%6.2f%%  %s = %a@."
-                  c.Circuit.name
-                  (if v.Verify.verified then "VERIFIED" else "WRONG")
-                  (Certificate.decided cert)
-                  (Certificate.rows cert) v.Verify.fitness c.Circuit.output
-                  Glc_logic.Expr.pp
-                  (Glc_logic.Qm.to_expr ~inputs:c.Circuit.inputs
-                     v.Verify.extracted))
-              (Benchmarks.all ()));
+      let failures = ref 0 and simulated = ref 0 in
+      let proved = ref 0 and rows = ref 0 in
+      with_metrics metrics_file (fun metrics ->
+          List.iter
+            (fun c ->
+              let cert, result, v = verify metrics c in
+              if not v.Verify.verified then incr failures;
+              let coverage =
+                match cert with
+                | None -> ""
+                | Some k ->
+                    proved := !proved + Certificate.decided k;
+                    rows := !rows + Certificate.rows k;
+                    Printf.sprintf " cert=%d/%d" (Certificate.decided k)
+                      (Certificate.rows k)
+              in
+              let expr =
+                match result with
+                | Some r ->
+                    incr simulated;
+                    r.Analyzer.expr
+                | None ->
+                    Glc_logic.Qm.to_expr ~inputs:c.Circuit.inputs
+                      v.Verify.extracted
+              in
+              Format.printf "%-14s %-8s%s fitness=%6.2f%%  %s = %a@."
+                c.Circuit.name
+                (if v.Verify.verified then "VERIFIED" else "WRONG")
+                coverage v.Verify.fitness c.Circuit.output
+                Glc_logic.Expr.pp expr)
+            (Benchmarks.all ()));
+      if not no_certify then
         Format.printf
-          "certified %d/%d truth-table row(s) symbolically; simulated \
-           the rest@."
-          !certified !total
-      end;
+          "certified %d/%d truth-table row(s) symbolically; simulated %d \
+           circuit(s) with undecided rows@."
+          !proved !rows !simulated;
       if !failures > 0 then begin
         Format.printf "%d circuit(s) not verified@." !failures;
         Ok exit_not_verified
@@ -608,41 +609,23 @@ let verify_cmd =
           match lint_guard ~no_lint ~protocol [ c ] with
           | Error code -> Ok code
           | Ok () ->
-          if no_certify then begin
-            let r, v = with_metrics metrics_file (fun m -> simulated m c) in
-            Format.printf "%a@.%a@."
-              (Report.pp_result ~output_name:c.Circuit.output)
-              r Report.pp_verification v;
-            if v.Verify.verified then Ok 0
-            else begin
-              List.iter
-                (Format.printf "  %a@."
-                   (Verify.pp_finding ~arity:r.Analyzer.arity))
-                (Verify.diagnose r v);
-              Ok exit_not_verified
-            end
-          end
-          else begin
-            let h = with_metrics metrics_file (fun m -> hybrid m c) in
-            let v = h.Verify.h_report in
-            let arity = Circuit.arity c in
-            Format.printf "%a@." Certificate.pp h.Verify.h_certificate;
-            Format.printf "@[<v>%-12s %-10s %6s %8s@,"
-              "combination" "source" "output" "expected";
-            for row = 0 to (1 lsl arity) - 1 do
-              Format.printf "%-12s %-10s %6s %8s@,"
-                (Glc_logic.Truth_table.combination ~arity row)
-                (Verify.provenance_string h.Verify.h_provenance.(row))
-                (if Glc_logic.Truth_table.output v.Verify.extracted row
-                 then "1"
-                 else "0")
-                (if Glc_logic.Truth_table.output v.Verify.expected row
-                 then "1"
-                 else "0")
-            done;
-            Format.printf "@]@.%a@." Report.pp_verification v;
-            if v.Verify.verified then Ok 0 else Ok exit_not_verified
-          end)
+              let cert, result, v =
+                with_metrics metrics_file (fun m -> verify m c)
+              in
+              Option.iter (Format.printf "%a@." Certificate.pp) cert;
+              Option.iter
+                (Format.printf "%a@."
+                   (Report.pp_result ~output_name:c.Circuit.output))
+                result;
+              Format.printf "%a@." Report.pp_verification v;
+              Option.iter
+                (fun r ->
+                  List.iter
+                    (Format.printf "  %a@."
+                       (Verify.pp_finding ~arity:r.Analyzer.arity))
+                    (Verify.diagnose r v))
+                result;
+              Ok (if v.Verify.verified then 0 else exit_not_verified))
   in
   let all_opt =
     Arg.value
@@ -652,19 +635,25 @@ let verify_cmd =
     Arg.value
       (Arg.flag
          (Arg.info [ "no-certify" ]
-            ~doc:"Skip the symbolic analyser and simulate every row \
-                  (the pre-certificate behaviour)."))
+            ~doc:"Skip the symbolic analyser: always simulate the \
+                  whole protocol and let Algorithm 1 decide."))
   in
   Cmd.v
     (Cmd.info "verify" ~exits:verdict_exits
        ~doc:"Verify a circuit against the intended truth table. The \
-             symbolic analyser ($(b,glcv certify)) is consulted first \
-             and only the rows it leaves undecided are simulated \
-             ($(b,--no-certify) restores the simulate-everything \
-             path). Runs the pre-flight lint first (exit 2 on lint \
-             errors; $(b,--no-lint) skips it). Exits 0 when the \
-             circuit verifies and 1 when it does not, so scripts and \
-             CI can branch on the verdict.")
+             symbolic analyser ($(b,glcv certify)) is consulted first: \
+             a certificate that proves every row is the verdict, with \
+             no simulation. If any row is undecided the circuit is \
+             simulated over the whole protocol and Algorithm 1 \
+             decides, with the same trace, verdict and PFoBE as \
+             $(b,--no-certify) — the rule every campaign, atlas and \
+             serve job follows. Prints the certificate, the Algorithm \
+             1 report when the circuit was simulated, the verdict and, \
+             for a failed simulation, a diagnosis of each wrong state. \
+             Runs the pre-flight lint first (exit 2 on lint errors; \
+             $(b,--no-lint) skips it). Exits 0 when the circuit \
+             verifies and 1 when it does not, so scripts and CI can \
+             branch on the verdict.")
     Term.(
       term_result
         (const run $ protocol_term $ fov_opt $ margin_opt $ no_certify_opt

@@ -28,26 +28,21 @@ val experiment :
 (** {2 Certified-first verification}
 
     The symbolic analyser ({!Glc_symbolic.Certificate}) is consulted
-    before any trajectory is sampled; rows it proves are taken on its
-    word and only the undecided remainder is simulated — the
-    row-restricted stimulus gives each of them the per-row slot budget
-    of a full run. A fully certified circuit costs no simulation at
-    all. *)
+    before any trajectory is sampled, by the rule every stored campaign,
+    atlas and serve job follows ([Glc_campaign.Runner.execute]): a
+    certificate that settles every row is the verdict and costs no
+    simulation; otherwise the circuit runs the whole protocol and
+    Algorithm 1 decides, exactly as {!experiment} on {!Experiment.run}
+    does. *)
 
-(** Where a row's verdict came from. *)
-type provenance = Certified | Simulated
-
-type hybrid = {
-  h_certificate : Glc_symbolic.Certificate.t;
-  h_result : Analyzer.result option;
-      (** the row-restricted stochastic analysis; [None] when the
-          certificate decided every row *)
-  h_provenance : provenance array;  (** indexed by combination *)
-  h_simulated_rows : int list;  (** the certificate's undecided rows *)
-  h_report : report;
-      (** certified verdicts and simulated extractions merged against
-          the intent; [fitness] is 100 for a fully certified run,
-          otherwise the simulated slice's PFoBE *)
+type outcome = {
+  certificate : Glc_symbolic.Certificate.t;
+  result : Analyzer.result option;
+      (** the Algorithm 1 analysis of the whole protocol; [None] when
+          the certificate decided every row *)
+  report : report;
+      (** the certificate's verdict (PFoBE 100) when it decided every
+          row, otherwise the report of [result] *)
 }
 
 val certified_first :
@@ -56,16 +51,14 @@ val certified_first :
   ?metrics:Glc_obs.Metrics.t ->
   ?protocol:Glc_dvasim.Protocol.t ->
   Glc_gates.Circuit.t ->
-  hybrid
-(** Certify, then simulate only what is left. The analyser threshold
-    follows the protocol; [margin] is passed to
+  outcome
+(** Certify, then simulate the whole protocol if any row is undecided.
+    The analyser threshold follows the protocol; [margin] is passed to
     {!Glc_symbolic.Certificate.certify}. Records the
-    [symbolic.fallback_simulations] and [symbolic.fallback_rows]
-    counters (next to the certificate's own [symbolic.*] counters) on
+    [symbolic.fallback_simulations] (circuits simulated because a row
+    is undecided) and [symbolic.fallback_rows] (those undecided rows)
+    counters, next to the certificate's own [symbolic.*] counters, on
     [metrics]. *)
-
-val provenance_string : provenance -> string
-(** ["certified"] / ["simulated"]. *)
 
 (** Why a combination came out wrong — each maps to a concrete remedy. *)
 type cause =

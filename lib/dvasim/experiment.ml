@@ -20,34 +20,15 @@ let clamp (p : Protocol.t) ~inputs ~at row =
 
 (* equal-time events apply in list order; a slot's inputs go in
    descending order, the order the pinned traces were recorded with *)
-let stimulus_for (p : Protocol.t) ~inputs ~row_of slots =
-  let events = ref [] in
-  for slot = 0 to slots - 1 do
-    let at = float_of_int slot *. p.hold_time in
-    events := List.rev_append (clamp p ~inputs ~at (row_of slot)) !events
-  done;
-  Events.of_list !events
-
 let stimulus (p : Protocol.t) ~inputs =
   let arity = Array.length inputs in
-  stimulus_for p ~inputs
-    ~row_of:(fun slot -> Protocol.row_of_slot p ~arity slot)
-    (Protocol.slots p)
-
-let stimulus_rows (p : Protocol.t) ~inputs ~rows slots =
-  let m = Array.length rows in
-  if m = 0 then invalid_arg "Experiment.stimulus_rows: no rows";
-  stimulus_for p ~inputs ~row_of:(fun slot -> rows.(slot mod m)) slots
-
-let run_trace_rows ?metrics ~protocol ~inputs ~rows slots model =
-  if slots <= 0 then invalid_arg "Experiment.run_trace_rows: slots <= 0";
-  let events = stimulus_rows protocol ~inputs ~rows slots in
-  let cfg =
-    Sim.config ~dt:protocol.Protocol.dt ~seed:protocol.Protocol.seed
-      ~t_end:(float_of_int slots *. protocol.Protocol.hold_time)
-      ()
-  in
-  Sim.run ~events ?metrics cfg model
+  let events = ref [] in
+  for slot = 0 to Protocol.slots p - 1 do
+    let at = float_of_int slot *. p.hold_time in
+    let row = Protocol.row_of_slot p ~arity slot in
+    events := List.rev_append (clamp p ~inputs ~at row) !events
+  done;
+  Events.of_list !events
 
 let input_schedule (p : Protocol.t) (circuit : Circuit.t) =
   stimulus p ~inputs:circuit.Circuit.inputs

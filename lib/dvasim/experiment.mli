@@ -31,22 +31,6 @@ val stimulus : Protocol.t -> inputs:string array -> Events.schedule
     the slot's input combination (input 0 of the array is the most
     significant bit of the combination). *)
 
-val stimulus_rows :
-  Protocol.t -> inputs:string array -> rows:int array -> int -> Events.schedule
-(** [stimulus_rows p ~inputs ~rows slots] is {!stimulus} restricted to a
-    chosen set of input combinations: slot [s] applies
-    [rows.(s mod Array.length rows)]. The symbolic verifier uses this to
-    simulate only the rows its certificate left undecided.
-    @raise Invalid_argument if [rows] is empty. *)
-
-val run_trace_rows :
-  ?metrics:Glc_obs.Metrics.t ->
-  protocol:Protocol.t -> inputs:string array -> rows:int array -> int ->
-  Model.t -> Trace.t
-(** Simulates [slots] hold slots of the row-restricted stimulus
-    ([t_end = slots * hold_time], protocol seed).
-    @raise Invalid_argument if [rows] is empty or [slots <= 0]. *)
-
 val input_schedule : Protocol.t -> Circuit.t -> Events.schedule
 (** {!stimulus} over the circuit's sensor proteins. *)
 

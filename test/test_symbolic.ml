@@ -482,43 +482,66 @@ let test_margin_validation () =
   checkb "margin 0 certifies" true
     (Certificate.fully_decided (Certificate.certify ~margin:0. c))
 
-(* ---- the hybrid verifier ---- *)
+(* ---- certified-first verification ---- *)
+
+(* With a row undecided, certified-first verification simulates the
+   whole protocol, so it must decide exactly as the simulate-everything
+   path (glcv verify --no-certify): the same verdict, extracted table
+   and PFoBE. *)
+let check_agrees_with_simulation ?metrics ~protocol c =
+  let o = Verify.certified_first ?metrics ~protocol c in
+  let _, v = Verify.experiment (Experiment.run ~protocol c) in
+  let r = o.Verify.report in
+  let what = Printf.sprintf "%s at threshold %g, hold %g" c.Circuit.name
+      protocol.Protocol.threshold protocol.Protocol.hold_time in
+  checkb (what ^ ": simulated") true (o.Verify.result <> None);
+  checkb (what ^ ": verified") v.Verify.verified r.Verify.verified;
+  checkb (what ^ ": extracted table") true
+    (Truth_table.equal v.Verify.extracted r.Verify.extracted);
+  Alcotest.(check (float 0.)) (what ^ ": PFoBE") v.Verify.fitness
+    r.Verify.fitness;
+  o
 
 let test_certified_first_hybrid_nand () =
   let metrics = Metrics.create () in
-  let h =
-    Verify.certified_first ~metrics ~protocol:quick
+  let o =
+    check_agrees_with_simulation ~metrics ~protocol:quick
       (Option.get (Benchmarks.find "genetic_NAND"))
   in
-  checkb "verified" true h.Verify.h_report.Verify.verified;
-  checkb "row 11 simulated" true (h.Verify.h_simulated_rows = [ 3 ]);
-  checkb "simulation actually ran" true (h.Verify.h_result <> None);
-  checkb "provenance of proved rows" true
-    (h.Verify.h_provenance.(0) = Verify.Certified
-    && h.Verify.h_provenance.(1) = Verify.Certified
-    && h.Verify.h_provenance.(2) = Verify.Certified);
-  checkb "provenance of the fallback row" true
-    (h.Verify.h_provenance.(3) = Verify.Simulated);
+  checkb "row 11 undecided" true
+    (Certificate.undecided_rows o.Verify.certificate = [ 3 ]);
   let count name = Metrics.Counter.value (Metrics.counter metrics name) in
   checki "one fallback simulation" 1 (count "symbolic.fallback_simulations");
   checki "one fallback row" 1 (count "symbolic.fallback_rows");
   checki "three rows proved" 3 (count "symbolic.rows_proved");
   checki "one certificate" 1 (count "symbolic.certificates")
 
+(* Fig. 5's 0x0B at threshold 90 (row 011 reads low), and five circuits
+   whose undecided row is slow to settle at a 200 t.u. hold. Simulating
+   the undecided rows on their own, each repeated, read them as
+   verified; the whole protocol does not. *)
+let test_certified_first_agrees_with_simulation () =
+  ignore
+    (check_agrees_with_simulation
+       ~protocol:(Protocol.make ~threshold:90. ())
+       (Option.get (Benchmarks.find "0x0B")));
+  let short = Protocol.make ~total_time:1_600. ~hold_time:200. () in
+  List.iter
+    (fun code ->
+      ignore (check_agrees_with_simulation ~protocol:short (Cello.of_code code)))
+    [ 0xD6; 0x68; 0x59; 0x2D; 0x4B ]
+
 let test_certified_first_no_simulation () =
   let metrics = Metrics.create () in
-  let h =
+  let o =
     Verify.certified_first ~metrics ~protocol:quick
       (Option.get (Benchmarks.find "genetic_NOT"))
   in
-  checkb "verified" true h.Verify.h_report.Verify.verified;
-  checkb "no simulation at all" true (h.Verify.h_result = None);
-  checkb "no simulated rows" true (h.Verify.h_simulated_rows = []);
-  checkb "clean fitness" true (h.Verify.h_report.Verify.fitness = 100.);
+  checkb "verified" true o.Verify.report.Verify.verified;
+  checkb "no simulation at all" true (o.Verify.result = None);
+  checkb "clean fitness" true (o.Verify.report.Verify.fitness = 100.);
   let count name = Metrics.Counter.value (Metrics.counter metrics name) in
-  checki "no fallback" 0 (count "symbolic.fallback_simulations");
-  checkb "all rows certified" true
-    (Array.for_all (fun p -> p = Verify.Certified) h.Verify.h_provenance)
+  checki "no fallback" 0 (count "symbolic.fallback_simulations")
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -569,5 +592,7 @@ let () =
             test_certified_first_hybrid_nand;
           Alcotest.test_case "NOT needs no simulation" `Quick
             test_certified_first_no_simulation;
+          Alcotest.test_case "agrees with the simulate-everything path"
+            `Quick test_certified_first_agrees_with_simulation;
         ] );
     ]
