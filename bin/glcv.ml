@@ -1602,7 +1602,7 @@ module Serve = struct
       Arg.required
         (Arg.opt (Arg.some Arg.string) None
            (Arg.info [ "state" ] ~docv:"DIR"
-              ~doc:"State directory: result store, journal, persisted \
+              ~doc:"State directory: result store, persisted \
                     submissions, lock. A daemon killed with \
                     $(b,SIGKILL) resumes its acknowledged jobs from \
                     here on restart."))

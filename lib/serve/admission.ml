@@ -1,6 +1,5 @@
 module Grid = Glc_campaign.Grid
 module Store = Glc_campaign.Store
-module Journal = Glc_campaign.Journal
 module Runner = Glc_campaign.Runner
 module Lint = Glc_lint.Lint
 module Diagnostic = Glc_lint.Diagnostic
@@ -11,7 +10,6 @@ type t = {
   registry : Jobstate.registry;
   scheduler : Jobstate.entry Scheduler.t;
   store : Store.t;
-  journal : Journal.t;
   submitted_dir : string;
   metrics : Glc_obs.Metrics.t;
   spec_for : Grid.job -> Grid.spec;
@@ -44,7 +42,7 @@ let preregister metrics =
     [ "serve.job_seconds"; "serve.queue_wait_seconds";
       "serve.request_seconds" ]
 
-let create ~spec_for ~lint ~capacity ~store ~journal ~metrics ~state_dir =
+let create ~spec_for ~lint ~capacity ~store ~metrics ~state_dir =
   let submitted_dir = Filename.concat state_dir submitted_subdir in
   Store.mkdir_p submitted_dir;
   preregister metrics;
@@ -52,7 +50,6 @@ let create ~spec_for ~lint ~capacity ~store ~journal ~metrics ~state_dir =
     registry = Jobstate.registry ();
     scheduler = Scheduler.create ~capacity;
     store;
-    journal;
     submitted_dir;
     metrics;
     spec_for;
@@ -166,7 +163,6 @@ let recover t ~now =
             | `Full -> () (* capacity shrank across restarts: next life *)
             | `Queued ->
                 incr resumed;
-                Journal.append t.journal (Journal.Scheduled id);
                 register t entry)
         records;
       if !resumed > 0 then
@@ -243,7 +239,6 @@ let admit t ~now (s : submit) =
                          after this line still re-discovers the job *)
                       Store.atomic_write (submitted_path t ~id)
                         (Jobstate.submission_json entry);
-                      Journal.append t.journal (Journal.Scheduled id);
                       register t entry;
                       note_queue_depth t;
                       Accepted entry))))

@@ -22,10 +22,9 @@
       retry-after hint derived from the observed job rate, rather than
       growing without bound;
     + {b persist} — an accepted job is recorded under
-      [<state>/submitted/<id>.json] (atomic write) and journaled
-      [scheduled] {e before} it is acknowledged, so a daemon killed at
-      any instant re-discovers every acknowledged job on restart
-      ({!recover}).
+      [<state>/submitted/<id>.json] (atomic write) {e before} it is
+      acknowledged, so a daemon killed at any instant re-discovers
+      every acknowledged job on restart ({!recover}).
 
     Admission owns the facts a submission leaves behind: the registry
     (an entry is registered only when it is queued or its result is
@@ -37,14 +36,12 @@
 
 module Grid := Glc_campaign.Grid
 module Store := Glc_campaign.Store
-module Journal := Glc_campaign.Journal
 module Diagnostic := Glc_lint.Diagnostic
 
 type t = {
   registry : Jobstate.registry;
   scheduler : Jobstate.entry Scheduler.t;
   store : Store.t;
-  journal : Journal.t;
   submitted_dir : string;
   metrics : Glc_obs.Metrics.t;
   spec_for : Grid.job -> Grid.spec;
@@ -59,7 +56,7 @@ type t = {
 
 val create :
   spec_for:(Grid.job -> Grid.spec) -> lint:bool -> capacity:int ->
-  store:Store.t -> journal:Journal.t -> metrics:Glc_obs.Metrics.t ->
+  store:Store.t -> metrics:Glc_obs.Metrics.t ->
   state_dir:string -> t
 (** Empty registry, a scheduler of [capacity] (which the {!Server} has
     already checked), and [<state_dir>/submitted/]. *)
@@ -68,8 +65,7 @@ val recover : t -> now:float -> (unit, string) result
 (** Replays the persisted admission records, in sequence order. A
     record whose result is already stored registers as done and is
     removed; the others are re-enqueued under their original priority
-    and sequence number, journaled [scheduled] and counted in
-    [serve.jobs_resumed]. A record the queue refuses (a restart with a
+    and sequence number, and counted in [serve.jobs_resumed]. A record the queue refuses (a restart with a
     smaller capacity) is neither registered nor removed — it waits on
     disk for the next life. The counter moves past every persisted
     number, refused ones included. Unreadable records are skipped;

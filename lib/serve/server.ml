@@ -1,6 +1,5 @@
 module W = Protocol_wire
 module Store = Glc_campaign.Store
-module Journal = Glc_campaign.Journal
 module Runner = Glc_campaign.Runner
 module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
@@ -123,30 +122,25 @@ let create cfg =
       Store.open_or_create ~dir:cfg.state_dir (manifest_json cfg)
     in
     let* cfg = manifest_override cfg manifest in
-    let* journal = in_state (fun () -> Ok (Journal.open_ ~dir:cfg.state_dir)) in
-    let started =
-      in_state (fun () ->
-          let adm =
-            Admission.create
-              ~spec_for:
-                (Jobstate.spec_for ~seed:cfg.seed ~total_time:cfg.total_time
-                   ~hold_time:cfg.hold_time)
-              ~lint:cfg.lint_admission ~capacity:cfg.queue_capacity ~store
-              ~journal ~metrics:cfg.metrics ~state_dir:cfg.state_dir
-          in
-          let* () = Admission.recover adm ~now:(Clock.now ()) in
-          let* listen = bind_socket cfg.socket_path in
-          Ok
-            {
-              s_cfg = cfg;
-              s_ctx = Session.make_ctx adm;
-              s_lock = lock;
-              s_listen = listen;
-              s_interrupt = Atomic.make false;
-            })
-    in
-    if Result.is_error started then Journal.close journal;
-    started
+    in_state (fun () ->
+        let adm =
+          Admission.create
+            ~spec_for:
+              (Jobstate.spec_for ~seed:cfg.seed ~total_time:cfg.total_time
+                 ~hold_time:cfg.hold_time)
+            ~lint:cfg.lint_admission ~capacity:cfg.queue_capacity ~store
+            ~metrics:cfg.metrics ~state_dir:cfg.state_dir
+        in
+        let* () = Admission.recover adm ~now:(Clock.now ()) in
+        let* listen = bind_socket cfg.socket_path in
+        Ok
+          {
+            s_cfg = cfg;
+            s_ctx = Session.make_ctx adm;
+            s_lock = lock;
+            s_listen = listen;
+            s_interrupt = Atomic.make false;
+          })
   in
   if Result.is_error held then Store.Lock.release lock;
   held
@@ -204,14 +198,12 @@ let worker_loop t ~pool ~cache =
           Metrics.Histogram.observe
             (Metrics.histogram metrics "serve.queue_wait_seconds")
             (Clock.now () -. entry.Jobstate.submitted_at);
-          Journal.append adm.Admission.journal (Journal.Started id);
           Mutex.unlock ctx.Session.mutex;
           let dt, result = run_one t ~pool ~cache entry in
           Mutex.lock ctx.Session.mutex;
           (match result with
           | Ok doc ->
               Store.put adm.Admission.store ~id doc;
-              Journal.append adm.Admission.journal (Journal.Done id);
               entry.Jobstate.phase <- Jobstate.Done;
               Admission.remove_submission adm ~id;
               Admission.note_job_seconds adm dt;
@@ -223,7 +215,6 @@ let worker_loop t ~pool ~cache =
           | Error msg ->
               (* keep the submission record: a transient failure is
                  retried by the next daemon life *)
-              Journal.append adm.Admission.journal (Journal.Failed (id, msg));
               entry.Jobstate.phase <- Jobstate.Failed msg;
               Metrics.Counter.incr
                 (Metrics.counter metrics "serve.jobs_failed"));
@@ -287,7 +278,4 @@ let run t =
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   Option.iter Thread.join worker;
   Pool.shutdown pool;
-  Mutex.lock t.s_ctx.Session.mutex;
-  Journal.close t.s_ctx.Session.adm.Admission.journal;
-  Mutex.unlock t.s_ctx.Session.mutex;
   Store.Lock.release t.s_lock

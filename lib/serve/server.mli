@@ -33,16 +33,16 @@
     {!Admission.recover} (original priority and sequence number) — a
     daemon killed with [SIGKILL] mid-job resumes it on restart and,
     because the job's seed is content-derived, stores byte-identical
-    results. The journal is history only; recovery reads the records
-    and the result store.
+    results. Recovery reads only the records and the result store, so
+    the daemon keeps no journal: a job costs two fsyncs, its
+    submission record and its store put.
 
     {2 Shutdown}
 
     {!stop} (or a [SIGINT]/[SIGTERM] via
     {!install_signal_handlers}) stops accepting, lets the in-flight
-    job finish and persist, then closes the journal, removes the
-    socket and releases the lock. Queued-but-unstarted jobs stay on
-    disk for the next life. *)
+    job finish and persist, then removes the socket and releases the
+    lock. Queued-but-unstarted jobs stay on disk for the next life. *)
 
 type config = {
   socket_path : string;
@@ -85,8 +85,8 @@ val create : config -> (t, string) result
     [{"serve":1,"seed":…,…}]; an existing serve manifest {e overrides}
     the configured seed/times so a restart always resumes under the
     parameters the stored results were computed with, and is checked
-    like the flags; a campaign manifest is refused — opens the
-    journal, recovers persisted submissions, and binds + listens on
+    like the flags; a campaign manifest is refused — recovers
+    persisted submissions, and binds + listens on
     [socket_path] (removing a stale socket file first). On [Error]
     nothing is left held. *)
 
@@ -95,7 +95,7 @@ val ctx : t -> Session.ctx
 
 val run : t -> unit
 (** Serves until {!stop}; returns only after the worker has drained
-    its in-flight job and every resource (socket, journal, lock) is
+    its in-flight job and every resource (socket, lock) is
     released. Call at most once. *)
 
 val stop : t -> unit

@@ -14,7 +14,6 @@ module Server = Glc_serve.Server
 module Client = Glc_serve.Client
 module Grid = Glc_campaign.Grid
 module Store = Glc_campaign.Store
-module Journal = Glc_campaign.Journal
 module Runner = Glc_campaign.Runner
 module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
@@ -180,16 +179,11 @@ let test_scheduler_backpressure () =
    no lint, so admitting a job never resolves its circuit. *)
 let with_admission ~dir ~capacity f =
   let store = Result.get_ok (Store.create ~dir "{}") in
-  let journal = Journal.open_ ~dir in
-  Fun.protect
-    ~finally:(fun () -> Journal.close journal)
-    (fun () ->
-      f
-        (Admission.create
-           ~spec_for:
-             (Jobstate.spec_for ~seed:42 ~total_time:2_000. ~hold_time:1_000.)
-           ~lint:false ~capacity ~store ~journal ~metrics:Metrics.noop
-           ~state_dir:dir))
+  f
+    (Admission.create
+       ~spec_for:
+         (Jobstate.spec_for ~seed:42 ~total_time:2_000. ~hold_time:1_000.)
+       ~lint:false ~capacity ~store ~metrics:Metrics.noop ~state_dir:dir)
 
 let submit_not replicates =
   {
@@ -291,6 +285,9 @@ let test_e2e_submit_result_dedup () =
           checks "byte-identical to the campaign path"
             (reference_document (not_job ()))
             resp.W.resp_body;
+          (* recovery reads submitted/ and the store, never a journal *)
+          checkb "no journal" false
+            (Sys.file_exists (Filename.concat dir "journal.jsonl"));
           (* duplicate submission: instant, no new work *)
           let r2 = submit_ok client in
           checki "dedup answers 200" 200 r2.W.status;
@@ -470,7 +467,7 @@ let test_e2e_bad_settings () =
       let left_behind () =
         List.filter
           (fun f -> Sys.file_exists (Filename.concat dir f))
-          [ "MANIFEST.json"; "LOCK"; "journal.jsonl" ]
+          [ "MANIFEST.json"; "LOCK" ]
       in
       checkb "queue 0 is an error" true
         (Result.is_error (create ~queue_capacity:0 ()));
@@ -495,9 +492,10 @@ let test_e2e_state_not_a_directory () =
       checkb "a file as the state dir is an error" true
         (Result.is_error (create ()));
       Sys.remove dir;
-      (* the lock is taken before the journal fails to open *)
-      Store.mkdir_p (Filename.concat dir "journal.jsonl");
-      checkb "a directory as the journal is an error" true
+      (* the lock is taken before the submission records fail to list *)
+      Store.mkdir_p dir;
+      close_out (open_out (Filename.concat dir "submitted"));
+      checkb "a file as the submission directory is an error" true
         (Result.is_error (create ()));
       checkb "lock released" false (Sys.file_exists lock))
 
