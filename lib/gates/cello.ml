@@ -23,11 +23,11 @@ let of_code ?(arity = 3) code =
   let name = name_of_code ~arity code in
   if arity <= 3 then Assembly.synthesize ~name tt
   else begin
-    (* beyond 3 inputs the minimal netlist can exceed the stock
-       twelve-repressor library (sampled 4-input synthesis peaks at 45
-       gates), so size an extended library to the netlist — plus one
-       spare, consumed by the auxiliary inverter a Const-false output
-       needs *)
+    (* beyond 3 inputs the synthesised netlist can exceed the stock
+       twelve-repressor library (the largest of the 65,536 4-input
+       netlists has 50 gates), so size an extended library to the
+       netlist — plus one spare, consumed by the auxiliary inverter a
+       Const-false output needs *)
     let nl = Netlist.of_truth_table ~inputs:(Assembly.netlist_inputs arity) tt in
     let library = Repressor.extended (Netlist.gate_count nl + 1) in
     Assembly.of_netlist ~library ~name ~expected:tt nl

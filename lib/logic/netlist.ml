@@ -90,17 +90,21 @@ let logic_gates t = t.gates
 
 (* Synthesis: minimised SOP -> NOT/NOR gates with structural sharing.
 
-   The builder hash-conses on gate structure so a literal inverted twice or
-   a product shared between two sum terms costs one gate. *)
+   The builder hash-conses on gate structure so a product shared between
+   two sum terms costs one gate, and folds a NOT of a NOT back to its
+   operand. *)
 
 module Builder = struct
   type state = {
     mutable defs : (net * gate) list; (* reverse topological order *)
     memo : (gate, net) Hashtbl.t;
+    negated : (net, net) Hashtbl.t; (* the output of [Not x] -> x *)
     mutable fresh : int;
   }
 
-  let create () = { defs = []; memo = Hashtbl.create 32; fresh = 0 }
+  let create () =
+    { defs = []; memo = Hashtbl.create 32; negated = Hashtbl.create 16;
+      fresh = 0 }
 
   let emit st gate =
     match Hashtbl.find_opt st.memo gate with
@@ -112,7 +116,13 @@ module Builder = struct
         Hashtbl.replace st.memo gate net;
         net
 
-  let mk_not st a = emit st (Not a)
+  let mk_not st a =
+    match Hashtbl.find_opt st.negated a with
+    | Some x -> x
+    | None ->
+        let net = emit st (Not a) in
+        Hashtbl.replace st.negated net a;
+        net
 
   let mk_nor st a b =
     (* Canonical operand order maximises sharing. *)
@@ -127,7 +137,19 @@ module Builder = struct
     | [ x ] -> x
     | x :: y :: rest -> reduce st f (f st x y :: rest)
 
-  let finish st = List.rev st.defs
+  (* the gates [output] reads, in topological order: a folded NOT can
+     leave its operand's gate unread *)
+  let finish st ~output =
+    let live = Hashtbl.create 32 in
+    Hashtbl.replace live output ();
+    List.fold_left
+      (fun acc ((net, gate) as def) ->
+        if Hashtbl.mem live net then begin
+          List.iter (fun n -> Hashtbl.replace live n ()) (gate_nets gate);
+          def :: acc
+        end
+        else acc)
+      [] st.defs
 end
 
 let of_sop ~inputs tt =
@@ -143,7 +165,7 @@ let of_sop ~inputs tt =
   in
   let products = List.map product (Qm.minimise tt) in
   let output = Builder.reduce st Builder.mk_or products in
-  make ~inputs ~output ~gates:(Builder.finish st)
+  make ~inputs ~output ~gates:(Builder.finish st ~output)
 
 (* Exact-flavoured synthesis for arity <= 3: dynamic programming over all
    2^2^arity Boolean functions, relaxing tree costs under {NOT, NOR2}
@@ -240,7 +262,7 @@ let of_small ~inputs tt =
         net
   in
   let output = emit target in
-  make ~inputs ~output ~gates:(Builder.finish st)
+  make ~inputs ~output ~gates:(Builder.finish st ~output)
 
 (* Does the table read input [i]: does flipping it change some row? *)
 let reads tt i =

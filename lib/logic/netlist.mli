@@ -36,7 +36,8 @@ val of_truth_table : inputs:string array -> Truth_table.t -> t
     3 inputs, a table that reads at most 3 of its inputs gets the same
     search over just the inputs it reads, and its gates reference only
     those; any other table is a {!Qm}-minimised sum of products mapped
-    onto NOT/NOR pairs with structural sharing.
+    onto NOT/NOR pairs with structural sharing, where a NOT of a NOT
+    folds to its operand and only the gates the output reads are kept.
     @raise Invalid_argument if [inputs] and the table differ in arity. *)
 
 val eval : t -> bool array -> bool

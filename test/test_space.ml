@@ -212,6 +212,45 @@ let test_synthesis_support_4in () =
   checki "0x9696, parity of three inputs" 12
     (Netlist.gate_count (Fn.netlist ~arity:4 0x9696))
 
+(* A function that reads all 4 inputs takes the sum-of-products path,
+   where a negative literal under an AND would be a NOT of a NOT: the
+   builder folds it to the literal and keeps only the gates the output
+   reads. *)
+let test_synthesis_sop_no_double_not () =
+  List.iter
+    (fun code ->
+      let nl = Fn.netlist ~arity:4 code in
+      if Truth_table.to_code (Netlist.to_truth_table nl) <> code then
+        Alcotest.failf "0x%04X: the netlist does not evaluate to it" code;
+      let gates = Netlist.logic_gates nl in
+      let is_not net =
+        match List.assoc_opt net gates with
+        | Some (Netlist.Not _) -> true
+        | _ -> false
+      in
+      let reads = function
+        | Netlist.Not a -> [ a ]
+        | Netlist.Nor (a, b) -> [ a; b ]
+        | Netlist.Const _ -> []
+      in
+      List.iter
+        (fun (net, gate) ->
+          (match gate with
+          | Netlist.Not a when is_not a ->
+              Alcotest.failf "0x%04X: %s is a NOT of the NOT %s" code net a
+          | _ -> ());
+          if
+            net <> nl.Netlist.output
+            && not (List.exists (fun (_, g) -> List.mem net (reads g)) gates)
+          then Alcotest.failf "0x%04X: nothing reads %s" code net)
+        gates)
+    ([ 0x6996; 0x1E5A; 0x8001 ] @ Fn.sample_codes ~arity:4 ~seed:11 200);
+  List.iter
+    (fun (code, n) ->
+      checki (Printf.sprintf "0x%04X gates" code) n
+        (Netlist.gate_count (Fn.netlist ~arity:4 code)))
+    [ (0x6996, 50); (0x1E5A, 20); (0x8001, 16) ]
+
 let test_describe () =
   let i = Fn.describe ~arity:3 0x80 in
   checks "name" "0x80" i.Fn.i_name;
@@ -645,6 +684,8 @@ let () =
           Alcotest.test_case "gate pin" `Quick test_synthesis_gate_pin;
           Alcotest.test_case "4-input, at most 3 read" `Quick
             test_synthesis_support_4in;
+          Alcotest.test_case "sum of products folds double negation" `Quick
+            test_synthesis_sop_no_double_not;
           Alcotest.test_case "describe" `Quick test_describe;
           Alcotest.test_case "sample codes" `Quick test_sample_codes;
           Alcotest.test_case "code names" `Quick test_code_names;
