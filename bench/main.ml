@@ -897,7 +897,7 @@ let bench_symbolic () =
 (* ---- function space: atlas pipeline throughput (lib/space) ---- *)
 
 (* The three stages the atlas drives every function through —
-   truth table -> minimal netlist (Quine-McCluskey), netlist ->
+   truth table -> netlist (Fn: NOT/NOR2 synthesis), netlist ->
    assembled kinetic model, model -> symbolic certificate — timed over
    the whole 256-function 3-input space. Writes BENCH_space.json (CI
    uploads it as an artifact). The certified count is the headline: it

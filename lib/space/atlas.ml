@@ -524,7 +524,9 @@ let markdown json =
   add
     "Delay is the worst-case ODE-limit propagation delay over \
      output-changing adjacent input transitions (t.u. after the input \
-     switch); gates count NOT/NOR gates in the minimal netlist. Bio flags \
+     switch); gates count the NOT/NOR gates of the synthesised netlist: \
+     the least tree cost over NOT and NOR2, with sharing added on \
+     extraction, so not always the fewest gates. Bio flags \
      follow Ray / Das / Choudhury: U = unate, C = canalizing, N = \
      nested-canalizing — the function classes dominating natural \
      regulatory logic.\n\n";
