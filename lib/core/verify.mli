@@ -32,8 +32,8 @@ val experiment :
     atlas and serve job follows ([Glc_campaign.Runner.execute]): a
     certificate that settles every row is the verdict and costs no
     simulation; otherwise the circuit runs the whole protocol and
-    Algorithm 1 decides, exactly as {!experiment} on {!Experiment.run}
-    does. *)
+    Algorithm 1 decides, exactly as {!experiment} on
+    {!Glc_dvasim.Experiment.run} does. *)
 
 type outcome = {
   certificate : Glc_symbolic.Certificate.t;

@@ -24,6 +24,11 @@ module Atlas = Glc_space.Atlas
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+
+let gate_reads = function
+  | Netlist.Not a -> [ a ]
+  | Netlist.Nor (a, b) -> [ a; b ]
+  | Netlist.Const _ -> []
 let checks = Alcotest.check Alcotest.string
 
 (* ---- scratch directories ---- *)
@@ -186,10 +191,7 @@ let test_synthesis_support_4in () =
               Alcotest.failf "0x%04X: a gate reads unread input %s" code net)
           (nl.Netlist.output
           :: List.concat_map
-               (function
-                 | _, Netlist.Not a -> [ a ]
-                 | _, Netlist.Nor (a, b) -> [ a; b ]
-                 | _, Netlist.Const _ -> [])
+               (fun (_, g) -> gate_reads g)
                (Netlist.logic_gates nl));
         let projected =
           Truth_table.create ~arity:(List.length read) (fun r ->
@@ -228,11 +230,6 @@ let test_synthesis_sop_no_double_not () =
         | Some (Netlist.Not _) -> true
         | _ -> false
       in
-      let reads = function
-        | Netlist.Not a -> [ a ]
-        | Netlist.Nor (a, b) -> [ a; b ]
-        | Netlist.Const _ -> []
-      in
       List.iter
         (fun (net, gate) ->
           (match gate with
@@ -241,7 +238,8 @@ let test_synthesis_sop_no_double_not () =
           | _ -> ());
           if
             net <> nl.Netlist.output
-            && not (List.exists (fun (_, g) -> List.mem net (reads g)) gates)
+            && not
+                 (List.exists (fun (_, g) -> List.mem net (gate_reads g)) gates)
           then Alcotest.failf "0x%04X: nothing reads %s" code net)
         gates)
     ([ 0x6996; 0x1E5A; 0x8001 ] @ Fn.sample_codes ~arity:4 ~seed:11 200);

@@ -517,9 +517,10 @@ let test_certified_first_hybrid_nand () =
   checki "one certificate" 1 (count "symbolic.certificates")
 
 (* Fig. 5's 0x0B at threshold 90 (row 011 reads low), and five circuits
-   whose undecided row is slow to settle at a 200 t.u. hold. Simulating
-   the undecided rows on their own, each repeated, read them as
-   verified; the whole protocol does not. *)
+   whose undecided row is slow to settle at a 200 t.u. hold: cases
+   where a row's transition from its protocol predecessor decides the
+   verdict, so simulating the undecided rows on their own, each
+   repeated, would read them as verified. *)
 let test_certified_first_agrees_with_simulation () =
   ignore
     (check_agrees_with_simulation
