@@ -492,8 +492,10 @@ let check_agrees_with_simulation ?metrics ~protocol c =
   let o = Verify.certified_first ?metrics ~protocol c in
   let _, v = Verify.experiment (Experiment.run ~protocol c) in
   let r = o.Verify.report in
-  let what = Printf.sprintf "%s at threshold %g, hold %g" c.Circuit.name
-      protocol.Protocol.threshold protocol.Protocol.hold_time in
+  let what =
+    Printf.sprintf "%s at threshold %g, hold %g" c.Circuit.name
+      protocol.Protocol.threshold protocol.Protocol.hold_time
+  in
   checkb (what ^ ": simulated") true (o.Verify.result <> None);
   checkb (what ^ ": verified") v.Verify.verified r.Verify.verified;
   checkb (what ^ ": extracted table") true
@@ -508,6 +510,7 @@ let test_certified_first_hybrid_nand () =
     check_agrees_with_simulation ~metrics ~protocol:quick
       (Option.get (Benchmarks.find "genetic_NAND"))
   in
+  checkb "verified" true o.Verify.report.Verify.verified;
   checkb "row 11 undecided" true
     (Certificate.undecided_rows o.Verify.certificate = [ 3 ]);
   let count name = Metrics.Counter.value (Metrics.counter metrics name) in
